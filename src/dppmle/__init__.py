@@ -3,7 +3,7 @@ processes: probabilities, sampling, likelihood geometry, and
 maximum-likelihood estimation under the sign-orbit identifiability."""
 
 from .errors import (ConfigError, DppError, EmptyBatch, GroundSetTooLarge,
-                     InsufficientPoints, NonpositiveValue,
+                     InsufficientPoints, LikelihoodDecrease, NonpositiveValue,
                      NormalizationMismatch, NotNullDirection,
                      SingularInformation)
 from .kernels import (CorrelationKernel, DeterminantalGraph, Kernel,

@@ -29,14 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import minors, rngs
-from .errors import GroundSetTooLarge, SingularInformation
+from .errors import GroundSetTooLarge, LikelihoodDecrease, SingularInformation
 from .geometry import hessian_matrix
 from .kernels import (DeterminantalGraph, Kernel, conjugate_by_signs,
-                      determinantal_graph, k_to_l, sign_vectors, symmetrize)
+                      determinantal_graph, k_to_l, symmetrize)
 from .model import DppTable, EmpiricalTable, build_table, empirical_table, sample
 
 #: Exhaustive sign-orbit enumeration cap.
 MAX_SIGN_ENUM_N = 20
+
+#: Sign vectors scored per batch in sign_orbit_loss (n=18: ~2.6 MB each
+#: for the stacked differences).
+_SIGN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,11 @@ class _Objective:
         self.n = freqs.n
         observed = np.nonzero(freqs.freqs)[0].astype(np.int64)
         weights = freqs.freqs[observed]
-        pos = {int(m): k for k, m in enumerate(observed)}
         self.groups = []
         for sel, idx in minors._group_masks(self.n, observed):
             if sel.size == 0 or idx.shape[1] == 0:
                 continue
-            rows = np.fromiter((pos[int(m)] for m in sel), dtype=np.intp, count=sel.size)
+            rows = np.searchsorted(observed, sel)
             self.groups.append((idx[:, :, None], idx[:, None, :], weights[rows]))
         self.eye = np.eye(self.n)
 
@@ -244,8 +247,9 @@ def _fit_single(obj: _Objective, start: np.ndarray, config: MleConfig):
         f_acc, grad_l = obj.value_and_grad(matrix)
         g_new = -_theta_grad(grad_l, c)
         # refactoring a projected point may perturb the value by roundoff
-        assert f_acc >= fval - 1e-9 * max(1.0, abs(fval)), \
-            "line search accepted a decrease in likelihood"
+        if not f_acc >= fval - 1e-9 * max(1.0, abs(fval)):
+            raise LikelihoodDecrease(
+                f"line search accepted a decrease in likelihood: {fval!r} -> {f_acc!r}")
         s = theta_new - theta
         y = g_new - g
         sy = float(s @ y)
@@ -398,12 +402,19 @@ def sign_orbit_loss(l_hat: Kernel, l_star: Kernel) -> LossValue:
     if n > MAX_SIGN_ENUM_N:
         raise GroundSetTooLarge(
             f"exhaustive sign enumeration capped at n={MAX_SIGN_ENUM_N}, got {n}")
+    # codes in the order of sign_vectors(n, fix_first=True): bit n-1-i of
+    # the code flips sign i, for i >= 1
+    shifts = np.arange(n - 2, -1, -1)
     best_val, best_signs = None, None
-    for s in sign_vectors(n, fix_first=True):
-        diff = a - np.outer(s, s) * b
-        val = float(np.sqrt((diff * diff).sum()))
-        if best_val is None or val < best_val:
-            best_val, best_signs = val, s.copy()
+    for start in range(0, 2 ** (n - 1), _SIGN_CHUNK):
+        codes = np.arange(start, min(start + _SIGN_CHUNK, 2 ** (n - 1)))
+        signs = np.ones((codes.size, n))
+        signs[:, 1:] -= 2.0 * ((codes[:, None] >> shifts) & 1)
+        diff = a - signs[:, :, None] * signs[:, None, :] * b
+        vals = np.sqrt((diff * diff).sum(axis=(1, 2)))
+        k = int(np.argmin(vals))       # first minimum, as a strict < scan
+        if best_val is None or vals[k] < best_val:
+            best_val, best_signs = float(vals[k]), signs[k].copy()
     return LossValue(value=best_val, argmin_signs=best_signs)
 
 

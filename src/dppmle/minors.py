@@ -4,9 +4,22 @@ Subsets of [n] are encoded as integer bitmasks (bit i set means index i
 is in the subset).  Enumeration order is increasing mask value; within a
 subset, indices are increasing.  The empty subset has det = 1, tr = 0.
 
-The heavy loops group masks by cardinality so determinants and inverses
-of all principal submatrices run through numpy's stacked gufuncs instead
-of a Python loop per subset.
+All principal minors come from one recursion over the indices (Griffin
+& Tsatsomeros, "Principal minors, Part I", LAA 419, 2006).  Step k
+splits every mask J over the indices 0..k-1 into J and J u {k}; placing
+the first children before the second keeps the masks in increasing
+order, so after n steps entry m belongs to mask m.  Each step is a few
+stacked numpy operations over all masks at once:
+
+- `principal_logdets` carries, per mask, the Schur complement of A_J in
+  the block of the remaining indices.  Its leading entry is the pivot
+  det(A_{J u {k}}) / det(A_J); its complement after eliminating k is the
+  state of J u {k}.
+- `padded_inverses` borders (A_J)^{-1} by index k with the same pivot.
+
+The work is O(2^n) for the log-determinants and O(2^n n^2) for the
+padded inverses, with no Python loop per subset.  Both refuse a pivot
+that is not positive, which marks a nonpositive minor.
 """
 
 from __future__ import annotations
@@ -17,10 +30,6 @@ from .errors import GroundSetTooLarge
 
 #: Hard cap on ground-set size for full 2^n enumeration (8 MiB per table).
 MAX_ENUM_N = 20
-
-# Size-grouped index arrays per ground-set size, built once per n.
-_GROUP_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-_GROUP_CACHE_MAX_N = 12
 
 
 def check_enum_budget(n: int, cap: int = MAX_ENUM_N) -> None:
@@ -66,16 +75,15 @@ def _group_masks(n: int, masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray
     Returns a list of (masks_of_size_s, indices) with indices of shape
     (count, s) giving the member indices of each mask, for s = 0..n.
     """
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(n)) & 1 == 1
     sizes = popcounts(masks)
     groups = []
     for s in range(n + 1):
-        sel = masks[sizes == s]
-        if sel.size == 0:
-            groups.append((sel, np.empty((0, s), dtype=np.intp)))
-            continue
-        idx = np.empty((sel.size, s), dtype=np.intp)
-        for row, m in enumerate(sel):
-            idx[row] = subset_indices(int(m))
+        members = sizes == s
+        sel = masks[members]
+        # row-major nonzero lists each mask's indices in increasing order
+        idx = np.nonzero(bits[members])[1].astype(np.intp).reshape(sel.size, s)
         groups.append((sel, idx))
     return groups
 
@@ -85,95 +93,75 @@ def all_masks(n: int) -> np.ndarray:
     return np.arange(2 ** n, dtype=np.int64)
 
 
-def _groups_for(n: int, masks: np.ndarray | None):
+def _select(full: np.ndarray, masks) -> np.ndarray:
+    """Rows of a full per-mask result for the requested masks (any order,
+    repeats allowed)."""
     if masks is None:
-        if n in _GROUP_CACHE:
-            return _GROUP_CACHE[n], all_masks(n)
-        full = all_masks(n)
-        groups = _group_masks(n, full)
-        if n <= _GROUP_CACHE_MAX_N:
-            _GROUP_CACHE[n] = groups
-        return groups, full
+        return full
     masks = np.asarray(masks, dtype=np.int64)
-    return _group_masks(n, masks), masks
+    if masks.size and (masks.min() < 0 or masks.max() >= full.shape[0]):
+        raise ValueError(f"masks must lie in [0, {full.shape[0]})")
+    return full[masks]
+
+
+def _check_pivots(pivots: np.ndarray, offset: int) -> None:
+    """Raise unless every pivot is > 0; pivot j belongs to mask offset + j."""
+    bad = np.flatnonzero(~(pivots > 0))
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"nonpositive principal minor at masks {(bad[:4] + offset).tolist()}")
 
 
 def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
     """log det of every principal submatrix A_J.
 
     Result is aligned with `masks` (all 2^n masks when omitted, indexed
-    by mask value).  Assumes every principal minor is positive, which
-    holds for symmetric positive definite input.
+    by mask value).  Raises LinAlgError, naming the masks, when a
+    principal minor is not positive.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
-    groups, masks = _groups_for(n, masks)
-    out = np.empty(masks.size)
-    pos = {int(m): k for k, m in enumerate(masks)}
-    for sel, idx in groups:
-        if sel.size == 0:
-            continue
-        rows = np.fromiter((pos[int(m)] for m in sel), dtype=np.intp, count=sel.size)
-        if idx.shape[1] == 0:
-            out[rows] = 0.0
-            continue
-        sub = a[idx[:, :, None], idx[:, None, :]]
-        sign, logdet = np.linalg.slogdet(sub)
-        if not np.all(sign > 0):
-            bad = sel[sign <= 0]
-            raise np.linalg.LinAlgError(
-                f"nonpositive principal minor at masks {bad[:4].tolist()}")
-        out[rows] = logdet
-    return out
+    check_enum_budget(n)
+    out = np.zeros(2 ** n)
+    # schur[j] is the Schur complement of A_J in A_{J u R}, for J over
+    # the indices processed so far and R the remaining ones
+    schur = a[None]
+    for k in range(n):
+        half = 2 ** k
+        pivot = schur[:, 0, 0]
+        _check_pivots(pivot, half)
+        out[half:2 * half] = out[:half] + np.log(pivot)
+        rest = schur[:, 1:, 1:]
+        taken = rest - schur[:, 1:, :1] * (schur[:, :1, 1:] / pivot[:, None, None])
+        schur = np.concatenate([rest, taken])
+    return _select(out, masks)
 
 
 def padded_inverses(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
     """Inverses of all principal submatrices, zero-padded to n x n.
 
     Entry k is the n x n matrix whose J x J block is (A_J)^{-1} for the
-    k-th mask and which vanishes elsewhere.
+    k-th mask and which vanishes elsewhere.  Raises LinAlgError, naming
+    the masks, when a principal minor is not positive.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
-    groups, masks = _groups_for(n, masks)
-    out = np.zeros((masks.size, n, n))
-    pos = {int(m): k for k, m in enumerate(masks)}
-    for sel, idx in groups:
-        if sel.size == 0 or idx.shape[1] == 0:
-            continue
-        rows = np.fromiter((pos[int(m)] for m in sel), dtype=np.intp, count=sel.size)
-        sub = a[idx[:, :, None], idx[:, None, :]]
-        inv = np.linalg.inv(sub)
-        out[rows[:, None, None], idx[:, :, None], idx[:, None, :]] = inv
-    return out
-
-
-def weighted_inverse_sum(matrix: np.ndarray, weights: np.ndarray,
-                         masks: np.ndarray | None = None) -> np.ndarray:
-    """Sum_J w_J * padded (A_J)^{-1} without materializing all inverses.
-
-    `weights` is aligned with `masks`; zero-weight masks are skipped.
-    """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    weights = np.asarray(weights, dtype=float)
-    groups, masks = _groups_for(n, masks)
-    pos = {int(m): k for k, m in enumerate(masks)}
-    acc = np.zeros((n, n))
-    for sel, idx in groups:
-        if sel.size == 0 or idx.shape[1] == 0:
-            continue
-        rows = np.fromiter((pos[int(m)] for m in sel), dtype=np.intp, count=sel.size)
-        w = weights[rows]
-        live = w != 0.0
-        if not live.any():
-            continue
-        idx_live = idx[live]
-        sub = a[idx_live[:, :, None], idx_live[:, None, :]]
-        inv = np.linalg.inv(sub)
-        np.add.at(acc, (idx_live[:, :, None], idx_live[:, None, :]),
-                  inv * w[live, None, None])
-    return acc
+    check_enum_budget(n)
+    out = np.zeros((2 ** n, n, n))
+    for i in range(n):
+        half = 2 ** i
+        inv = out[:half]
+        # bordering A_J by index i: with u = A_J^{-1} A_{J,i} and
+        # v = A_{i,J} A_J^{-1} (both padded, so zero at i) and the Schur
+        # pivot s, the padded inverse of A_{J u {i}} is
+        # inv_J + (u - e_i)(v - e_i)^T / s
+        u = inv @ a[:, i]
+        v = a[i] @ inv
+        s = a[i, i] - u @ a[i]
+        _check_pivots(s, half)
+        u[:, i] = v[:, i] = -1.0
+        out[half:2 * half] = inv + u[:, :, None] * (v[:, None, :] / s[:, None, None])
+    return _select(out, masks)
 
 
 def supersets_of(masks: np.ndarray, s: int) -> np.ndarray:

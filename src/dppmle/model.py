@@ -8,8 +8,6 @@ the population quantities the likelihood geometry is built on.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -21,6 +19,13 @@ from .kernels import Kernel, l_to_k
 
 #: Relative keyEq residual beyond which table construction aborts.
 BREAKDOWN_TOL = 1e-6
+
+
+def _mask_csv(values: np.ndarray) -> str:
+    """`mask,probability` CSV of a per-mask vector, in csv.writer's
+    default dialect (CRLF line ends, floats as repr)."""
+    values = np.asarray(values, dtype=float).tolist()
+    return "mask,probability\r\n" + "".join(f"{m},{p!r}\r\n" for m, p in enumerate(values))
 
 
 @dataclass
@@ -49,12 +54,7 @@ class DppTable:
         return float(self.probs[sel].sum())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["mask", "probability"])
-        for m, p in enumerate(self.probs):
-            w.writerow([m, repr(float(p))])
-        return buf.getvalue()
+        return _mask_csv(self.probs)
 
 
 def build_table(kernel: Kernel, cap: int = minors.MAX_ENUM_N) -> DppTable:
@@ -130,7 +130,7 @@ class SampleBatch:
             "n": self.n,
             "seed": self.seed if isinstance(self.seed, int) else list(self.seed),
             "count": self.size,
-            "draws": [int(d) for d in self.draws],
+            "draws": self.draws.tolist(),
         })
 
     @classmethod
@@ -174,12 +174,7 @@ class EmpiricalTable:
     total: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["mask", "probability"])
-        for m, p in enumerate(self.freqs):
-            w.writerow([m, repr(float(p))])
-        return buf.getvalue()
+        return _mask_csv(self.freqs)
 
     @classmethod
     def from_probabilities(cls, n: int, probs: np.ndarray, total: int = 0) -> "EmpiricalTable":

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import dppmle as d
-from dppmle.errors import GroundSetTooLarge, SingularInformation
+from dppmle import estimation, minors
+from dppmle.errors import GroundSetTooLarge, LikelihoodDecrease, SingularInformation
 from dppmle.estimation import MleConfig
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable
@@ -81,6 +82,24 @@ class TestLikelihoodGradient:
         assert d.likelihood_gradient(freqs, d.Kernel([[1.0]]))[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
+class TestObjectiveGroups:
+    def test_matches_per_mask_construction(self, rng):
+        n = 6
+        freqs = d.empirical_table(d.sample(d.build_table(random_kernel(n, rng)), 200, seed=3))
+        observed = np.nonzero(freqs.freqs)[0]
+        expect = {}
+        for m in observed:
+            idx = minors.subset_indices(int(m))
+            expect.setdefault(idx.size, []).append((idx, freqs.freqs[m]))
+        groups = estimation._Objective(freqs).groups
+        assert len(groups) == len([size for size in expect if size > 0])
+        for (rows, cols, w), size in zip(groups, sorted(s for s in expect if s > 0)):
+            idx = np.array([i for i, _ in expect[size]], dtype=np.intp)
+            np.testing.assert_array_equal(rows, idx[:, :, None])
+            np.testing.assert_array_equal(cols, idx[:, None, :])
+            np.testing.assert_array_equal(w, [q for _, q in expect[size]])
+
+
 class TestFitMle:
     def test_population_recovery_n3(self, rng):
         star = d.tridiagonal_kernel(3, 2.0, 0.8)
@@ -131,6 +150,22 @@ class TestFitMle:
             MleConfig(spectral_box=(0.5, 0.4))
         with pytest.raises(ValueError):
             MleConfig(restarts=0)
+
+    def test_accepted_decrease_raises(self):
+        class Decreasing:
+            """Line search sees a rise, the accepted point a fall."""
+            n = 2
+            calls = 0
+
+            def value(self, matrix):
+                return 1.0
+
+            def value_and_grad(self, matrix):
+                self.calls += 1
+                return (0.0 if self.calls == 1 else -5.0), 0.01 * np.eye(2)
+
+        with pytest.raises(LikelihoodDecrease):
+            estimation._fit_single(Decreasing(), np.eye(2), MleConfig())
 
     def test_degenerate_table_clamps_to_box(self):
         # all mass on one subset: the likelihood sup is on the boundary,
@@ -194,6 +229,27 @@ class TestSignOrbitLoss:
         hat, star = random_kernel(4, rng), random_kernel(4, rng)
         loss = d.sign_orbit_loss(hat, star)
         assert loss.value <= np.linalg.norm(hat.matrix - star.matrix) + 1e-15
+
+    def test_matches_loop_reference(self, rng):
+        def loop_loss(hat, star):
+            best_val, best_signs = None, None
+            for s in sign_vectors(hat.n, fix_first=True):
+                diff = hat.matrix - np.outer(s, s) * star.matrix
+                val = float(np.sqrt((diff * diff).sum()))
+                if best_val is None or val < best_val:
+                    best_val, best_signs = val, s.copy()
+            return best_val, best_signs
+
+        cases = [(random_kernel(n, rng), random_kernel(n, rng)) for n in range(1, 9)]
+        # ties: a diagonal truth is at the same distance from every class
+        cases.append((random_kernel(5, rng), d.Kernel(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))))
+        star = random_block_kernel([3, 3], rng)
+        cases.append((star, star))
+        for hat, star in cases:
+            loss = d.sign_orbit_loss(hat, star)
+            val, signs = loop_loss(hat, star)
+            assert loss.value == val
+            np.testing.assert_array_equal(loss.argmin_signs, signs)
 
     def test_cap(self):
         big = d.Kernel(np.eye(21))

@@ -7,12 +7,54 @@ from dppmle import minors
 from dppmle.errors import GroundSetTooLarge
 from dppmle import rngs
 
-from conftest import random_kernel
+from conftest import random_block_kernel, random_kernel
 
 
 def brute_submatrix(a, mask):
     idx = [i for i in range(a.shape[0]) if mask >> i & 1]
     return a[np.ix_(idx, idx)]
+
+
+def brute_logdets(a):
+    """Reference: one slogdet per mask."""
+    out = np.zeros(2 ** a.shape[0])
+    for mask in range(1, out.size):
+        sign, out[mask] = np.linalg.slogdet(brute_submatrix(a, mask))
+        assert sign > 0
+    return out
+
+
+def brute_inverses(a):
+    """Reference: one inverse per mask, zero-padded."""
+    n = a.shape[0]
+    out = np.zeros((2 ** n, n, n))
+    for mask in range(1, out.shape[0]):
+        idx = minors.subset_indices(mask)
+        out[mask][np.ix_(idx, idx)] = np.linalg.inv(brute_submatrix(a, mask))
+    return out
+
+
+def tridiagonal(n, gen):
+    a = np.diag(2.0 + gen.random(n))
+    off = 0.9 * (2.0 * gen.random(n - 1) - 1.0)
+    return a + np.diag(off, 1) + np.diag(off, -1)
+
+
+def reference_kernels():
+    """Random, block-diagonal and tridiagonal kernels at n = 1..8."""
+    gen = np.random.default_rng(11)
+    for n in range(1, 9):
+        yield f"random-{n}", random_kernel(n, gen).matrix
+        yield f"tridiagonal-{n}", tridiagonal(n, gen)
+        if n >= 2:
+            sizes = [n // 2, n - n // 2]
+            yield f"blocks-{n}", random_block_kernel(sizes, gen).matrix
+
+
+#: Symmetric, every 1x1 and 2x2 principal minor positive, det = -2.888.
+NEGATIVE_3X3 = np.array([[1.0, 0.9, -0.9],
+                         [0.9, 1.0, 0.9],
+                         [-0.9, 0.9, 1.0]])
 
 
 class TestMaskHelpers:
@@ -60,6 +102,34 @@ class TestPrincipalLogdets:
         with pytest.raises(np.linalg.LinAlgError):
             minors.principal_logdets(bad)
 
+    def test_matches_reference(self):
+        for name, a in reference_kernels():
+            np.testing.assert_allclose(minors.principal_logdets(a), brute_logdets(a),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    def test_rejects_nonpositive_3x3_minor(self):
+        assert all(np.linalg.det(brute_submatrix(NEGATIVE_3X3, m)) > 0
+                   for m in (3, 5, 6))
+        with pytest.raises(np.linalg.LinAlgError, match=r"masks \[7\]"):
+            minors.principal_logdets(NEGATIVE_3X3)
+
+    def test_unsorted_repeated_masks(self, rng):
+        ker = random_kernel(4, rng)
+        masks = np.array([3, 9, 3, 0, 9])
+        logs = minors.principal_logdets(ker.matrix, masks)
+        full = brute_logdets(ker.matrix)
+        np.testing.assert_allclose(logs, full[masks], rtol=0, atol=1e-12)
+
+    def test_rejects_masks_out_of_range(self, rng):
+        ker = random_kernel(3, rng)
+        for bad in ([8], [-1]):
+            with pytest.raises(ValueError):
+                minors.principal_logdets(ker.matrix, np.array(bad))
+
+    def test_enumeration_cap(self):
+        with pytest.raises(GroundSetTooLarge):
+            minors.principal_logdets(np.eye(21))
+
 
 class TestPaddedInverses:
     def test_against_brute_force(self, rng):
@@ -72,29 +142,28 @@ class TestPaddedInverses:
                 expect[np.ix_(idx, idx)] = np.linalg.inv(brute_submatrix(ker.matrix, mask))
             np.testing.assert_allclose(inv[mask], expect, atol=1e-12)
 
+    def test_matches_reference(self):
+        for name, a in reference_kernels():
+            np.testing.assert_allclose(minors.padded_inverses(a), brute_inverses(a),
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_rejects_nonpositive_3x3_minor(self):
+        with pytest.raises(np.linalg.LinAlgError, match=r"masks \[7\]"):
+            minors.padded_inverses(NEGATIVE_3X3)
+
+    def test_unsorted_repeated_masks(self, rng):
+        ker = random_kernel(4, rng)
+        masks = np.array([3, 9, 3, 0, 9])
+        inv = minors.padded_inverses(ker.matrix, masks)
+        np.testing.assert_allclose(inv, brute_inverses(ker.matrix)[masks],
+                                   rtol=0, atol=1e-12)
+
     def test_zero_padding_outside_subset(self, rng):
         ker = random_kernel(3, rng)
         inv = minors.padded_inverses(ker.matrix)
         mask = 0b101
         assert inv[mask][1, :].sum() == 0.0
         assert inv[mask][:, 1].sum() == 0.0
-
-
-class TestWeightedInverseSum:
-    def test_matches_dense_accumulation(self, rng):
-        ker = random_kernel(4, rng)
-        w = rng.random(16)
-        fast = minors.weighted_inverse_sum(ker.matrix, w)
-        slow = np.einsum("j,jab->ab", w, minors.padded_inverses(ker.matrix))
-        np.testing.assert_allclose(fast, slow, atol=1e-12)
-
-    def test_skips_zero_weights(self, rng):
-        ker = random_kernel(3, rng)
-        w = np.zeros(8)
-        w[5] = 2.0
-        out = minors.weighted_inverse_sum(ker.matrix, w)
-        expect = 2.0 * minors.padded_inverses(ker.matrix)[5]
-        np.testing.assert_allclose(out, expect, atol=1e-13)
 
 
 class TestStreams:
@@ -123,3 +192,14 @@ class TestEnumerationOrder:
         assert seen == list(range(16))
         for size, (sel, idx) in enumerate(groups):
             assert idx.shape == (len(sel), size)
+
+    def test_group_masks_match_per_mask_construction(self, rng):
+        n = 6
+        masks = np.unique(rng.integers(0, 2 ** n, size=40)).astype(np.int64)
+        sizes = np.array([minors.subset_indices(m).size for m in masks])
+        for s, (sel, idx) in enumerate(minors._group_masks(n, masks)):
+            expect = masks[sizes == s]
+            np.testing.assert_array_equal(sel, expect)
+            assert idx.dtype == np.intp and idx.shape == (expect.size, s)
+            for row, m in zip(idx, expect):
+                np.testing.assert_array_equal(row, minors.subset_indices(int(m)))

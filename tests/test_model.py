@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -204,6 +208,26 @@ class TestSerialization:
         assert back.n == batch.n and back.seed == batch.seed
         np.testing.assert_array_equal(back.draws, batch.draws)
         np.testing.assert_array_equal(back.counts, batch.counts)
+
+    def test_csv_bytes_match_csv_writer(self, rng):
+        def reference(values):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["mask", "probability"])
+            for m, p in enumerate(values):
+                w.writerow([m, repr(float(p))])
+            return buf.getvalue()
+
+        table = d.build_table(random_kernel(5, rng))
+        freqs = d.empirical_table(d.sample(table, 50, seed=4))
+        assert table.to_csv() == reference(table.probs)
+        assert freqs.to_csv() == reference(freqs.freqs)
+
+    def test_sample_batch_json_bytes(self, rng):
+        batch = d.sample(d.build_table(random_kernel(4, rng)), 200, seed=6)
+        assert batch.to_json() == json.dumps({
+            "n": batch.n, "seed": batch.seed, "count": batch.size,
+            "draws": [int(x) for x in batch.draws]})
 
     def test_table_csv(self, rng):
         table = d.build_table(random_kernel(2, rng))

@@ -1,0 +1,16 @@
+"""Source-level checks on the package."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dppmle"
+
+
+def test_no_assert_statements():
+    # `python -O` strips asserts, so none may guard behaviour
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements in src/dppmle: {found}"
