@@ -5,21 +5,29 @@ frequencies q is
 
     Lhat(L) = sum_J q_J log det(L_J) - log det(I+L),
 
-with q_J = 0 terms contributing exactly zero.  The objective is
-invariant under sign conjugation, so estimates are only meaningful up
-to the sign orbit and performance is measured by the orbit loss
-min_D ||Lhat - D Lstar D||_F.
+and its gradient is sum_J q_J pad(L_J^{-1}) - (I+L)^{-1}.  Both are
+taken over the full table of 2^n masks by one forward pass of the
+all-minors recursion in `minors` and its adjoint, so q_J = 0 terms add
+exactly zero, but any nonpositive minor, observed or not, makes the
+value -inf.  The objective is invariant under sign conjugation, so
+estimates are only meaningful up to the sign orbit and performance is
+measured by the orbit loss min_D ||Lhat - D Lstar D||_F.
 
 Optimization runs over a Cholesky factor with log-parametrized diagonal
 (positivity for free), ascending by BFGS with a backtracking line
-search; after each accepted step the spectrum of the correlation kernel
-is clipped into a compact box [alpha, beta] so degenerate frequency
-tables cannot push the iterates to the boundary of the cone.
+search.  Near the optimum, where f = -Lhat no longer resolves the
+Armijo decrease, a step is accepted on the approximate Wolfe test of
+Hager & Zhang (SIAM J. Optim. 16, 2005), and a step too small to move
+the parameters ends the search.  After each accepted step the spectrum
+of the correlation kernel is clipped into a compact box [alpha, beta]
+so degenerate frequency tables cannot push the iterates to the
+boundary of the cone.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -37,6 +45,10 @@ from .model import DppTable, EmpiricalTable, build_table, empirical_table, sampl
 
 #: Exhaustive sign-orbit enumeration cap.
 MAX_SIGN_ENUM_N = 20
+
+#: Roundoff allowance, in units of max(1, |f|), under which a line-search
+#: candidate that fails Armijo may pass the approximate Wolfe test.
+_WOLFE_SLACK = 8 * np.finfo(float).eps
 
 #: Sign vectors scored per batch in sign_orbit_loss (n=18: ~2.6 MB each
 #: for the stacked differences).
@@ -101,43 +113,29 @@ def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
 
 
 class _Objective:
-    """Likelihood evaluations restricted to the observed subsets,
-    grouped by cardinality once so hot-loop calls stay vectorized."""
+    """The scaled log-likelihood over the full frequency table: the
+    forward pass of the all-minors recursion for the value, and its
+    adjoint for the gradient."""
 
     def __init__(self, freqs: EmpiricalTable):
         self.n = freqs.n
-        observed = np.nonzero(freqs.freqs)[0].astype(np.int64)
-        weights = freqs.freqs[observed]
-        self.groups = []
-        for sel, idx in minors._group_masks(self.n, observed):
-            if sel.size == 0 or idx.shape[1] == 0:
-                continue
-            rows = np.searchsorted(observed, sel)
-            self.groups.append((idx[:, :, None], idx[:, None, :], weights[rows]))
+        self.freqs = freqs.freqs
         self.eye = np.eye(self.n)
 
     def value(self, matrix: np.ndarray) -> float:
-        total = 0.0
         with np.errstate(all="ignore"):
-            for rows, cols, w in self.groups:
-                sign, logdet = np.linalg.slogdet(matrix[rows, cols])
-                if not np.all(sign > 0):
-                    return -np.inf
-                total += float(w @ logdet)
+            try:
+                logdets, _ = minors._schur_pass(matrix)
+            except np.linalg.LinAlgError:
+                return -np.inf
             sign, log_z = np.linalg.slogdet(self.eye + matrix)
-        if sign <= 0 or not np.isfinite(log_z):
+            total = float(logdets @ self.freqs) - float(log_z)
+        if sign <= 0 or not np.isfinite(total):
             return -np.inf
-        return total - float(log_z)
+        return total
 
     def value_and_grad(self, matrix: np.ndarray):
-        total = 0.0
-        grad = np.zeros_like(matrix)
-        for rows, cols, w in self.groups:
-            sub = matrix[rows, cols]
-            sign, logdet = np.linalg.slogdet(sub)
-            total += float(w @ logdet)
-            inv = np.linalg.inv(sub)
-            np.add.at(grad, (rows, cols), inv * w[:, None, None])
+        total, grad = minors.weighted_logdet_grad(matrix, self.freqs)
         inv_z = np.linalg.inv(self.eye + matrix)
         sign, log_z = np.linalg.slogdet(self.eye + matrix)
         return total - float(log_z), grad - inv_z
@@ -145,27 +143,33 @@ class _Objective:
 
 # --- Cholesky-factor parametrization -------------------------------------
 
+@functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
+def _strict_lower(n: int):
+    """np.tril_indices(n, -1), built once per n and read-only, since
+    every caller gets the same arrays."""
+    rows, cols = np.tril_indices(n, k=-1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _theta_from_matrix(matrix: np.ndarray) -> np.ndarray:
     c = np.linalg.cholesky(matrix)
     n = matrix.shape[0]
-    il = np.tril_indices(n, k=-1)
-    return np.concatenate([np.log(np.diag(c)), c[il]])
+    return np.concatenate([np.log(np.diag(c)), c[_strict_lower(n)]])
 
 
 def _matrix_from_theta(theta: np.ndarray, n: int):
     c = np.zeros((n, n))
     with np.errstate(over="ignore"):
         np.fill_diagonal(c, np.exp(np.clip(theta[:n], -200, 200)))
-    il = np.tril_indices(n, k=-1)
-    c[il] = theta[n:]
+    c[_strict_lower(n)] = theta[n:]
     return c @ c.T, c
 
 
 def _theta_grad(grad_l: np.ndarray, c: np.ndarray) -> np.ndarray:
     gc = 2.0 * grad_l @ c
     n = c.shape[0]
-    il = np.tril_indices(n, k=-1)
-    return np.concatenate([np.diag(gc) * np.diag(c), gc[il]])
+    return np.concatenate([np.diag(gc) * np.diag(c), gc[_strict_lower(n)]])
 
 
 def _project_box(matrix: np.ndarray, box: tuple):
@@ -226,26 +230,44 @@ def _fit_single(obj: _Objective, start: np.ndarray, config: MleConfig):
             dg = float(d @ g)
         step = 1.0
         accepted = False
+        slope_checked = None
         while step >= 1e-14:
             cand = theta + step * d
-            cand_matrix, _ = _matrix_from_theta(cand, n)
+            if np.array_equal(cand, theta):   # the step no longer moves theta
+                break
+            cand_matrix, cand_c = _matrix_from_theta(cand, n)
             if np.isfinite(cand_matrix).all():
                 proj_matrix, projected = _project_box(cand_matrix, config.spectral_box)
                 f_new = -obj.value(proj_matrix)
-                ok = (f_new <= -fval + 1e-4 * step * dg) if not projected else (f_new < -fval)
-                if np.isfinite(f_new) and ok:
+                if not np.isfinite(f_new):
+                    pass
+                elif projected:
+                    accepted = f_new < -fval
+                elif f_new <= -fval + 1e-4 * step * dg:
                     accepted = True
+                elif f_new <= -fval + _WOLFE_SLACK * max(1.0, abs(fval)):
+                    # f no longer resolves the Armijo decrease: accept on
+                    # the slope instead (approximate Wolfe, Hager & Zhang)
+                    f_cand, grad_l = obj.value_and_grad(cand_matrix)
+                    g_cand = -_theta_grad(grad_l, cand_c)
+                    if 0.9 * dg <= float(d @ g_cand) <= -0.8 * dg:
+                        accepted = True
+                        slope_checked = (f_cand, g_cand)
+                if accepted:
                     break
             step *= 0.5
         if not accepted:
             break
         if projected:
             theta_new = _theta_from_matrix(proj_matrix)
+            matrix, c = _matrix_from_theta(theta_new, n)
         else:
-            theta_new = cand
-        matrix, c = _matrix_from_theta(theta_new, n)
-        f_acc, grad_l = obj.value_and_grad(matrix)
-        g_new = -_theta_grad(grad_l, c)
+            theta_new, matrix, c = cand, cand_matrix, cand_c
+        if slope_checked is None:
+            f_acc, grad_l = obj.value_and_grad(matrix)
+            g_new = -_theta_grad(grad_l, c)
+        else:
+            f_acc, g_new = slope_checked
         # refactoring a projected point may perturb the value by roundoff
         if not f_acc >= fval - 1e-9 * max(1.0, abs(fval)):
             raise LikelihoodDecrease(

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import minors
 from .errors import NotNullDirection
-from .kernels import (DeterminantalGraph, Kernel, determinantal_graph,
-                      stack_to_coords, symmetric_dim)
+from .kernels import (DeterminantalGraph, Kernel, stack_to_coords,
+                      symmetric_dim)
 from .model import DppTable, build_table
 
 #: Relative eigenvalue threshold used to identify the numerical null space.
@@ -351,7 +351,3 @@ def min_curvature(kernel_or_table) -> float:
     table = kernel_or_table if isinstance(kernel_or_table, DppTable) else build_table(kernel_or_table)
     form = hessian_matrix(table)
     return float(-form.eigenvalues[-1])
-
-
-def is_reducible(kernel: Kernel, zero_tol: float = 0.0) -> bool:
-    return not determinantal_graph(kernel, zero_tol).irreducible

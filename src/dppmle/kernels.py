@@ -101,7 +101,7 @@ def principal_submatrix(matrix, mask: int) -> np.ndarray:
     trace 0 under numpy's conventions.
     """
     a = _as_matrix(matrix)
-    idx = minors.subset_indices(mask)
+    idx = minors.subset_indices(minors.check_mask(mask, a.shape[0]))
     return a[np.ix_(idx, idx)]
 
 
@@ -175,12 +175,6 @@ class DeterminantalGraph:
     @property
     def irreducible(self) -> bool:
         return len(self.components) == 1
-
-    def component_of(self, i: int) -> int:
-        for a, comp in enumerate(self.components):
-            if i in comp:
-                return a
-        raise ValueError(f"index {i} outside ground set of size {self.n}")
 
     def cross_pairs(self):
         """Unordered index pairs (i, j), i < j, lying in distinct components."""

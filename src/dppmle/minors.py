@@ -15,11 +15,16 @@ stacked numpy operations over all masks at once:
   the block of the remaining indices.  Its leading entry is the pivot
   det(A_{J u {k}}) / det(A_J); its complement after eliminating k is the
   state of J u {k}.
+- `weighted_logdet_grad` runs that forward pass keeping its stacks, then
+  the reverse-mode adjoint of each step from k = n-1 down to 0
+  (Griewank & Walther, "Evaluating Derivatives"), so sum_J w_J log det
+  A_J and its gradient sum_J w_J pad(A_J^{-1}) cost one sweep each way.
 - `padded_inverses` borders (A_J)^{-1} by index k with the same pivot.
 
 The work is O(2^n) for the log-determinants and O(2^n n^2) for the
-padded inverses, with no Python loop per subset.  Both refuse a pivot
-that is not positive, which marks a nonpositive minor.
+padded inverses and the gradient, with no Python loop per subset.  All
+three refuse a pivot that is not positive, which marks a nonpositive
+minor.
 """
 
 from __future__ import annotations
@@ -38,11 +43,21 @@ def check_enum_budget(n: int, cap: int = MAX_ENUM_N) -> None:
             f"ground set of size {n} exceeds the enumeration cap of {cap}")
 
 
+def check_mask(mask: int, n: int) -> int:
+    """The mask as an int; ValueError unless it lies in [0, 2^n)."""
+    m = int(mask)
+    if not 0 <= m < 2 ** n:
+        raise ValueError(f"mask {m} outside [0, 2^{n}) for a ground set of size {n}")
+    return m
+
+
 def subset_indices(mask: int) -> np.ndarray:
     """Indices contained in a bitmask, in increasing order."""
     out = []
     i = 0
     m = int(mask)
+    if m < 0:
+        raise ValueError(f"mask must be nonnegative, got {m}")
     while m:
         if m & 1:
             out.append(i)
@@ -69,25 +84,6 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _group_masks(n: int, masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group masks by cardinality.
-
-    Returns a list of (masks_of_size_s, indices) with indices of shape
-    (count, s) giving the member indices of each mask, for s = 0..n.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n)) & 1 == 1
-    sizes = popcounts(masks)
-    groups = []
-    for s in range(n + 1):
-        members = sizes == s
-        sel = masks[members]
-        # row-major nonzero lists each mask's indices in increasing order
-        idx = np.nonzero(bits[members])[1].astype(np.intp).reshape(sel.size, s)
-        groups.append((sel, idx))
-    return groups
-
-
 def all_masks(n: int) -> np.ndarray:
     check_enum_budget(n)
     return np.arange(2 ** n, dtype=np.int64)
@@ -106,10 +102,37 @@ def _select(full: np.ndarray, masks) -> np.ndarray:
 
 def _check_pivots(pivots: np.ndarray, offset: int) -> None:
     """Raise unless every pivot is > 0; pivot j belongs to mask offset + j."""
-    bad = np.flatnonzero(~(pivots > 0))
-    if bad.size:
+    positive = pivots > 0               # False at NaN too
+    if np.count_nonzero(positive) < positive.size:
+        bad = np.flatnonzero(~positive)
         raise np.linalg.LinAlgError(
             f"nonpositive principal minor at masks {(bad[:4] + offset).tolist()}")
+
+
+def _schur_pass(matrix: np.ndarray, keep: bool = False):
+    """Forward pass of the recursion: (log det of all 2^n principal
+    submatrices, indexed by mask; the Schur stack entering each step
+    when `keep` is set, else an empty list)."""
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    check_enum_budget(n)
+    out = np.zeros(2 ** n)
+    stacks = []
+    # schur[j] is the Schur complement of A_J in A_{J u R}, for J over
+    # the indices processed so far and R the remaining ones
+    schur = a[None]
+    for k in range(n):
+        half = 2 ** k
+        if keep:
+            stacks.append(schur)
+        pivot = schur[:, 0, 0]
+        _check_pivots(pivot, half)
+        np.add(out[:half], np.log(pivot), out=out[half:2 * half])
+        if k + 1 < n:
+            rest = schur[:, 1:, 1:]
+            taken = rest - schur[:, 1:, :1] * (schur[:, :1, 1:] / pivot[:, None, None])
+            schur = np.concatenate([rest, taken])
+    return out, stacks
 
 
 def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
@@ -119,22 +142,46 @@ def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np
     by mask value).  Raises LinAlgError, naming the masks, when a
     principal minor is not positive.
     """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    check_enum_budget(n)
-    out = np.zeros(2 ** n)
-    # schur[j] is the Schur complement of A_J in A_{J u R}, for J over
-    # the indices processed so far and R the remaining ones
-    schur = a[None]
-    for k in range(n):
+    return _select(_schur_pass(matrix)[0], masks)
+
+
+def weighted_logdet_grad(matrix: np.ndarray, weights: np.ndarray):
+    """(sum_J w_J log det A_J, sum_J w_J pad(A_J^{-1})) over all 2^n masks.
+
+    The gradient is the reverse-mode adjoint of `principal_logdets`
+    (d/dA_ij, no symmetry assumed, so it is sum_J w_J pad(A_J^{-T})).
+    Raises LinAlgError, naming the masks, when a principal minor is not
+    positive, whatever its weight.
+    """
+    logdets, stacks = _schur_pass(matrix, keep=True)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != logdets.shape:
+        raise ValueError(f"weights must have shape {logdets.shape}, got {w.shape}")
+    total = float(logdets @ w)
+    # g is the adjoint of the stack leaving step k: g[:half] for the
+    # children without k (`rest` = B), g[half:] for those with k (`taken`
+    # = B - c r^T / p, c the column and r the row under and beside the
+    # pivot p).  So B gets g0 + g1, c gets -g1 r / p, r gets -c^T g1 / p,
+    # and p gets w_k / p + c^T g1 r / p^2 = (w_k - r . (-c^T g1 / p)) / p.
+    # The last step leaves 0 x 0 blocks, so its adjoint is the pivot's.
+    half = w.size // 2
+    g = (w[half:] / stacks[-1][:, 0, 0])[:, None, None]
+    w = w[:half] + w[half:]
+    for k in range(len(stacks) - 2, -1, -1):
         half = 2 ** k
+        schur = stacks[k]
         pivot = schur[:, 0, 0]
-        _check_pivots(pivot, half)
-        out[half:2 * half] = out[:half] + np.log(pivot)
-        rest = schur[:, 1:, 1:]
-        taken = rest - schur[:, 1:, :1] * (schur[:, :1, 1:] / pivot[:, None, None])
-        schur = np.concatenate([rest, taken])
-    return _select(out, masks)
+        row = schur[:, 0, 1:]
+        g1 = g[half:]
+        neg_inv = (-1.0 / pivot)[:, None]
+        up = np.empty_like(schur)
+        up[:, 1:, 0] = (g1 @ row[:, :, None])[:, :, 0] * neg_inv
+        up[:, 0, 1:] = (schur[:, None, 1:, 0] @ g1)[:, 0, :] * neg_inv
+        up[:, 0, 0] = (w[half:] - (up[:, 0, 1:] * row).sum(axis=1)) / pivot
+        np.add(g[:half], g1, out=up[:, 1:, 1:])
+        w = w[:half] + w[half:]
+        g = up
+    return total, g[0]
 
 
 def padded_inverses(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:

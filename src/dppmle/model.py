@@ -82,7 +82,7 @@ def build_table(kernel: Kernel, cap: int = minors.MAX_ENUM_N) -> DppTable:
 
 def subset_probability(kernel: Kernel, mask: int) -> float:
     """det(L_J) / det(I+L) for a single subset."""
-    idx = minors.subset_indices(mask)
+    idx = minors.subset_indices(minors.check_mask(mask, kernel.n))
     a = kernel.matrix
     if idx.size:
         sign, logdet = np.linalg.slogdet(a[np.ix_(idx, idx)])
@@ -99,7 +99,7 @@ def inclusion_probability(kernel_or_table, mask: int) -> float:
     DppTable.inclusion_from_sum for cross-checking.
     """
     kernel = kernel_or_table.kernel if isinstance(kernel_or_table, DppTable) else kernel_or_table
-    idx = minors.subset_indices(mask)
+    idx = minors.subset_indices(minors.check_mask(mask, kernel.n))
     if idx.size == 0:
         return 1.0
     k = l_to_k(kernel).matrix

@@ -5,6 +5,12 @@ from dppmle import Kernel, block_diagonal_kernel, symmetrize
 from dppmle.experiments import random_kernel, random_symmetric
 
 
+#: Symmetric, every 1x1 and 2x2 principal minor positive, det = -2.888.
+NEGATIVE_3X3 = np.array([[1.0, 0.9, -0.9],
+                         [0.9, 1.0, 0.9],
+                         [-0.9, 0.9, 1.0]])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
@@ -25,5 +31,5 @@ def random_null_direction(graph, gen) -> np.ndarray:
     return h
 
 
-__all__ = ["random_kernel", "random_symmetric", "random_block_kernel",
+__all__ = ["NEGATIVE_3X3", "random_kernel", "random_symmetric", "random_block_kernel",
            "random_null_direction", "symmetrize"]

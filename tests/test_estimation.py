@@ -8,7 +8,7 @@ from dppmle.estimation import MleConfig
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable
 
-from conftest import random_block_kernel, random_kernel
+from conftest import NEGATIVE_3X3, random_block_kernel, random_kernel
 
 
 def exact_frequencies(kernel) -> EmpiricalTable:
@@ -82,22 +82,81 @@ class TestLikelihoodGradient:
         assert d.likelihood_gradient(freqs, d.Kernel([[1.0]]))[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
-class TestObjectiveGroups:
-    def test_matches_per_mask_construction(self, rng):
-        n = 6
-        freqs = d.empirical_table(d.sample(d.build_table(random_kernel(n, rng)), 200, seed=3))
-        observed = np.nonzero(freqs.freqs)[0]
-        expect = {}
-        for m in observed:
-            idx = minors.subset_indices(int(m))
-            expect.setdefault(idx.size, []).append((idx, freqs.freqs[m]))
-        groups = estimation._Objective(freqs).groups
-        assert len(groups) == len([size for size in expect if size > 0])
-        for (rows, cols, w), size in zip(groups, sorted(s for s in expect if s > 0)):
-            idx = np.array([i for i, _ in expect[size]], dtype=np.intp)
-            np.testing.assert_array_equal(rows, idx[:, :, None])
-            np.testing.assert_array_equal(cols, idx[:, None, :])
-            np.testing.assert_array_equal(w, [q for _, q in expect[size]])
+class TestObjective:
+    def test_value_is_minus_inf_on_nonpositive_minor(self):
+        # the negative minor is mask 7, observed or not
+        for freqs in ([0.5, 0.5, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1.0]):
+            table = EmpiricalTable(n=3, freqs=np.array(freqs), total=2)
+            assert estimation._Objective(table).value(NEGATIVE_3X3) == -np.inf
+
+    def test_fit_does_not_call_public_minors(self, monkeypatch):
+        # the traced public primitives must not count objective calls
+        freqs = d.empirical_table(d.sample(d.build_table(random_block_kernel([2, 2], np.random.default_rng(3))),
+                                           500, seed=4))
+
+        def banned(*args, **kwargs):
+            raise AssertionError("fit_mle called a public minors primitive")
+
+        monkeypatch.setattr(minors, "principal_logdets", banned)
+        monkeypatch.setattr(minors, "padded_inverses", banned)
+        result = d.fit_mle(freqs, MleConfig(seed=2, restarts=3))
+        assert np.isfinite(result.log_likelihood)
+
+    def test_strict_lower_is_cached_and_read_only(self):
+        rows, cols = estimation._strict_lower(5)
+        expect = np.tril_indices(5, k=-1)
+        np.testing.assert_array_equal(rows, expect[0])
+        np.testing.assert_array_equal(cols, expect[1])
+        assert estimation._strict_lower(5)[0] is rows
+        with pytest.raises(ValueError):
+            rows[0] = 1
+
+
+class TestLineSearch:
+    def test_flat_value_reaches_grad_tol(self):
+        """A constant value never passes Armijo, so every step must pass
+        the slope test; the gradient is that of -||L - target||^2 / 2."""
+        target = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+        class Flat:
+            n = 2
+
+            def value(self, matrix):
+                return -3.0
+
+            def value_and_grad(self, matrix):
+                return -3.0, target - matrix
+
+        cfg = MleConfig()
+        matrix, fval, iters, conv, gnorm = estimation._fit_single(Flat(), np.eye(2), cfg)
+        assert conv and gnorm <= cfg.grad_tol and iters < cfg.max_iters
+        np.testing.assert_allclose(matrix, target, atol=1e-8)
+
+    def test_gives_up_when_no_step_moves_theta(self):
+        """Every move lowers the likelihood; the gradient is above grad_tol
+        but so small that backtracking stops moving theta above its step
+        floor, where Armijo would pass on roundoff alone, every iteration."""
+
+        class Peaked:
+            n = 2
+            peak = None
+            calls = 0
+
+            def value(self, matrix):
+                self.calls += 1
+                return -1.0 - 1e30 * float(((matrix - self.peak) ** 2).sum())
+
+            def value_and_grad(self, matrix):
+                if self.peak is None:
+                    self.peak = matrix.copy()
+                return self.value(matrix), 1e-6 * np.eye(2)
+
+        obj = Peaked()
+        cfg = MleConfig()
+        _, fval, iters, conv, gnorm = estimation._fit_single(obj, 2.0 * np.eye(2), cfg)
+        # a step may still change theta in its last bit but not the matrix
+        assert iters <= 2 and not conv and gnorm > cfg.grad_tol
+        assert fval == -1.0 and obj.calls < 200
 
 
 class TestFitMle:

@@ -44,6 +44,11 @@ class TestPrincipalSubmatrix:
         sub = d.principal_submatrix(m, mask_of([0, 2]))
         assert sub[0, 1] == 0.5 and sub[1, 0] == 0.5
 
+    def test_rejects_mask_outside_ground_set(self):
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="outside"):
+                d.principal_submatrix(np.diag([2.0, 3.0]), bad)
+
 
 class TestKLConversions:
     def test_identity_maps_to_half(self):

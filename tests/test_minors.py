@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from dppmle import minors
 from dppmle.errors import GroundSetTooLarge
 from dppmle import rngs
 
-from conftest import random_block_kernel, random_kernel
+from conftest import NEGATIVE_3X3, random_block_kernel, random_kernel
 
 
 def brute_submatrix(a, mask):
@@ -51,16 +49,18 @@ def reference_kernels():
             yield f"blocks-{n}", random_block_kernel(sizes, gen).matrix
 
 
-#: Symmetric, every 1x1 and 2x2 principal minor positive, det = -2.888.
-NEGATIVE_3X3 = np.array([[1.0, 0.9, -0.9],
-                         [0.9, 1.0, 0.9],
-                         [-0.9, 0.9, 1.0]])
-
-
 class TestMaskHelpers:
     def test_subset_indices(self):
         np.testing.assert_array_equal(minors.subset_indices(0b1011), [0, 1, 3])
         assert minors.subset_indices(0).size == 0
+        with pytest.raises(ValueError):
+            minors.subset_indices(-1)
+
+    def test_check_mask(self):
+        assert minors.check_mask(np.int64(7), 3) == 7
+        for bad in (-1, 8):
+            with pytest.raises(ValueError, match="outside"):
+                minors.check_mask(bad, 3)
 
     def test_mask_roundtrip(self):
         for mask in (0, 1, 0b1010, 0b11111):
@@ -166,6 +166,35 @@ class TestPaddedInverses:
         assert inv[mask][:, 1].sum() == 0.0
 
 
+class TestWeightedLogdetGrad:
+    def test_matches_reference(self):
+        gen = np.random.default_rng(5)
+        for name, a in reference_kernels():
+            w = gen.random(2 ** a.shape[0])
+            total, grad = minors.weighted_logdet_grad(a, w)
+            expect = np.einsum("m,mij->ij", w, brute_inverses(a))
+            assert total == pytest.approx(w @ brute_logdets(a), rel=1e-12, abs=1e-12), name
+            np.testing.assert_allclose(grad, expect, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_uses_rows_and_columns_separately(self, rng):
+        # on a nonsymmetric matrix the adjoint is sum_J w_J pad(A_J^{-T})
+        a = random_kernel(4, rng).matrix + 0.3 * np.triu(np.ones((4, 4)), 1)
+        w = rng.random(16)
+        _, grad = minors.weighted_logdet_grad(a, w)
+        expect = np.einsum("m,mij->ij", w, brute_inverses(a))
+        np.testing.assert_allclose(grad, expect.T, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_nonpositive_3x3_minor_of_zero_weight(self):
+        w = np.zeros(8)
+        w[:7] = 1.0
+        with pytest.raises(np.linalg.LinAlgError, match=r"masks \[7\]"):
+            minors.weighted_logdet_grad(NEGATIVE_3X3, w)
+
+    def test_rejects_wrong_weight_shape(self, rng):
+        with pytest.raises(ValueError):
+            minors.weighted_logdet_grad(random_kernel(3, rng).matrix, np.ones(7))
+
+
 class TestStreams:
     def test_same_path_reproduces(self):
         a = rngs.stream(7, 1, 2).random(5)
@@ -184,22 +213,3 @@ class TestEnumerationOrder:
     def test_all_masks_increasing(self):
         masks = minors.all_masks(3)
         np.testing.assert_array_equal(masks, np.arange(8))
-
-    def test_group_masks_cover_everything(self):
-        groups = minors._group_masks(4, np.arange(16, dtype=np.int64))
-        seen = sorted(itertools.chain.from_iterable(
-            sel.tolist() for sel, _ in groups))
-        assert seen == list(range(16))
-        for size, (sel, idx) in enumerate(groups):
-            assert idx.shape == (len(sel), size)
-
-    def test_group_masks_match_per_mask_construction(self, rng):
-        n = 6
-        masks = np.unique(rng.integers(0, 2 ** n, size=40)).astype(np.int64)
-        sizes = np.array([minors.subset_indices(m).size for m in masks])
-        for s, (sel, idx) in enumerate(minors._group_masks(n, masks)):
-            expect = masks[sizes == s]
-            np.testing.assert_array_equal(sel, expect)
-            assert idx.dtype == np.intp and idx.shape == (expect.size, s)
-            for row, m in zip(idx, expect):
-                np.testing.assert_array_equal(row, minors.subset_indices(int(m)))

@@ -37,6 +37,12 @@ class TestSubsetProbability:
         expect = 1.0 / np.linalg.det(np.eye(3) + ker.matrix)
         assert d.subset_probability(ker, 0) == pytest.approx(expect, rel=1e-12)
 
+    def test_rejects_mask_outside_ground_set(self):
+        ker = d.tridiagonal_kernel(3, 2.0, 0.5)
+        for bad in (-1, 8):
+            with pytest.raises(ValueError, match="outside"):
+                d.subset_probability(ker, bad)
+
 
 class TestBuildTable:
     def test_identity_table(self):
@@ -101,6 +107,12 @@ class TestInclusionProbability:
 
     def test_identity_singleton(self):
         assert d.inclusion_probability(d.Kernel(np.eye(2)), 0b01) == pytest.approx(0.5)
+
+    def test_rejects_mask_outside_ground_set(self):
+        table = d.build_table(d.Kernel(np.eye(2)))
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="outside"):
+                d.inclusion_probability(table, bad)
 
     def test_agrees_with_superset_sum(self, rng):
         ker = random_kernel(6, rng)
