@@ -31,7 +31,7 @@ import functools
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +71,15 @@ class MleConfig:
         a, b = self.spectral_box
         if not (0.0 < a < b < 1.0):
             raise ValueError(f"spectral_box must satisfy 0 < alpha < beta < 1, got {self.spectral_box}")
+        for name in ("restarts", "max_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
+        if not math.isfinite(self.init_jitter):
+            raise ValueError(f"init_jitter must be finite, got {self.init_jitter!r}")
 
     @classmethod
     def from_json(cls, obj) -> "MleConfig":
@@ -451,12 +456,7 @@ class BlockwiseLoss:
 
 
 def _split_by_blocks(diff: np.ndarray, graph: DeterminantalGraph):
-    n = diff.shape[0]
-    label = np.empty(n, dtype=int)
-    for a, comp in enumerate(graph.components):
-        for i in comp:
-            label[i] = a
-    same = label[:, None] == label[None, :]
+    same = graph.same_component()
     within = float(np.sqrt((diff[same] ** 2).sum()))
     cross = float(np.sqrt((diff[~same] ** 2).sum()))
     return within, cross
@@ -517,14 +517,13 @@ class RiskEstimate:
 
 
 def estimate_risk(l_star: Kernel, sample_size: int, replicates: int,
-                  config: MleConfig, seed: int, threads: int = 1,
-                  estimator=None, table: DppTable | None = None) -> RiskEstimate:
+                  config: MleConfig, seed: int, *, estimator=None,
+                  table: DppTable | None = None) -> RiskEstimate:
     """Mean orbit loss over independent replicates.
 
     Replicate r draws its batch from the stream (seed, r), fits (or
-    applies the injected estimator), and scores against the truth.
-    Results land in an indexed buffer, so thread count and replicate
-    order cannot change the output.
+    applies the injected estimator), and scores against the truth, so
+    the first k replicates do not depend on how many follow.
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
@@ -536,8 +535,7 @@ def estimate_risk(l_star: Kernel, sample_size: int, replicates: int,
     cross = np.zeros(replicates)
     converged = np.zeros(replicates, dtype=bool)
     iterations = np.zeros(replicates, dtype=int)
-
-    def run(r: int):
+    for r in range(replicates):
         batch = sample(table, sample_size, seed, stream_path=(rngs.REPLICATE_STREAM, r))
         freqs = empirical_table(batch)
         if estimator is None:
@@ -551,13 +549,6 @@ def estimate_risk(l_star: Kernel, sample_size: int, replicates: int,
         within[r], cross[r] = _split_by_blocks(diff, graph)
         converged[r] = conv
         iterations[r] = iters
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(replicates)))
-    else:
-        for r in range(replicates):
-            run(r)
     return RiskEstimate(sample_size=sample_size, replicates=replicates,
                         mean_loss=float(losses.mean()),
                         std_error=float(losses.std(ddof=1) / np.sqrt(replicates)),

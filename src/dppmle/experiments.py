@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -87,7 +88,52 @@ def fit_semilog_slope(points) -> SlopeFit:
     return _ols(x, np.log(y))
 
 
+# --- config fields ----------------------------------------------------------
+
+def _typed(value, kind, field: str):
+    """`kind(value)` for kind int or float; ConfigError naming the field
+    when the value does not convert or the float is not finite."""
+    noun = "an integer" if kind is int else "a finite number"
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: expected {noun}, got {value!r}") from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{field}: expected {noun}, got {value!r}")
+    return out
+
+
+def _int_list(value, field: str) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{field}: required nonempty list of integers")
+    return [_typed(v, int, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def _seed(config: dict, seed_override: int | None) -> int:
+    seed = _typed(config.get("seed", 0) if seed_override is None else seed_override,
+                  int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    return seed
+
+
+def _mle_config(config: dict, seed_override: int | None = None) -> MleConfig:
+    try:
+        mle = dict(config.get("mle", {}))
+        if seed_override is not None:
+            mle["seed"] = _seed(config, seed_override)
+        return MleConfig.from_json(mle)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mle: {exc}") from exc
+
+
 # --- kernel specs -----------------------------------------------------------
+
+def _tridiagonal_ab(tri, field: str):
+    if not isinstance(tri, dict):
+        raise ConfigError(f"{field}: required object with fields a, b")
+    return _typed(tri.get("a"), float, f"{field}.a"), _typed(tri.get("b"), float, f"{field}.b")
+
 
 def parse_kernel_spec(spec, field: str = "kernel") -> Kernel:
     """Kernel from a config fragment: a literal matrix {"n", "entries"},
@@ -101,77 +147,58 @@ def parse_kernel_spec(spec, field: str = "kernel") -> Kernel:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{field}: {exc}") from exc
     if "tridiagonal" in spec:
-        tri = spec["tridiagonal"]
-        try:
-            a, b, n = float(tri["a"]), float(tri["b"]), int(tri["n"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{field}.tridiagonal: needs fields a, b, n ({exc})") from exc
+        a, b = _tridiagonal_ab(spec["tridiagonal"], f"{field}.tridiagonal")
+        n = _typed(spec["tridiagonal"].get("n"), int, f"{field}.tridiagonal.n")
         try:
             return tridiagonal_kernel(n, a, b)
         except ValueError as exc:
             raise ConfigError(f"{field}.tridiagonal: {exc}") from exc
     if "blocks" in spec:
-        blocks = [parse_kernel_spec(s, field=f"{field}.blocks[{i}]").matrix
-                  for i, s in enumerate(spec["blocks"])]
-        if not blocks:
-            raise ConfigError(f"{field}.blocks: must be nonempty")
-        return block_diagonal_kernel(blocks)
+        if not isinstance(spec["blocks"], (list, tuple)) or not spec["blocks"]:
+            raise ConfigError(f"{field}.blocks: required nonempty list of kernel specs")
+        return block_diagonal_kernel([parse_kernel_spec(s, field=f"{field}.blocks[{i}]").matrix
+                                      for i, s in enumerate(spec["blocks"])])
     raise ConfigError(
         f"{field}: expected one of 'entries', 'tridiagonal', 'blocks'")
 
 
-def _tridiagonal_family(config: dict, field: str):
-    tri = config.get("tridiagonal")
-    if not isinstance(tri, dict):
-        raise ConfigError(f"{field}.tridiagonal: required object with fields a, b")
-    try:
-        a, b = float(tri["a"]), float(tri["b"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{field}.tridiagonal: needs fields a, b ({exc})") from exc
-    n_values = config.get("n_values")
-    if not n_values or list(n_values) != sorted(set(int(v) for v in n_values)):
-        raise ConfigError(f"{field}.n_values: required strictly increasing integers")
-    return a, b, [int(v) for v in n_values]
+def _write_report(out: Path | None, name: str, report: dict,
+                  renders: dict | None = None) -> dict:
+    """Stamp `created_at` on a report and, when `out` is given, write each
+    extra file and then `<name>.json` (sorted keys, indent 2, trailing
+    newline) there.  Every command writes its files through here.
 
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
+    `renders` maps a file name to a zero-argument function returning its
+    text.  Each text is built only when its file is written, so a command
+    with several large files (simulate at n = 18) holds one at a time.
+    """
+    report["created_at"] = datetime.now(timezone.utc).isoformat()
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        renders = {**(renders or {}),
+                   f"{name}.json": lambda: json.dumps(report, indent=2, sort_keys=True) + "\n"}
+        for filename, render in renders.items():
+            (out / filename).write_text(render())
+    return report
 
 
 # --- commands ----------------------------------------------------------------
 
 def run_simulate(config: dict, out: Path, seed_override: int | None = None) -> dict:
     kernel = parse_kernel_spec(config.get("kernel", {}))
-    try:
-        count = int(config["count"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"count: required positive integer ({exc})") from exc
+    count = _typed(config.get("count"), int, "count")
     if count < 1:
         raise ConfigError("count: must be >= 1")
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
+    seed = _seed(config, seed_override)
     table = build_table(kernel)
     batch = sample(table, count, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "samples.json", batch.to_json())
-    _write(out / "table.csv", table.to_csv())
-    report = {
+    return _write_report(out, "simulate", {
         "command": "simulate",
         "config": {"kernel": kernel_to_json(kernel), "count": count, "seed": seed},
         "normalizer": table.normalizer,
         "normalization_residual": table.normalization_residual,
         "files": ["samples.json", "table.csv"],
-        "created_at": _utc_now(),
-    }
-    _write_json(out / "simulate.json", report)
-    return report
+    }, {"samples.json": batch.to_json, "table.csv": table.to_csv})
 
 
 def load_frequencies(path: Path) -> EmpiricalTable:
@@ -201,19 +228,12 @@ def load_frequencies(path: Path) -> EmpiricalTable:
 def run_estimate(config: dict, samples_path: Path, out: Path,
                  seed_override: int | None = None) -> dict:
     freqs = load_frequencies(samples_path)
-    mle_dict = dict(config.get("mle", {}))
-    if seed_override is not None:
-        mle_dict["seed"] = int(seed_override)
-    try:
-        mle_cfg = MleConfig.from_json(mle_dict)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mle: {exc}") from exc
+    mle_cfg = _mle_config(config, seed_override)
     result = fit_mle(freqs, mle_cfg)
     report = {
         "command": "estimate",
         "config": {"mle": mle_cfg.to_dict(), "samples": str(samples_path)},
         "result": json.loads(result.to_json()),
-        "created_at": _utc_now(),
     }
     if "truth" in config:
         truth = parse_kernel_spec(config["truth"], field="truth")
@@ -224,9 +244,7 @@ def run_estimate(config: dict, samples_path: Path, out: Path,
         report["loss"] = loss.value
         report["loss_within"] = bw.within
         report["loss_cross"] = bw.cross
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "estimate.json", report)
-    return report
+    return _write_report(out, "estimate", report)
 
 
 def run_hessian(config: dict, out: Path) -> dict:
@@ -234,70 +252,98 @@ def run_hessian(config: dict, out: Path) -> dict:
     form = hessian_matrix(build_table(kernel))
     graph = determinantal_graph(kernel)
     nsb = null_space_basis(graph, kernel)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "hessian_eigenvalues.csv", form.eigenvalues_csv())
-    _write(out / "hessian_matrix.csv", form.matrix_csv())
-    report = {
+    return _write_report(out, "hessian", {
         "command": "hessian",
         "config": {"kernel": kernel_to_json(kernel)},
         "eigenvalues": [float(v) for v in form.eigenvalues],
         "null_space_dimension": nsb.dimension,
         "null_space_pairs": [[int(i), int(j)] for i, j in nsb.pairs],
         "irreducible": graph.irreducible,
-        "created_at": _utc_now(),
-    }
-    _write_json(out / "hessian.json", report)
-    return report
+    }, {"hessian_eigenvalues.csv": form.eigenvalues_csv,
+        "hessian_matrix.csv": form.matrix_csv})
 
 
 @dataclass
-class CurvatureReport:
-    """Minimal Hessian curvature per ground-set size with an
-    exponential-decay fit over the strictly positive rows."""
+class ScanReport:
+    """One row (n, value, flag) per ground-set size of a tridiagonal
+    family, with an exponential-decay or -growth fit over the rows the
+    command keeps.  `columns` names the three row fields."""
 
-    rows: list            # (n, min_curvature, reducible)
+    command: str
+    columns: tuple
+    rows: list            # (n, value or None, flag)
     fit: SlopeFit | None
     config: dict
 
     def to_dict(self) -> dict:
         return {
-            "command": "curvature-scan",
+            "command": self.command,
             "config": self.config,
-            "rows": [{"n": n, "min_curvature": c, "reducible": r}
-                     for n, c, r in self.rows],
+            "rows": [dict(zip(self.columns, row)) for row in self.rows],
             "fit": self.fit.to_dict() if self.fit else None,
         }
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["n", "min_curvature", "reducible"])
-        for n, c, r in self.rows:
-            w.writerow([n, repr(float(c)), int(r)])
+        w.writerow(self.columns)
+        for n, v, flag in self.rows:
+            w.writerow([n, "" if v is None else repr(float(v)), int(flag)])
         return buf.getvalue()
 
 
-def run_curvature_scan(config: dict, out: Path | None = None) -> CurvatureReport:
-    a, b, n_values = _tridiagonal_family(config, "curvature-scan")
-    budget = int(config.get("max_n", DEFAULT_SCAN_BUDGET))
-    if max(n_values) > budget:
+def _family_scan(config: dict, command: str, columns: tuple, measure, keep) -> ScanReport:
+    """`measure(kernel) -> (value, flag)` over the family
+    {"tridiagonal": {"a", "b"}, "n_values", "max_n"}, and a semilog fit
+    over the rows with `keep(value, flag)` once there are three."""
+    a, b = _tridiagonal_ab(config.get("tridiagonal"), "tridiagonal")
+    n_values = _int_list(config.get("n_values"), "n_values")
+    if list(config["n_values"]) != sorted(set(n_values)) or n_values[0] < 1:
+        raise ConfigError("n_values: required strictly increasing positive integers")
+    budget = _typed(config.get("max_n", DEFAULT_SCAN_BUDGET), int, "max_n")
+    if n_values[-1] > budget:
         raise GroundSetTooLarge(
-            f"curvature scan budget is n <= {budget}, requested {max(n_values)}")
+            f"{command} budget is n <= {budget}, requested {n_values[-1]}")
     rows = []
     for n in n_values:
-        kernel = tridiagonal_kernel(n, a, b)
-        reducible = not determinantal_graph(kernel).irreducible
-        rows.append((n, min_curvature(kernel), reducible))
-    positive = [(n, c) for n, c, red in rows if not red and c > 1e-12]
-    fit = fit_semilog_slope(positive) if len(positive) >= 3 else None
+        try:
+            kernel = tridiagonal_kernel(n, a, b)
+        except ValueError as exc:
+            raise ConfigError(f"tridiagonal: {exc}") from exc
+        rows.append((n, *measure(kernel)))
+    kept = [(n, v) for n, v, flag in rows if keep(v, flag)]
+    fit = fit_semilog_slope(kept) if len(kept) >= 3 else None
     resolved = {"tridiagonal": {"a": a, "b": b}, "n_values": n_values, "max_n": budget}
-    report = CurvatureReport(rows=rows, fit=fit, config=resolved)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        payload = report.to_dict()
-        payload["created_at"] = _utc_now()
-        _write_json(out / "curvature.json", payload)
-        _write(out / "curvature.csv", report.to_csv())
+    return ScanReport(command=command, columns=columns, rows=rows, fit=fit, config=resolved)
+
+
+def _curvature(kernel: Kernel):
+    return min_curvature(kernel), not determinantal_graph(kernel).irreducible
+
+
+def _top_covariance_eigenvalue(kernel: Kernel):
+    try:
+        return float(np.linalg.eigvalsh(asymptotic_covariance(kernel))[-1]), False
+    except SingularInformation:
+        return None, True
+
+
+def run_curvature_scan(config: dict, out: Path | None = None) -> ScanReport:
+    """Minimal Hessian curvature per n; the fit skips reducible kernels
+    and curvatures at or below 1e-12."""
+    report = _family_scan(config, "curvature-scan", ("n", "min_curvature", "reducible"),
+                          _curvature, lambda c, reducible: not reducible and c > 1e-12)
+    _write_report(out, "curvature", report.to_dict(), {"curvature.csv": report.to_csv})
+    return report
+
+
+def run_variance_growth(config: dict, out: Path | None = None) -> ScanReport:
+    """Top eigenvalue of the asymptotic covariance per n; kernels with a
+    singular information form are flagged and left out of the fit."""
+    report = _family_scan(config, "variance-growth", ("n", "max_eigenvalue", "singular"),
+                          _top_covariance_eigenvalue, lambda v, singular: not singular)
+    _write_report(out, "variance_growth", report.to_dict(),
+                  {"variance_growth.csv": report.to_csv})
     return report
 
 
@@ -341,23 +387,20 @@ def _safe_loglog(points) -> SlopeFit | None:
 
 
 def run_rate_study(config: dict, out: Path | None = None,
-                   seed_override: int | None = None, threads: int = 1) -> RateReport:
+                   seed_override: int | None = None) -> RateReport:
     kernel = parse_kernel_spec(config.get("kernel", {}))
-    sizes = [int(s) for s in config.get("sample_sizes", [])]
-    if len(sizes) < 1 or sizes != sorted(set(sizes)):
-        raise ConfigError("sample_sizes: required strictly increasing integers")
-    replicates = int(config.get("replicates", 50))
+    sizes = _int_list(config.get("sample_sizes"), "sample_sizes")
+    if sizes != sorted(set(sizes)) or sizes[0] < 1:
+        raise ConfigError("sample_sizes: required strictly increasing positive integers")
+    replicates = _typed(config.get("replicates", 50), int, "replicates")
     if replicates < 2:
         raise ConfigError("replicates: must be >= 2")
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
-    try:
-        mle_cfg = MleConfig.from_json(dict(config.get("mle", {})))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mle: {exc}") from exc
+    seed = _seed(config, seed_override)
+    mle_cfg = _mle_config(config)
     oracle = bool(config.get("oracle", False))
     estimator = (lambda freqs: kernel) if oracle else None
 
-    resolved_partial = {
+    resolved = {
         "kernel": kernel_to_json(kernel),
         "sample_sizes": sizes,
         "replicates": replicates,
@@ -366,102 +409,43 @@ def run_rate_study(config: dict, out: Path | None = None,
         "oracle": oracle,
     }
     table = build_table(kernel)
-    rows = []
     risks = []
     for size in sizes:
         try:
-            risk = estimate_risk(kernel, size, replicates, mle_cfg, seed,
-                                 threads=threads, estimator=estimator, table=table)
+            risks.append(estimate_risk(kernel, size, replicates, mle_cfg, seed,
+                                       estimator=estimator, table=table))
         except Exception as exc:
             # flush whatever completed, marked, before propagating
-            if out is not None:
-                out.mkdir(parents=True, exist_ok=True)
-                _write_json(out / "rate_study.json", {
-                    "command": "rate-study",
-                    "config": resolved_partial,
-                    "rows": rows,
-                    "failed_at_sample_size": size,
-                    "failure": str(exc),
-                    "created_at": _utc_now(),
-                })
+            _write_report(out, "rate_study", {
+                "command": "rate-study",
+                "config": resolved,
+                "rows": [r.to_dict() for r in risks],
+                "failed_at_sample_size": size,
+                "failure": str(exc),
+            })
             raise
-        risks.append(risk)
-        rows.append(risk.to_dict())
+    rows = [r.to_dict() for r in risks]
     slopes = {
         "total": _safe_loglog([(r["sample_size"], r["mean_loss"]) for r in rows]),
         "within": _safe_loglog([(r["sample_size"], r["mean_within"]) for r in rows]),
         "cross": _safe_loglog([(r["sample_size"], r["median_cross"]) for r in rows]),
         "cross_mean": _safe_loglog([(r["sample_size"], r["mean_cross"]) for r in rows]),
     }
-    report = RateReport(rows=rows, slopes=slopes, config=resolved_partial)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        payload = report.to_dict()
-        payload["created_at"] = _utc_now()
-        _write_json(out / "rate_study.json", payload)
-        _write(out / "rate_study.csv", report.to_csv())
-        for size, risk in zip(sizes, risks):
-            _write(out / f"replicates_{size}.csv", risk.to_csv())
-    return report
-
-
-@dataclass
-class VarianceGrowthReport:
-    rows: list            # (n, max_eigenvalue or None, singular flag)
-    fit: SlopeFit | None
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": "variance-growth",
-            "config": self.config,
-            "rows": [{"n": n, "max_eigenvalue": v, "singular": s}
-                     for n, v, s in self.rows],
-            "fit": self.fit.to_dict() if self.fit else None,
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "max_eigenvalue", "singular"])
-        for n, v, s in self.rows:
-            w.writerow([n, "" if v is None else repr(float(v)), int(s)])
-        return buf.getvalue()
-
-
-def run_variance_growth(config: dict, out: Path | None = None) -> VarianceGrowthReport:
-    a, b, n_values = _tridiagonal_family(config, "variance-growth")
-    budget = int(config.get("max_n", DEFAULT_SCAN_BUDGET))
-    if max(n_values) > budget:
-        raise GroundSetTooLarge(
-            f"variance growth budget is n <= {budget}, requested {max(n_values)}")
-    rows = []
-    for n in n_values:
-        kernel = tridiagonal_kernel(n, a, b)
-        try:
-            cov = asymptotic_covariance(kernel)
-            rows.append((n, float(np.linalg.eigvalsh(cov)[-1]), False))
-        except SingularInformation:
-            rows.append((n, None, True))
-    good = [(n, v) for n, v, s in rows if not s]
-    fit = fit_semilog_slope(good) if len(good) >= 3 else None
-    resolved = {"tridiagonal": {"a": a, "b": b}, "n_values": n_values, "max_n": budget}
-    report = VarianceGrowthReport(rows=rows, fit=fit, config=resolved)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        payload = report.to_dict()
-        payload["created_at"] = _utc_now()
-        _write_json(out / "variance_growth.json", payload)
-        _write(out / "variance_growth.csv", report.to_csv())
+    report = RateReport(rows=rows, slopes=slopes, config=resolved)
+    _write_report(out, "rate_study", report.to_dict(), {
+        "rate_study.csv": report.to_csv,
+        **{f"replicates_{r.sample_size}.csv": r.to_csv for r in risks}})
     return report
 
 
 def run_verify_identities(config: dict, out: Path | None = None,
                           seed_override: int | None = None) -> dict:
-    trials = int(config.get("trials", 100))
-    n_values = [int(v) for v in config.get("n_values", range(2, 9))]
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
-    tol = float(config.get("tolerance", 1e-9))
+    trials = _typed(config.get("trials", 100), int, "trials")
+    n_values = _int_list(config.get("n_values", list(range(2, 9))), "n_values")
+    if min(n_values) < 1:
+        raise ConfigError("n_values: required positive integers")
+    seed = _seed(config, seed_override)
+    tol = _typed(config.get("tolerance", 1e-9), float, "tolerance")
     records = []
     worst = 0.0
     for t in range(trials):
@@ -474,15 +458,10 @@ def run_verify_identities(config: dict, out: Path | None = None,
         worst = max(worst, rel)
         records.append({"trial": t, "n": n, **json.loads(res.to_json()),
                         "max_relative": res.max_relative()})
-    report = {
+    return _write_report(out, "identities", {
         "command": "verify-identities",
         "config": {"trials": trials, "n_values": n_values, "seed": seed, "tolerance": tol},
         "worst_relative_residual": worst,
         "passed": bool(worst <= tol),
         "records": records,
-        "created_at": _utc_now(),
-    }
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "identities.json", report)
-    return report
+    })

@@ -42,14 +42,14 @@ class TraceCache:
     """Per-subset inverse minors of a kernel, zero-padded, built once.
 
     Immutable after construction; all geometry operations against the
-    same kernel share it.
+    same kernel share it.  It holds no reference back to the kernel, so
+    the pair forms no cycle and is freed as soon as the kernel is.
     """
 
-    __slots__ = ("kernel", "padded_inv", "global_inv")
+    __slots__ = ("padded_inv", "global_inv")
 
     def __init__(self, kernel: Kernel):
         minors.check_enum_budget(kernel.n)
-        self.kernel = kernel
         self.padded_inv = minors.padded_inverses(kernel.matrix)
         self.global_inv = np.linalg.inv(np.eye(kernel.n) + kernel.matrix)
 
@@ -241,12 +241,7 @@ def decompose_null_direction(direction: np.ndarray, graph: DeterminantalGraph):
     n = graph.n
     if h.shape != (n, n):
         raise ValueError(f"direction must be {n}x{n}")
-    label = np.empty(n, dtype=int)
-    for a, comp in enumerate(graph.components):
-        for i in comp:
-            label[i] = a
-    same = label[:, None] == label[None, :]
-    if np.any(h[same] != 0.0):
+    if np.any(h[graph.same_component()] != 0.0):
         raise NotNullDirection("direction has support inside a component")
     pieces = []
     k = len(graph.components)

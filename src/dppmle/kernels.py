@@ -40,8 +40,8 @@ class Kernel:
 
     def __init__(self, matrix):
         a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"kernel must be square, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"kernel must be square and nonempty, got shape {a.shape}")
         if not np.array_equal(a, a.T):
             raise ValueError("kernel must be exactly symmetric; "
                              "use symmetrize() or kernel_from_json() to repair input")
@@ -176,14 +176,18 @@ class DeterminantalGraph:
     def irreducible(self) -> bool:
         return len(self.components) == 1
 
-    def cross_pairs(self):
-        """Unordered index pairs (i, j), i < j, lying in distinct components."""
+    def same_component(self) -> np.ndarray:
+        """Boolean n x n matrix, True where i and j share a component."""
         label = np.empty(self.n, dtype=int)
         for a, comp in enumerate(self.components):
-            for i in comp:
-                label[i] = a
+            label[list(comp)] = a
+        return label[:, None] == label[None, :]
+
+    def cross_pairs(self):
+        """Unordered index pairs (i, j), i < j, lying in distinct components."""
+        same = self.same_component()
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                if label[i] != label[j]]
+                if not same[i, j]]
 
 
 def determinantal_graph(kernel, zero_tol: float = 0.0) -> DeterminantalGraph:

@@ -107,17 +107,37 @@ class TestScans:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestThreads:
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPP_MLE_THREADS", "2")
-        cfg = write_config(tmp_path, "rate.json", {
-            "kernel": {"tridiagonal": {"a": 2.0, "b": 0.5, "n": 2}},
-            "sample_sizes": [50, 100, 200], "replicates": 2, "seed": 4,
-            "mle": {"restarts": 1, "seed": 0}})
-        assert main(["rate-study", "--config", cfg, "--out", str(tmp_path)]) == 0
+class TestMalformedConfig:
+    SIM = {"kernel": {"n": 1, "entries": [1.0]}, "count": 10, "seed": 1}
+    RATE = {"kernel": {"n": 1, "entries": [1.0]}, "sample_sizes": [50, 100],
+            "replicates": 2, "seed": 1, "oracle": True}
+    SCAN = {"tridiagonal": {"a": 2.0, "b": 0.9}, "n_values": [3, 4, 5]}
+    VERIFY = {"trials": 2, "n_values": [2], "seed": 0}
 
-    def test_env_must_be_integer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPP_MLE_THREADS", "lots")
-        cfg = write_config(tmp_path, "sim.json",
-                           {"kernel": {"n": 1, "entries": [1.0]}, "count": 5, "seed": 1})
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("command, config, field", [
+        ("simulate", {**SIM, "count": float("nan")}, "count"),
+        ("simulate", {**SIM, "count": float("inf")}, "count"),
+        ("simulate", {**SIM, "count": "ten"}, "count"),
+        ("simulate", {**SIM, "seed": "x"}, "seed"),
+        ("rate-study", {**RATE, "replicates": "many"}, "replicates"),
+        ("rate-study", {**RATE, "sample_sizes": [float("nan")]}, "sample_sizes"),
+        ("rate-study", {**RATE, "sample_sizes": [0, 10]}, "sample_sizes"),
+        ("rate-study", {**RATE, "mle": {"max_iters": float("nan")}}, "mle"),
+        ("curvature-scan", {**SCAN, "max_n": "big"}, "max_n"),
+        ("curvature-scan", {**SCAN, "n_values": ["a"]}, "n_values"),
+        ("verify-identities", {**VERIFY, "trials": float("nan")}, "trials"),
+        ("verify-identities", {**VERIFY, "n_values": []}, "n_values"),
+        ("verify-identities", {**VERIFY, "tolerance": float("nan")}, "tolerance"),
+        ("variance-growth", {**SCAN, "tridiagonal": {"a": float("inf"), "b": 0.9}},
+         "tridiagonal.a"),
+        ("simulate", [SIM], "top.json"),
+        ("simulate", {**SIM, "kernel": {"tridiagonal": {"a": 2.0, "b": 0.5, "n": 0}}},
+         "kernel.tridiagonal"),
+        ("simulate", {**SIM, "kernel": {"blocks": 5}}, "kernel.blocks"),
+    ])
+    def test_exits_config_error_naming_field(self, tmp_path, capsys, command, config, field):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        cfg = write_config(tmp_path, "top.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err.splitlines()[0], err

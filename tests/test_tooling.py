@@ -14,3 +14,14 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src/dppmle: {found}"
+
+
+def test_one_report_writer():
+    # every command writes its files through experiments._write_report
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write_text"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert len(calls) == 1, f"write_text calls in src/dppmle: {calls}"
