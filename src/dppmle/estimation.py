@@ -7,11 +7,14 @@ frequencies q is
 
 and its gradient is sum_J q_J pad(L_J^{-1}) - (I+L)^{-1}.  Both are
 taken over the full table of 2^n masks by one forward pass of the
-all-minors recursion in `minors` and its adjoint, so q_J = 0 terms add
-exactly zero, but any nonpositive minor, observed or not, makes the
-value -inf.  The objective is invariant under sign conjugation, so
-estimates are only meaningful up to the sign orbit and performance is
-measured by the orbit loss min_D ||Lhat - D Lstar D||_F.
+all-minors recursion in `minors` and its adjoint.  Since det(I+L) =
+sum_J det L_J, the normalizer is a logsumexp of the same
+log-determinants, and the gradient is one adjoint sweep with weights
+q_J - p_J, p_J = det L_J / det(I+L); I+L is never factored.  q_J = 0
+terms add exactly zero, but any nonpositive minor, observed or not,
+makes the value -inf.  The objective is invariant under sign
+conjugation, so estimates are only meaningful up to the sign orbit and
+performance is measured by the orbit loss min_D ||Lhat - D Lstar D||_F.
 
 Optimization runs over a Cholesky factor with log-parametrized diagonal
 (positivity for free), ascending by BFGS with a backtracking line
@@ -22,6 +25,14 @@ the parameters ends the search.  After each accepted step the spectrum
 of the correlation kernel is clipped into a compact box [alpha, beta]
 so degenerate frequency tables cannot push the iterates to the
 boundary of the cone.
+
+Every fit is one lockstep batch: all restarts of `fit_mle`, and all
+replicates x restarts of one sample size in `estimate_risk`, iterate
+together (Nocedal & Wright, "Numerical Optimization", ch. 6 and 3.1),
+each member with its own parameters, inverse Hessian, step and stop
+state, and each objective call is one stacked recursion over the
+members still searching.  No operation mixes members, so a member's
+fit is bitwise the same alone, in any batch, or in any chunk.
 """
 
 from __future__ import annotations
@@ -50,6 +61,11 @@ MAX_SIGN_ENUM_N = 20
 #: candidate that fails Armijo may pass the approximate Wolfe test.
 _WOLFE_SLACK = 8 * np.finfo(float).eps
 
+#: Members fitted in lockstep at once are capped at this many masks in
+#: all (members x 2^n), which bounds the kept Schur stacks: 8 members at
+#: n = 14, one from n = 17 on.
+_FIT_CHUNK_MASKS = 2 ** 17
+
 #: Sign vectors scored per batch in sign_orbit_loss (n=18: ~2.6 MB each
 #: for the stacked differences).
 _SIGN_CHUNK = 1024
@@ -76,6 +92,8 @@ class MleConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         if not math.isfinite(self.init_jitter):
@@ -104,8 +122,8 @@ class MleConfig:
 def empirical_log_likelihood(freqs: EmpiricalTable, kernel: Kernel) -> float:
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
-    obj = _Objective(freqs)
-    return obj.value(kernel.matrix)
+    values, _ = _Objective(freqs.freqs[None]).evaluate(kernel.matrix[None], [0])
+    return float(values[0])
 
 
 def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
@@ -113,37 +131,49 @@ def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
     the frequency-weighted padded inverse minors minus (I+L)^{-1}."""
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
-    obj = _Objective(freqs)
-    return obj.value_and_grad(kernel.matrix)[1]
+    obj = _Objective(freqs.freqs[None])
+    _, point = obj.evaluate(kernel.matrix[None], [0])
+    return obj.gradient(point, np.arange(1))[0]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each the BLAS dot of a 1-D `a @ b`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 class _Objective:
-    """The scaled log-likelihood over the full frequency table: the
-    forward pass of the all-minors recursion for the value, and its
-    adjoint for the gradient."""
+    """The scaled log-likelihood of a batch of kernels, member i scored
+    against row i of the (B, 2^n) frequencies.
 
-    def __init__(self, freqs: EmpiricalTable):
-        self.n = freqs.n
-        self.freqs = freqs.freqs
-        self.eye = np.eye(self.n)
+    The value is one forward pass of the all-minors recursion: sum_J q_J
+    log det L_J minus log det(I+L), taken as the logsumexp of the same
+    log-determinants since det(I+L) = sum_J det L_J.  So the gradient is
+    one adjoint sweep with weights q_J - p_J, p_J = det L_J / det(I+L),
+    and needs no factorization of I+L."""
 
-    def value(self, matrix: np.ndarray) -> float:
+    def __init__(self, freqs: np.ndarray):
+        self.freqs = np.asarray(freqs, dtype=float)
+
+    def evaluate(self, matrices: np.ndarray, members):
+        """(values of the kernels of `members`, the point `gradient`
+        reads); -inf where some principal minor is not positive."""
+        logdets, ok, stacks = minors._schur_pass(matrices, keep=True)
+        q = self.freqs[members]
         with np.errstate(all="ignore"):
-            try:
-                logdets, _ = minors._schur_pass(matrix)
-            except np.linalg.LinAlgError:
-                return -np.inf
-            sign, log_z = np.linalg.slogdet(self.eye + matrix)
-            total = float(logdets @ self.freqs) - float(log_z)
-        if sign <= 0 or not np.isfinite(total):
-            return -np.inf
-        return total
+            top = logdets.max(axis=1)
+            log_z = top + np.log(np.exp(logdets - top[:, None]).sum(axis=1))
+            values = _rowdot(logdets, q) - log_z
+        values[~(ok & np.isfinite(values))] = -np.inf
+        return values, (stacks, logdets, log_z, q)
 
-    def value_and_grad(self, matrix: np.ndarray):
-        total, grad = minors.weighted_logdet_grad(matrix, self.freqs)
-        inv_z = np.linalg.inv(self.eye + matrix)
-        sign, log_z = np.linalg.slogdet(self.eye + matrix)
-        return total - float(log_z), grad - inv_z
+    def gradient(self, point, which: np.ndarray) -> np.ndarray:
+        """Gradients at the members `which` (indices into the evaluated
+        batch) of a point whose values are finite."""
+        stacks, logdets, log_z, q = point
+        if len(which) < len(q):
+            stacks = [s[which] for s in stacks]
+            logdets, log_z, q = logdets[which], log_z[which], q[which]
+        return minors._logdet_adjoint(stacks, q - np.exp(logdets - log_z[:, None]))
 
 
 # --- Cholesky-factor parametrization -------------------------------------
@@ -157,36 +187,45 @@ def _strict_lower(n: int):
     return rows, cols
 
 
-def _theta_from_matrix(matrix: np.ndarray) -> np.ndarray:
-    c = np.linalg.cholesky(matrix)
-    n = matrix.shape[0]
-    return np.concatenate([np.log(np.diag(c)), c[_strict_lower(n)]])
+def _theta_from_matrix(matrices: np.ndarray) -> np.ndarray:
+    c = np.linalg.cholesky(matrices)
+    n = matrices.shape[1]
+    diag = np.arange(n)
+    return np.concatenate([np.log(c[:, diag, diag]), c[(slice(None), *_strict_lower(n))]],
+                          axis=1)
 
 
 def _matrix_from_theta(theta: np.ndarray, n: int):
-    c = np.zeros((n, n))
+    c = np.zeros((theta.shape[0], n, n))
+    diag = np.arange(n)
     with np.errstate(over="ignore"):
-        np.fill_diagonal(c, np.exp(np.clip(theta[:n], -200, 200)))
-    c[_strict_lower(n)] = theta[n:]
-    return c @ c.T, c
+        c[:, diag, diag] = np.exp(np.clip(theta[:, :n], -200, 200))
+    c[(slice(None), *_strict_lower(n))] = theta[:, n:]
+    return c @ c.transpose(0, 2, 1), c
 
 
 def _theta_grad(grad_l: np.ndarray, c: np.ndarray) -> np.ndarray:
     gc = 2.0 * grad_l @ c
-    n = c.shape[0]
-    return np.concatenate([np.diag(gc) * np.diag(c), gc[_strict_lower(n)]])
+    n = c.shape[1]
+    diag = np.arange(n)
+    return np.concatenate([gc[:, diag, diag] * c[:, diag, diag],
+                           gc[(slice(None), *_strict_lower(n))]], axis=1)
 
 
-def _project_box(matrix: np.ndarray, box: tuple):
-    """Clip the kernel spectrum so the correlation-kernel eigenvalues
-    stay inside [alpha, beta]; no-op when already inside."""
+def _project_box(matrices: np.ndarray, box: tuple):
+    """Clip each kernel's spectrum so the correlation-kernel eigenvalues
+    stay inside [alpha, beta]: (kernels, projected flags), a member
+    already inside left as it is."""
     alpha, beta = box
     lo, hi = alpha / (1.0 - alpha), beta / (1.0 - beta)
-    w, v = np.linalg.eigh(matrix)
-    if w[0] >= lo and w[-1] <= hi:
-        return matrix, False
-    wc = np.clip(w, lo, hi)
-    return symmetrize((v * wc) @ v.T), True
+    w, v = np.linalg.eigh(matrices)
+    projected = ~((w[:, 0] >= lo) & (w[:, -1] <= hi))
+    out = matrices.copy()
+    if projected.any():
+        vp = v[projected]
+        clipped = (vp * np.clip(w[projected], lo, hi)[:, None, :]) @ vp.transpose(0, 2, 1)
+        out[projected] = (clipped + clipped.transpose(0, 2, 1)) / 2.0
+    return out, projected
 
 
 @dataclass
@@ -210,122 +249,177 @@ class MleResult:
         })
 
 
-def _fit_single(obj: _Objective, start: np.ndarray, config: MleConfig):
-    """BFGS ascent from one starting kernel; returns (matrix, loglik,
-    iterations, converged, grad_norm)."""
-    n = obj.n
-    theta = _theta_from_matrix(start)
+def _line_search(obj, members, theta, fval, d, dg, n: int, config: MleConfig):
+    """Backtracking from step 1 along d, every member at once with its
+    own step.  Returns the accepted flags and, for the accepted members
+    in order, their new theta, kernel, log-likelihood, gradient of the
+    negated objective, and whether the box moved them."""
+    size = len(members)
+    step = np.ones(size)
+    searching = np.ones(size, dtype=bool)
+    accepted = np.zeros(size, dtype=bool)
+    projected = np.zeros(size, dtype=bool)
+    theta_new = np.empty_like(theta)
+    matrix_new = np.empty((size, n, n))
+    f_acc = np.empty(size)
+    g_new = np.empty_like(theta)
+    slack = _WOLFE_SLACK * np.maximum(1.0, np.abs(fval))
+    while searching.any():
+        idx = np.flatnonzero(searching & (step >= 1e-14))
+        cand = theta[idx] + step[idx, None] * d[idx]
+        moves = ~np.all(cand == theta[idx], axis=1)   # else the step no longer moves theta
+        idx, cand = idx[moves], cand[moves]
+        searching[:] = False
+        searching[idx] = True
+        cand_matrix, cand_c = _matrix_from_theta(cand, n)
+        finite = np.isfinite(cand_matrix).all(axis=(1, 2))
+        idx, cand = idx[finite], cand[finite]
+        cand_matrix, cand_c = cand_matrix[finite], cand_c[finite]
+        proj_matrix, proj = _project_box(cand_matrix, config.spectral_box)
+        values, point = obj.evaluate(proj_matrix, members[idx])
+        f_new, f_old = -values, -fval[idx]
+        valid = np.isfinite(f_new)
+        take_proj = valid & proj & (f_new < f_old)
+        armijo = valid & ~proj & (f_new <= f_old + 1e-4 * step[idx] * dg[idx])
+        # f no longer resolves the Armijo decrease: accept on the slope
+        # instead (approximate Wolfe, Hager & Zhang)
+        near = valid & ~proj & ~armijo & (f_new <= f_old + slack[idx])
+        ask = np.flatnonzero(armijo | near)
+        g_cand = -_theta_grad(obj.gradient(point, ask), cand_c[ask])
+        slope = _rowdot(d[idx[ask]], g_cand)
+        take = armijo[ask] | ((0.9 * dg[idx[ask]] <= slope) & (slope <= -0.8 * dg[idx[ask]]))
+        ask, g_cand = ask[take], g_cand[take]
+        done = idx[ask]
+        theta_new[done], matrix_new[done] = cand[ask], cand_matrix[ask]
+        f_acc[done], g_new[done] = -f_new[ask], g_cand
+        accepted[done] = True
+        done = idx[take_proj]
+        matrix_new[done] = proj_matrix[take_proj]
+        accepted[done] = projected[done] = True
+        searching &= ~accepted
+        step[searching] *= 0.5
+    # a projected point is refactored, which may perturb its value by
+    # roundoff, so it gets a fresh evaluation
+    done = np.flatnonzero(projected)
+    if done.size:
+        theta_new[done] = _theta_from_matrix(matrix_new[done])
+        matrix_new[done], c = _matrix_from_theta(theta_new[done], n)
+        f_acc[done], point = obj.evaluate(matrix_new[done], members[done])
+        g_new[done] = -_theta_grad(obj.gradient(point, np.arange(done.size)), c)
+    return (accepted, theta_new[accepted], matrix_new[accepted], f_acc[accepted],
+            g_new[accepted], projected[accepted])
+
+
+def _lockstep(obj, starts: np.ndarray, members: np.ndarray, config: MleConfig):
+    """BFGS ascent from each start, one iteration of every live member
+    per pass; (kernels, log-likelihoods, iterations, converged, gradient
+    norms).  Each member keeps its own theta, value, gradient, inverse
+    Hessian and stop state, so its result does not depend on the rest
+    of the batch."""
+    n = starts.shape[1]
+    theta = _theta_from_matrix(starts)
     matrix, c = _matrix_from_theta(theta, n)
-    fval, grad_l = obj.value_and_grad(matrix)
-    g = -_theta_grad(grad_l, c)          # gradient of the negated objective
-    m = theta.size
-    h_inv = np.eye(m)
-    iterations = 0
-    converged = False
+    fval, point = obj.evaluate(matrix, members)
+    g = -_theta_grad(obj.gradient(point, np.arange(len(members))), c)  # of the negated objective
+    eye = np.eye(theta.shape[1])
+    h_inv = np.repeat(eye[None], len(members), axis=0)
+    iterations = np.zeros(len(members), dtype=int)
+    converged = np.zeros(len(members), dtype=bool)
+    live = np.arange(len(members))
     for _ in range(config.max_iters):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.grad_tol:
-            converged = True
+        gl = g[live]
+        done = np.sqrt(_rowdot(gl, gl)) <= config.grad_tol
+        converged[live[done]] = True
+        live, gl = live[~done], gl[~done]
+        if not live.size:
             break
-        d = -h_inv @ g
-        dg = float(d @ g)
-        if dg >= 0.0:                     # stale curvature; restart from steepest
-            h_inv = np.eye(m)
-            d = -g
-            dg = float(d @ g)
-        step = 1.0
-        accepted = False
-        slope_checked = None
-        while step >= 1e-14:
-            cand = theta + step * d
-            if np.array_equal(cand, theta):   # the step no longer moves theta
-                break
-            cand_matrix, cand_c = _matrix_from_theta(cand, n)
-            if np.isfinite(cand_matrix).all():
-                proj_matrix, projected = _project_box(cand_matrix, config.spectral_box)
-                f_new = -obj.value(proj_matrix)
-                if not np.isfinite(f_new):
-                    pass
-                elif projected:
-                    accepted = f_new < -fval
-                elif f_new <= -fval + 1e-4 * step * dg:
-                    accepted = True
-                elif f_new <= -fval + _WOLFE_SLACK * max(1.0, abs(fval)):
-                    # f no longer resolves the Armijo decrease: accept on
-                    # the slope instead (approximate Wolfe, Hager & Zhang)
-                    f_cand, grad_l = obj.value_and_grad(cand_matrix)
-                    g_cand = -_theta_grad(grad_l, cand_c)
-                    if 0.9 * dg <= float(d @ g_cand) <= -0.8 * dg:
-                        accepted = True
-                        slope_checked = (f_cand, g_cand)
-                if accepted:
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-        if projected:
-            theta_new = _theta_from_matrix(proj_matrix)
-            matrix, c = _matrix_from_theta(theta_new, n)
-        else:
-            theta_new, matrix, c = cand, cand_matrix, cand_c
-        if slope_checked is None:
-            f_acc, grad_l = obj.value_and_grad(matrix)
-            g_new = -_theta_grad(grad_l, c)
-        else:
-            f_acc, g_new = slope_checked
-        # refactoring a projected point may perturb the value by roundoff
-        if not f_acc >= fval - 1e-9 * max(1.0, abs(fval)):
-            raise LikelihoodDecrease(
-                f"line search accepted a decrease in likelihood: {fval!r} -> {f_acc!r}")
-        s = theta_new - theta
-        y = g_new - g
-        sy = float(s @ y)
-        if projected or sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            h_inv = np.eye(m)
-        else:
-            rho = 1.0 / sy
-            v = np.eye(m) - rho * np.outer(s, y)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        theta, fval, g = theta_new, f_acc, g_new
-        iterations += 1
-    gnorm = float(np.linalg.norm(g))
-    converged = converged or gnorm <= config.grad_tol
-    return matrix, fval, iterations, converged, gnorm
+        d = -(h_inv[live] @ gl[:, :, None])[:, :, 0]
+        dg = _rowdot(d, gl)
+        stale = dg >= 0.0                 # stale curvature; restart from steepest
+        h_inv[live[stale]] = eye
+        d[stale] = -gl[stale]
+        dg[stale] = _rowdot(d[stale], gl[stale])
+        accepted, theta_new, matrix_new, f_acc, g_new, projected = _line_search(
+            obj, members[live], theta[live], fval[live], d, dg, n, config)
+        live = live[accepted]             # a failed line search stops its member
+        drop = ~(f_acc >= fval[live] - 1e-9 * np.maximum(1.0, np.abs(fval[live])))
+        if drop.any():
+            k = int(np.argmax(drop))
+            raise LikelihoodDecrease(f"line search accepted a decrease in likelihood: "
+                                     f"{float(fval[live[k]])!r} -> {float(f_acc[k])!r}")
+        s = theta_new - theta[live]
+        y = g_new - g[live]
+        sy = _rowdot(s, y)
+        reset = projected | (sy <= 1e-12 * np.sqrt(_rowdot(s, s)) * np.sqrt(_rowdot(y, y)))
+        h_inv[live[reset]] = eye
+        upd, s, y, rho = live[~reset], s[~reset], y[~reset], (1.0 / sy[~reset])[:, None, None]
+        v = eye - rho * (s[:, :, None] * y[:, None, :])
+        h_inv[upd] = v @ h_inv[upd] @ v.transpose(0, 2, 1) + rho * (s[:, :, None] * s[:, None, :])
+        theta[live], matrix[live] = theta_new, matrix_new
+        fval[live], g[live] = f_acc, g_new
+        iterations[live] += 1
+    gnorm = np.sqrt(_rowdot(g, g))
+    return matrix, fval, iterations, converged | (gnorm <= config.grad_tol), gnorm
 
 
-def fit_mle(freqs: EmpiricalTable, config: MleConfig) -> MleResult:
-    """Best local maximum of the empirical likelihood over restarts.
+def _fit_batch(obj, starts: np.ndarray, config: MleConfig):
+    """`_lockstep` over every start, member i against the objective's
+    row i, in chunks of at most _FIT_CHUNK_MASKS masks in all."""
+    size = max(1, _FIT_CHUNK_MASKS >> starts.shape[1])
+    parts = [_lockstep(obj, starts[lo:lo + size],
+                       np.arange(lo, min(lo + size, len(starts))), config)
+             for lo in range(0, len(starts), size)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
-    Restart 0 starts from the moment-matched kernel and restart 1 from
-    its sign-corrected variant (when it differs); later restarts add
+
+def _starts(freqs: EmpiricalTable, config: MleConfig) -> np.ndarray:
+    """The (restarts, n, n) starting kernels of a fit.
+
+    Restart 0 is the moment-matched kernel and restart 1 its
+    sign-corrected variant (when it differs); later restarts add
     symmetric jitter of escalating scale around the anchors, drawn from
     per-restart deterministic streams, so a run with more restarts
     reuses the earlier starts exactly.
     """
-    obj = _Objective(freqs)
-    anchors = [moment_init(freqs, config.spectral_box)]
+    anchors = [moment_init(freqs, config.spectral_box).matrix]
     signed = _sign_corrected_init(freqs, config.spectral_box)
     if signed is not None:
-        anchors.append(signed)
-    scale = float(np.abs(np.diag(anchors[0].matrix)).mean())
-    best = None
-    for r in range(config.restarts):
-        if r < len(anchors):
-            start = anchors[r].matrix
-        else:
-            base = anchors[r % len(anchors)].matrix
-            step = 1 + (r - len(anchors)) // len(anchors)
-            gen = rngs.stream(config.seed, rngs.RESTART_STREAM, r)
-            noise = gen.normal(size=base.shape)
-            start = base + step * config.init_jitter * scale * symmetrize(noise)
-            start, _ = _project_box(symmetrize(start), config.spectral_box)
-        matrix, fval, iters, conv, gnorm = _fit_single(obj, start, config)
-        if best is None or fval > best[1]:
-            best = (matrix, fval, iters, conv, gnorm, r)
-    matrix, fval, iters, conv, gnorm, r = best
-    return MleResult(estimate=Kernel(symmetrize(matrix)), log_likelihood=fval,
-                     iterations=iters, converged=conv, restart_index=r,
-                     gradient_norm=gnorm)
+        anchors.append(signed.matrix)
+    scale = float(np.abs(np.diag(anchors[0])).mean())
+    starts = anchors[:config.restarts]
+    for r in range(len(anchors), config.restarts):
+        base = anchors[r % len(anchors)]
+        step = 1 + (r - len(anchors)) // len(anchors)
+        noise = rngs.stream(config.seed, rngs.RESTART_STREAM, r).normal(size=base.shape)
+        start = base + step * config.init_jitter * scale * symmetrize(noise)
+        starts.append(_project_box(symmetrize(start)[None], config.spectral_box)[0][0])
+    return np.array(starts)
+
+
+def _fit_tables(tables: list, config: MleConfig) -> list:
+    """The best restart of each table's fit, every restart of every
+    table fitted as one batch."""
+    r = config.restarts
+    obj = _Objective(np.repeat([t.freqs for t in tables], r, axis=0))
+    matrices, fvals, iterations, converged, gnorms = _fit_batch(
+        obj, np.concatenate([_starts(t, config) for t in tables]), config)
+    results = []
+    for lo in range(0, len(obj.freqs), r):
+        best = lo + int(np.argmax(fvals[lo:lo + r]))     # the first of equal maxima
+        results.append(MleResult(estimate=Kernel(symmetrize(matrices[best])),
+                                 log_likelihood=float(fvals[best]),
+                                 iterations=int(iterations[best]),
+                                 converged=bool(converged[best]), restart_index=best - lo,
+                                 gradient_norm=float(gnorms[best])))
+    return results
+
+
+def fit_mle(freqs: EmpiricalTable, config: MleConfig) -> MleResult:
+    """Best local maximum of the empirical likelihood over
+    `config.restarts` starts (the moment-matched kernel, its
+    sign-corrected variant, then jittered copies; see `_starts`), all
+    fitted as one lockstep batch.  The first of equal maxima wins."""
+    return _fit_tables([freqs], config)[0]
 
 
 def _moment_correlation(freqs: EmpiricalTable) -> np.ndarray:
@@ -530,19 +624,20 @@ def estimate_risk(l_star: Kernel, sample_size: int, replicates: int,
     if table is None:
         table = build_table(l_star)
     graph = determinantal_graph(l_star)
+    tables = [empirical_table(sample(table, sample_size, seed,
+                                     stream_path=(rngs.REPLICATE_STREAM, r)))
+              for r in range(replicates)]
+    if estimator is None:
+        fits = [(res.estimate, res.converged, res.iterations)
+                for res in _fit_tables(tables, config)]
+    else:
+        fits = [(estimator(freqs), True, 0) for freqs in tables]
     losses = np.zeros(replicates)
     within = np.zeros(replicates)
     cross = np.zeros(replicates)
     converged = np.zeros(replicates, dtype=bool)
     iterations = np.zeros(replicates, dtype=int)
-    for r in range(replicates):
-        batch = sample(table, sample_size, seed, stream_path=(rngs.REPLICATE_STREAM, r))
-        freqs = empirical_table(batch)
-        if estimator is None:
-            res = fit_mle(freqs, config)
-            l_hat, conv, iters = res.estimate, res.converged, res.iterations
-        else:
-            l_hat, conv, iters = estimator(freqs), True, 0
+    for r, (l_hat, conv, iters) in enumerate(fits):
         full = sign_orbit_loss(l_hat, l_star)
         diff = l_hat.matrix - conjugate_by_signs(l_star.matrix, full.argmin_signs)
         losses[r] = full.value

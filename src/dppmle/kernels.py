@@ -329,6 +329,8 @@ def kernel_from_json(obj) -> Kernel:
         obj = json.loads(obj)
     n = int(obj["n"])
     entries = np.asarray(obj["entries"], dtype=float).reshape(n, n)
+    if not np.isfinite(entries).all():
+        raise ValueError("kernel entries must be finite")
     skew = np.abs(entries - entries.T).max() if n else 0.0
     if skew > 1e-9:
         warnings.warn(f"kernel entries asymmetric by {skew:.3e}; symmetrizing")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -134,6 +135,10 @@ class TestMalformedConfig:
         ("simulate", {**SIM, "kernel": {"tridiagonal": {"a": 2.0, "b": 0.5, "n": 0}}},
          "kernel.tridiagonal"),
         ("simulate", {**SIM, "kernel": {"blocks": 5}}, "kernel.blocks"),
+        ("rate-study", {**RATE, "mle": {"seed": -1, "restarts": 4}}, "mle"),
+        ("rate-study", {**RATE, "mle": {"seed": 0.5}}, "mle"),
+        ("simulate", {**SIM, "kernel": {"n": 2, "entries": [1.0, float("inf"), 0.0, 1.0]}},
+         "kernel"),
     ])
     def test_exits_config_error_naming_field(self, tmp_path, capsys, command, config, field):
         # json.dumps writes NaN and Infinity, which json.loads reads back
@@ -141,3 +146,13 @@ class TestMalformedConfig:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err.splitlines()[0], err
+
+    def test_nonfinite_entries_print_only_the_config_error(self, tmp_path, capsys):
+        # a warning raised while reading the kernel would fail here
+        cfg = write_config(tmp_path, "top.json", {**self.SIM, "kernel": {
+            "n": 2, "entries": [1.0, float("inf"), float("inf"), 1.0]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: kernel: kernel entries must be finite"], err

@@ -8,7 +8,8 @@ from dppmle.estimation import MleConfig
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable
 
-from conftest import NEGATIVE_3X3, random_block_kernel, random_kernel
+from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, random_block_kernel,
+                      random_kernel, reference_kernels)
 
 
 def exact_frequencies(kernel) -> EmpiricalTable:
@@ -83,11 +84,32 @@ class TestLikelihoodGradient:
 
 
 class TestObjective:
-    def test_value_is_minus_inf_on_nonpositive_minor(self):
-        # the negative minor is mask 7, observed or not
+    def test_value_is_minus_inf_on_nonpositive_minor(self, rng):
+        # the negative minor is mask 7, observed or not; it makes only its
+        # own member -inf
+        good = random_kernel(3, rng).matrix
         for freqs in ([0.5, 0.5, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1.0]):
-            table = EmpiricalTable(n=3, freqs=np.array(freqs), total=2)
-            assert estimation._Objective(table).value(NEGATIVE_3X3) == -np.inf
+            obj = estimation._Objective(np.array([freqs, freqs]))
+            values, _ = obj.evaluate(np.array([NEGATIVE_3X3, good]), [0, 1])
+            alone, _ = obj.evaluate(good[None], [1])
+            assert values[0] == -np.inf
+            assert values[1] == alone[0] and np.isfinite(alone[0])
+
+    def test_matches_per_mask_reference(self, rng):
+        # log det(I+L) as a logsumexp over the minors, and the gradient as
+        # one adjoint sweep with weights q - p, against slogdet and inv
+        for name, a in reference_kernels():
+            n = a.shape[0]
+            raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
+            raw[0] += 1.0
+            q = raw / raw.sum()
+            value = q @ brute_logdets(a) - np.linalg.slogdet(np.eye(n) + a)[1]
+            grad = np.einsum("m,mij->ij", q, brute_inverses(a)) - np.linalg.inv(np.eye(n) + a)
+            obj = estimation._Objective(q[None])
+            values, point = obj.evaluate(a[None], [0])
+            assert values[0] == pytest.approx(value, rel=1e-12, abs=1e-12), name
+            np.testing.assert_allclose(obj.gradient(point, np.arange(1))[0], grad,
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_fit_does_not_call_public_minors(self, monkeypatch):
         # the traced public primitives must not count objective calls
@@ -112,6 +134,12 @@ class TestObjective:
             rows[0] = 1
 
 
+def fit_one(obj, start, config):
+    """A single member through the batched fitter, as plain values."""
+    matrices, fvals, iters, conv, gnorms = estimation._fit_batch(obj, start[None], config)
+    return matrices[0], fvals[0], iters[0], conv[0], gnorms[0]
+
+
 class TestLineSearch:
     def test_flat_value_reaches_grad_tol(self):
         """A constant value never passes Armijo, so every step must pass
@@ -119,16 +147,14 @@ class TestLineSearch:
         target = np.array([[2.0, 0.5], [0.5, 1.0]])
 
         class Flat:
-            n = 2
+            def evaluate(self, matrices, members):
+                return np.full(len(matrices), -3.0), matrices
 
-            def value(self, matrix):
-                return -3.0
-
-            def value_and_grad(self, matrix):
-                return -3.0, target - matrix
+            def gradient(self, point, which):
+                return target - point[which]
 
         cfg = MleConfig()
-        matrix, fval, iters, conv, gnorm = estimation._fit_single(Flat(), np.eye(2), cfg)
+        matrix, fval, iters, conv, gnorm = fit_one(Flat(), np.eye(2), cfg)
         assert conv and gnorm <= cfg.grad_tol and iters < cfg.max_iters
         np.testing.assert_allclose(matrix, target, atol=1e-8)
 
@@ -138,25 +164,105 @@ class TestLineSearch:
         floor, where Armijo would pass on roundoff alone, every iteration."""
 
         class Peaked:
-            n = 2
             peak = None
             calls = 0
 
-            def value(self, matrix):
-                self.calls += 1
-                return -1.0 - 1e30 * float(((matrix - self.peak) ** 2).sum())
-
-            def value_and_grad(self, matrix):
+            def evaluate(self, matrices, members):
                 if self.peak is None:
-                    self.peak = matrix.copy()
-                return self.value(matrix), 1e-6 * np.eye(2)
+                    self.peak = matrices[0].copy()
+                self.calls += len(matrices)
+                return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2)), None
+
+            def gradient(self, point, which):
+                return np.repeat(1e-6 * np.eye(2)[None], len(which), axis=0)
 
         obj = Peaked()
         cfg = MleConfig()
-        _, fval, iters, conv, gnorm = estimation._fit_single(obj, 2.0 * np.eye(2), cfg)
+        _, fval, iters, conv, gnorm = fit_one(obj, 2.0 * np.eye(2), cfg)
         # a step may still change theta in its last bit but not the matrix
         assert iters <= 2 and not conv and gnorm > cfg.grad_tol
         assert fval == -1.0 and obj.calls < 200
+
+
+def replicate_tables(n, count, size, seed=5):
+    star = d.tridiagonal_kernel(n, 2.0, 0.6) if n > 1 else d.Kernel([[1.5]])
+    table = d.build_table(star)
+    return [d.empirical_table(d.sample(table, size, seed, stream_path=(1, r)))
+            for r in range(count)]
+
+
+def batch_of(tables, config):
+    """(objective, starts) of every restart of every table."""
+    freqs = np.repeat([t.freqs for t in tables], config.restarts, axis=0)
+    starts = np.concatenate([estimation._starts(t, config) for t in tables])
+    return estimation._Objective(freqs), starts
+
+
+class TestLockstepBatch:
+    def assert_members_equal(self, batch, members, alone):
+        for field, whole, own in zip(("matrix", "f", "iterations", "converged", "gnorm"),
+                                     batch, alone):
+            np.testing.assert_array_equal(whole[members], own, err_msg=field)
+
+    def test_composition_invariance(self, monkeypatch):
+        """Each member's fit is bitwise the same alone, in the batch, and
+        split across chunks."""
+        cfg = MleConfig(seed=3, restarts=3)
+        obj, starts = batch_of(replicate_tables(3, 4, 300), cfg)
+        whole = estimation._fit_batch(obj, starts, cfg)
+        assert whole[2].max() > 1                       # real fits, not stops at the start
+        for i in range(len(starts)):
+            alone = estimation._Objective(obj.freqs[i:i + 1])
+            self.assert_members_equal(whole, [i], estimation._fit_batch(
+                alone, starts[i:i + 1], cfg))
+        monkeypatch.setattr(estimation, "_FIT_CHUNK_MASKS", 5 * 2 ** 3)
+        chunked = estimation._fit_batch(obj, starts, cfg)
+        self.assert_members_equal(whole, slice(None), chunked)
+
+    def test_one_bad_member_stops_alone(self):
+        """Member 1's candidates have a nonpositive minor, member 3's line
+        search never accepts; both stop at their start, the others'
+        results are bitwise those of the batch without the faults."""
+        cfg = MleConfig(seed=3, restarts=2)
+        obj, starts = batch_of(replicate_tables(3, 2, 400), cfg)
+        clean = estimation._fit_batch(obj, starts, cfg)
+
+        class Faulty(estimation._Objective):
+            calls = 0
+
+            def evaluate(self, matrices, members):
+                self.calls += 1
+                matrices = matrices.copy()
+                if self.calls > 1:
+                    matrices[np.asarray(members) == 1] = NEGATIVE_3X3
+                values, point = super().evaluate(matrices, members)
+                if self.calls > 1:
+                    values[np.asarray(members) == 3] = -np.inf
+                return values, point
+
+        faulty = estimation._fit_batch(Faulty(obj.freqs), starts, cfg)
+        self.assert_members_equal(clean, [0, 2], [x[[0, 2]] for x in faulty])
+        np.testing.assert_array_equal(faulty[2][[1, 3]], 0)
+        assert not faulty[3][[1, 3]].any()
+        assert clean[2][[1, 3]].min() > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_edge_members(self, n):
+        """n = 1 and a one-mask table, batched with ordinary tables."""
+        cfg = MleConfig(seed=2, restarts=2, max_iters=200)
+        one_mask = EmpiricalTable(n=n, freqs=np.eye(2 ** n)[2 ** n - 1], total=7)
+        tables = replicate_tables(n, 2, 200) + [one_mask]
+        obj, starts = batch_of(tables, cfg)
+        whole = estimation._fit_batch(obj, starts, cfg)
+        for i in range(len(starts)):
+            self.assert_members_equal(whole, [i], estimation._fit_batch(
+                estimation._Objective(obj.freqs[i:i + 1]), starts[i:i + 1], cfg))
+        assert np.isfinite(whole[1]).all()
+        # the one-mask table's sup is on the boundary: held by the box
+        lo, hi = cfg.spectral_box
+        for matrix in whole[0][-2:]:
+            eigs = d.l_to_k(d.Kernel(d.symmetrize(matrix))).eigenvalues
+            assert eigs[0] >= lo - 1e-12 and eigs[-1] <= hi + 1e-12
 
 
 class TestFitMle:
@@ -208,25 +314,27 @@ class TestFitMle:
         for kwargs in ({"spectral_box": (0.5, 0.4)}, {"restarts": 0},
                        {"restarts": 2.5}, {"max_iters": 100.0},
                        {"grad_tol": float("nan")}, {"grad_tol": float("inf")},
-                       {"init_jitter": float("nan")}, {"init_jitter": float("inf")}):
+                       {"init_jitter": float("nan")}, {"init_jitter": float("inf")},
+                       {"seed": -1}, {"seed": 1.5}, {"seed": "1"}):
             with pytest.raises(ValueError):
                 MleConfig(**kwargs)
 
     def test_accepted_decrease_raises(self):
         class Decreasing:
-            """Line search sees a rise, the accepted point a fall."""
-            n = 2
+            """Line search sees a rise at a point outside the box, the
+            refactored projected point a fall."""
             calls = 0
 
-            def value(self, matrix):
-                return 1.0
-
-            def value_and_grad(self, matrix):
+            def evaluate(self, matrices, members):
                 self.calls += 1
-                return (0.0 if self.calls == 1 else -5.0), 0.01 * np.eye(2)
+                return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), None
+
+            def gradient(self, point, which):
+                # the first step leaves the box
+                return np.repeat(5.0 * np.eye(2)[None], len(which), axis=0)
 
         with pytest.raises(LikelihoodDecrease):
-            estimation._fit_single(Decreasing(), np.eye(2), MleConfig())
+            fit_one(Decreasing(), np.eye(2), MleConfig())
 
     def test_degenerate_table_clamps_to_box(self):
         # all mass on one subset: the likelihood sup is on the boundary,

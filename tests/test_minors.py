@@ -5,48 +5,8 @@ from dppmle import minors
 from dppmle.errors import GroundSetTooLarge
 from dppmle import rngs
 
-from conftest import NEGATIVE_3X3, random_block_kernel, random_kernel
-
-
-def brute_submatrix(a, mask):
-    idx = [i for i in range(a.shape[0]) if mask >> i & 1]
-    return a[np.ix_(idx, idx)]
-
-
-def brute_logdets(a):
-    """Reference: one slogdet per mask."""
-    out = np.zeros(2 ** a.shape[0])
-    for mask in range(1, out.size):
-        sign, out[mask] = np.linalg.slogdet(brute_submatrix(a, mask))
-        assert sign > 0
-    return out
-
-
-def brute_inverses(a):
-    """Reference: one inverse per mask, zero-padded."""
-    n = a.shape[0]
-    out = np.zeros((2 ** n, n, n))
-    for mask in range(1, out.shape[0]):
-        idx = minors.subset_indices(mask)
-        out[mask][np.ix_(idx, idx)] = np.linalg.inv(brute_submatrix(a, mask))
-    return out
-
-
-def tridiagonal(n, gen):
-    a = np.diag(2.0 + gen.random(n))
-    off = 0.9 * (2.0 * gen.random(n - 1) - 1.0)
-    return a + np.diag(off, 1) + np.diag(off, -1)
-
-
-def reference_kernels():
-    """Random, block-diagonal and tridiagonal kernels at n = 1..8."""
-    gen = np.random.default_rng(11)
-    for n in range(1, 9):
-        yield f"random-{n}", random_kernel(n, gen).matrix
-        yield f"tridiagonal-{n}", tridiagonal(n, gen)
-        if n >= 2:
-            sizes = [n // 2, n - n // 2]
-            yield f"blocks-{n}", random_block_kernel(sizes, gen).matrix
+from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, brute_submatrix,
+                      random_kernel, reference_kernels)
 
 
 class TestMaskHelpers:
