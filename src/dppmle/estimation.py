@@ -26,6 +26,10 @@ of the correlation kernel is clipped into a compact box [alpha, beta]
 so degenerate frequency tables cannot push the iterates to the
 boundary of the cone.
 
+Fits start from the moment-matched kernel and its sign-corrected
+variant (cycle signs from triple moments; Urschel et al., ICML 2017),
+both read from one `minors.superset_sums` of the frequencies at any n.
+
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 replicates x restarts of one sample size in `estimate_risk`, iterate
 together (Nocedal & Wright, "Numerical Optimization", ch. 6 and 3.1),
@@ -137,7 +141,9 @@ def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each the BLAS dot of a 1-D `a @ b`."""
+    """Row-wise dot products, each the BLAS dot of a 1-D `a @ b`, on
+    C-ordered copies: the summation order follows the layout."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
@@ -376,7 +382,7 @@ def _starts(freqs: EmpiricalTable, config: MleConfig) -> np.ndarray:
     """The (restarts, n, n) starting kernels of a fit.
 
     Restart 0 is the moment-matched kernel and restart 1 its
-    sign-corrected variant (when it differs); later restarts add
+    sign-corrected variant (at any n >= 3, when it differs); later restarts add
     symmetric jitter of escalating scale around the anchors, drawn from
     per-restart deterministic streams, so a run with more restarts
     reuses the earlier starts exactly.
@@ -425,23 +431,14 @@ def fit_mle(freqs: EmpiricalTable, config: MleConfig) -> MleResult:
 def _moment_correlation(freqs: EmpiricalTable) -> np.ndarray:
     """Correlation-kernel estimate from first and second inclusion
     moments: exact diagonal, nonnegative off-diagonal magnitudes."""
-    n = freqs.n
-    masks = np.arange(2 ** n)
-    k_hat = np.zeros((n, n))
-    incl = np.empty(n)
-    for i in range(n):
-        has_i = (masks >> i & 1) == 1
-        incl[i] = freqs.freqs[has_i].sum()
-        k_hat[i, i] = incl[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = ((masks >> i & 1) == 1) & ((masks >> j & 1) == 1)
-            pair = freqs.freqs[both].sum()
-            gap = incl[i] * incl[j] - pair
-            # cancellation roundoff would otherwise leak through the sqrt
-            floor = 1e-12 * max(incl[i] * incl[j], pair)
-            off = math.sqrt(gap) if gap > floor else 0.0
-            k_hat[i, j] = k_hat[j, i] = off
+    incl = minors.superset_sums(freqs.freqs)
+    bits = 1 << np.arange(freqs.n)
+    single, pair = incl[bits], incl[bits[:, None] | bits[None, :]]
+    prod = single[:, None] * single[None, :]
+    gap = prod - pair
+    # cancellation roundoff would otherwise leak through the sqrt
+    k_hat = np.sqrt(np.where(gap > 1e-12 * np.maximum(prod, pair), gap, 0.0))
+    np.fill_diagonal(k_hat, single)
     return k_hat
 
 
@@ -463,10 +460,6 @@ def moment_init(freqs: EmpiricalTable, spectral_box: tuple = (1e-4, 1.0 - 1e-4))
     return _clip_to_kernel(_moment_correlation(freqs), spectral_box)
 
 
-#: Ground-set bound for the cubic-moment sign recovery (O(n^2 2^n) scan).
-_SIGN_ANCHOR_MAX_N = 12
-
-
 def _sign_corrected_init(freqs: EmpiricalTable, spectral_box: tuple) -> Kernel | None:
     """Moment kernel with off-diagonal signs recovered from triple
     inclusion moments.
@@ -475,33 +468,25 @@ def _sign_corrected_init(freqs: EmpiricalTable, spectral_box: tuple) -> Kernel |
     conjugation class is pinned by the cycle products K_ij K_jk K_ik.
     Each product is solved from det(K_{ijk}) = P[{i,j,k} in Z]; rooting
     the assignment at index 0 (entries K_0i taken nonnegative) realizes
-    the estimated class.  None when the ground set is too large for the
-    triple-moment scan.
+    the estimated class.  The triples are entries of the superset sums,
+    at any n; None for n < 3 or when no sign changes.
     """
     n = freqs.n
-    if n > _SIGN_ANCHOR_MAX_N or n < 3:
+    if n < 3:
         return None
     k_hat = _moment_correlation(freqs)
-    masks = np.arange(2 ** n)
-    tol = 1e-8
-    signed = k_hat.copy()
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            mags = (k_hat[0, i], k_hat[0, j], k_hat[i, j])
-            if min(mags) <= tol:
-                continue
-            sel = ((masks >> 0 & 1) & (masks >> i & 1) & (masks >> j & 1)) == 1
-            triple = freqs.freqs[sel].sum()
-            diag = k_hat[0, 0] * k_hat[i, i] * k_hat[j, j]
-            cross = (k_hat[0, 0] * k_hat[i, j] ** 2
-                     + k_hat[i, i] * k_hat[0, j] ** 2
-                     + k_hat[j, j] * k_hat[0, i] ** 2)
-            cycle = (triple - diag + cross) / 2.0
-            if cycle < 0:
-                signed[i, j] = signed[j, i] = -k_hat[i, j]
-    if np.array_equal(signed, k_hat):
+    bits = 1 << np.arange(n)
+    triple = minors.superset_sums(freqs.freqs)[1 | bits[:, None] | bits[None, :]]
+    d, root = np.diag(k_hat), k_hat[0]
+    # entry (i, j) solves the cycle product of {0, i, j}
+    diag = d[0] * d[:, None] * d[None, :]
+    cross = d[0] * k_hat ** 2 + d[:, None] * root[None, :] ** 2 + d[None, :] * root[:, None] ** 2
+    cycle = (triple - diag + cross) / 2.0
+    linked = (root > 1e-8) & (np.arange(n) > 0)     # i > 0 with K_0i resolved
+    flip = np.triu(linked[:, None] & linked[None, :] & (k_hat > 1e-8) & (cycle < 0), 1)
+    if not flip.any():
         return None
-    return _clip_to_kernel(signed, spectral_box)
+    return _clip_to_kernel(np.where(flip | flip.T, -k_hat, k_hat), spectral_box)
 
 
 # --- Sign-orbit loss -------------------------------------------------------

@@ -209,19 +209,20 @@ def load_frequencies(path: Path) -> EmpiricalTable:
         if path.suffix == ".csv":
             rows = list(csv.reader(io.StringIO(text)))
             body = rows[1:] if rows and rows[0] and rows[0][0] == "mask" else rows
-            probs = np.zeros(len(body))
-            for mask_s, p_s in body:
-                probs[int(mask_s)] = float(p_s)
-            n = int(np.log2(len(body)))
-            if 2 ** n != len(body):
-                raise ValueError(f"table length {len(body)} is not a power of two")
-            return EmpiricalTable.from_probabilities(n, probs)
+            masks = np.array([int(m) for m, _ in body], dtype=np.int64)
+            values = np.array([float(p) for _, p in body])
+            n, order = len(body).bit_length() - 1, np.argsort(masks)
+            if (n < 1 or not np.array_equal(masks[order], np.arange(2 ** n))
+                    or not np.all((values >= 0) & (values < np.inf))):
+                raise ValueError("a table lists each mask of [0, 2^n), n >= 1, once, "
+                                 "with a finite nonnegative probability")
+            return EmpiricalTable.from_probabilities(n, values[order])
         return empirical_table(SampleBatch.from_json(text))
     except ConfigError:
         raise
     except FileNotFoundError as exc:
         raise ConfigError(f"samples file not found: {path}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: malformed samples file ({exc})") from exc
 
 

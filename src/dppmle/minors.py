@@ -28,6 +28,10 @@ minor.  The forward pass and its adjoint take a leading batch axis over
 matrices, (B, n, n) -> (B, 2^n), with an ok flag per member in place of
 the error, for the batched fitter in `estimation`; the two public
 functions above are the batch of one.
+
+`superset_sums`, the zeta transform in n in-place passes (Yates;
+Bjorklund et al., "Fourier meets Mobius", STOC 2007), gives every
+inclusion moment of a probability table at once.
 """
 
 from __future__ import annotations
@@ -75,21 +79,6 @@ def mask_of(indices) -> int:
     for i in indices:
         m |= 1 << int(i)
     return m
-
-
-def popcounts(masks: np.ndarray) -> np.ndarray:
-    """Cardinality of each mask in an integer array."""
-    m = masks.astype(np.uint64)
-    counts = np.zeros(m.shape, dtype=np.int64)
-    while m.any():
-        counts += (m & 1).astype(np.int64)
-        m >>= 1
-    return counts
-
-
-def all_masks(n: int) -> np.ndarray:
-    check_enum_budget(n)
-    return np.arange(2 ** n, dtype=np.int64)
 
 
 def _select(full: np.ndarray, masks) -> np.ndarray:
@@ -243,7 +232,16 @@ def padded_inverses(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.n
     return _select(out, masks)
 
 
-def supersets_of(masks: np.ndarray, s: int) -> np.ndarray:
-    """Boolean selector of masks J with J >= S (as sets)."""
-    m = np.asarray(masks, dtype=np.int64)
-    return (m & int(s)) == int(s)
+def superset_sums(values: np.ndarray) -> np.ndarray:
+    """f[S] = sum of values[J] over the masks J containing S, for a
+    (2^n,) vector indexed by mask: P[S in Z] over a probability table.
+    One in-place pass per index, O(n 2^n) work on one copy."""
+    f = np.array(values, dtype=float)
+    n = f.size.bit_length() - 1
+    if f.ndim != 1 or f.size != 2 ** n:
+        raise ValueError(f"expected a vector of 2^n values, got shape {f.shape}")
+    for k in range(n):
+        # axis 1 is bit k; axis 2 runs over the lower bits
+        pairs = f.reshape(-1, 2, 2 ** k)
+        pairs[:, 0] += pairs[:, 1]
+    return f

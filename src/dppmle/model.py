@@ -49,9 +49,9 @@ class DppTable:
         return self.kernel.n
 
     def inclusion_from_sum(self, mask: int) -> float:
-        """P[S subset of Z] as the sum of probabilities over supersets."""
-        sel = minors.supersets_of(np.arange(self.probs.size), mask)
-        return float(self.probs[sel].sum())
+        """P[S subset of Z] as the sum of probabilities over supersets;
+        ValueError unless the mask lies in [0, 2^n)."""
+        return float(minors.superset_sums(self.probs)[minors.check_mask(mask, self.n)])
 
     def to_csv(self) -> str:
         return _mask_csv(self.probs)
@@ -135,9 +135,18 @@ class SampleBatch:
 
     @classmethod
     def from_json(cls, text: str) -> "SampleBatch":
+        """ValueError unless n is an integer >= 1 and every draw an
+        integer mask in [0, 2^n); GroundSetTooLarge past the cap."""
         obj = json.loads(text)
-        n = int(obj["n"])
-        draws = np.asarray(obj["draws"], dtype=np.int64)
+        n = obj["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        minors.check_enum_budget(n)
+        draws = np.asarray(obj["draws"])
+        if draws.ndim != 1 or draws.size and (draws.dtype.kind not in "iu" or draws.min() < 0
+                                              or draws.max() >= 2 ** n):
+            raise ValueError(f"draws must be a list of integer masks in [0, 2^{n})")
+        draws = draws.astype(np.int64)
         if draws.size != int(obj["count"]):
             raise ValueError("draw count does not match the count field")
         seed = obj["seed"]

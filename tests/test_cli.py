@@ -38,14 +38,43 @@ class TestExitCodes:
         assert main(["curvature-scan", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "budget" in capsys.readouterr().err
 
+    #: (file name, contents) of samples files `estimate` must refuse
+    MALFORMED_SAMPLES = [
+        ("samples.json", "{not json"),
+        ("samples.json", json.dumps({"n": 2, "seed": 1, "count": 2, "draws": [1, 4]})),
+        ("samples.json", json.dumps({"n": 2, "seed": 1, "count": 2, "draws": [1, -1]})),
+        ("samples.json", json.dumps({"n": 2, "seed": 1, "count": 2, "draws": [1, 1.7]})),
+        ("samples.json", json.dumps({"n": 0, "seed": 1, "count": 1, "draws": [0]})),
+        ("samples.json", json.dumps({"n": 2.5, "seed": 1, "count": 1, "draws": [0]})),
+        ("table.csv", "mask,probability\r\n"),
+        ("table.csv", "mask,probability\r\n0,0.5\r\n2,0.5\r\n"),
+        ("table.csv", "mask,probability\r\n0,0.5\r\n-1,0.5\r\n"),
+        ("table.csv", "mask,probability\r\n0,0.5\r\n0,0.5\r\n"),
+        ("table.csv", "mask,probability\r\n0,nan\r\n1,0.5\r\n"),
+        ("table.csv", "mask,probability\r\n0,-0.5\r\n1,1.5\r\n"),
+        ("table.csv", "mask,probability\r\n0,1.0\r\n"),
+    ]
+
     def test_malformed_samples_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "est.json", {"mle": {"seed": 1}})
+        for k, (name, text) in enumerate(self.MALFORMED_SAMPLES):
+            bad = tmp_path / str(k) / name
+            bad.parent.mkdir()
+            bad.write_text(text)
+            code = main(["estimate", "--config", cfg, "--samples", str(bad),
+                         "--out", str(tmp_path / str(k))])
+            err = capsys.readouterr().err
+            assert code == 2, (name, text)
+            assert "malformed samples file" in err, (name, text)
+
+    def test_samples_past_enumeration_cap(self, tmp_path, capsys):
         bad = tmp_path / "samples.json"
-        bad.write_text("{not json")
+        bad.write_text(json.dumps({"n": 21, "seed": 1, "count": 1, "draws": [0]}))
         cfg = write_config(tmp_path, "est.json", {"mle": {"seed": 1}})
         code = main(["estimate", "--config", cfg, "--samples", str(bad),
                      "--out", str(tmp_path)])
-        assert code == 2
-        assert "malformed" in capsys.readouterr().err
+        assert code == 3
+        assert "budget" in capsys.readouterr().err
 
 
 class TestSimulateEstimateFlow:

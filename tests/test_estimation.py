@@ -8,8 +8,9 @@ from dppmle.estimation import MleConfig
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable
 
-from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, random_block_kernel,
-                      random_kernel, reference_kernels)
+from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, loop_moment_correlation,
+                      loop_sign_corrected_init, random_block_kernel, random_kernel,
+                      reference_kernels)
 
 
 def exact_frequencies(kernel) -> EmpiricalTable:
@@ -199,25 +200,27 @@ def batch_of(tables, config):
 
 
 class TestLockstepBatch:
-    def assert_members_equal(self, batch, members, alone):
+    def assert_members_equal(self, batch, members, alone, where=""):
         for field, whole, own in zip(("matrix", "f", "iterations", "converged", "gnorm"),
                                      batch, alone):
-            np.testing.assert_array_equal(whole[members], own, err_msg=field)
+            np.testing.assert_array_equal(whole[members], own, err_msg=f"{where} {field}")
 
     def test_composition_invariance(self, monkeypatch):
         """Each member's fit is bitwise the same alone, in the batch, and
-        split across chunks."""
+        split across chunks, over several sampled batches."""
         cfg = MleConfig(seed=3, restarts=3)
-        obj, starts = batch_of(replicate_tables(3, 4, 300), cfg)
-        whole = estimation._fit_batch(obj, starts, cfg)
-        assert whole[2].max() > 1                       # real fits, not stops at the start
-        for i in range(len(starts)):
-            alone = estimation._Objective(obj.freqs[i:i + 1])
-            self.assert_members_equal(whole, [i], estimation._fit_batch(
-                alone, starts[i:i + 1], cfg))
-        monkeypatch.setattr(estimation, "_FIT_CHUNK_MASKS", 5 * 2 ** 3)
-        chunked = estimation._fit_batch(obj, starts, cfg)
-        self.assert_members_equal(whole, slice(None), chunked)
+        for seed in (1, 4, 5, 6):
+            obj, starts = batch_of(replicate_tables(3, 4, 300, seed), cfg)
+            whole = estimation._fit_batch(obj, starts, cfg)
+            assert whole[2].max() > 1                   # real fits, not stops at the start
+            for i in range(len(starts)):
+                alone = estimation._Objective(obj.freqs[i:i + 1])
+                self.assert_members_equal(whole, [i], estimation._fit_batch(
+                    alone, starts[i:i + 1], cfg), f"seed {seed} member {i}")
+            with monkeypatch.context() as m:
+                m.setattr(estimation, "_FIT_CHUNK_MASKS", 5 * 2 ** 3)
+                chunked = estimation._fit_batch(obj, starts, cfg)
+            self.assert_members_equal(whole, slice(None), chunked, f"seed {seed} chunked")
 
     def test_one_bad_member_stops_alone(self):
         """Member 1's candidates have a nonpositive minor, member 3's line
@@ -480,6 +483,71 @@ class TestMomentInit:
         k_true = d.l_to_k(star).matrix
         k_init = d.l_to_k(init).matrix
         assert abs(k_init[0, 1]) == pytest.approx(abs(k_true[0, 1]), abs=1e-10)
+
+
+def reference_tables():
+    """Population and sampled frequency tables of the reference kernels."""
+    for k, (name, matrix) in enumerate(reference_kernels()):
+        star = d.Kernel(matrix)
+        yield f"{name}-population", exact_frequencies(star)
+        yield f"{name}-sampled", d.empirical_table(d.sample(d.build_table(star), 400, seed=k))
+
+
+class TestMomentStarts:
+    """The superset-sum moments and sign anchors against one scan over
+    all masks per moment.  An off-diagonal entry is the square root of a
+    moment gap, which magnifies the gap's roundoff near zero, so the
+    squares, the moments themselves, are compared."""
+
+    @pytest.fixture
+    def raw_signs(self, monkeypatch):
+        """Sign-corrected starts as the signed correlation matrices
+        themselves, before the spectral clip."""
+        monkeypatch.setattr(estimation, "_clip_to_kernel", lambda k_hat, box: k_hat)
+
+    def test_moments_match_loop_reference(self):
+        for name, freqs in reference_tables():
+            np.testing.assert_allclose(estimation._moment_correlation(freqs) ** 2,
+                                       loop_moment_correlation(freqs) ** 2,
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    def test_sign_patterns_match_loop_reference(self, raw_signs):
+        signed = 0
+        for name, freqs in reference_tables():
+            fast = estimation._sign_corrected_init(freqs, (1e-4, 1 - 1e-4))
+            loop = loop_sign_corrected_init(freqs, (1e-4, 1 - 1e-4))
+            assert (fast is None) == (loop is None), name
+            if fast is not None:
+                signed += 1
+                np.testing.assert_array_equal(np.sign(fast), np.sign(loop), err_msg=name)
+                np.testing.assert_allclose(fast ** 2, loop ** 2, rtol=0, atol=1e-12,
+                                           err_msg=name)
+        assert signed >= 10                    # the comparison sees real sign changes
+
+    def test_signed_start_past_twelve(self, raw_signs):
+        freqs = exact_frequencies(d.tridiagonal_kernel(13, 2.0, 0.9))
+        fast = estimation._sign_corrected_init(freqs, (1e-4, 1 - 1e-4))
+        loop = loop_sign_corrected_init(freqs, (1e-4, 1 - 1e-4))
+        np.testing.assert_array_equal(np.sign(fast), np.sign(loop))
+        assert (fast < 0).any()
+
+    def test_no_signed_start_below_three(self):
+        for n in (1, 2):
+            freqs = exact_frequencies(d.tridiagonal_kernel(n, 2.0, 0.9))
+            assert estimation._sign_corrected_init(freqs, (1e-4, 1 - 1e-4)) is None
+
+    def test_scalar_moment(self):
+        freqs = EmpiricalTable(n=1, freqs=np.array([0.25, 0.75]), total=4)
+        np.testing.assert_array_equal(estimation._moment_correlation(freqs), [[0.75]])
+
+    @pytest.mark.parametrize("mask", [0, 5, 7])
+    def test_one_mask_table(self, mask):
+        freqs = EmpiricalTable(n=3, freqs=np.eye(8)[mask], total=3)
+        in_mask = np.array([mask >> i & 1 for i in range(3)], dtype=float)
+        np.testing.assert_array_equal(estimation._moment_correlation(freqs), np.diag(in_mask))
+        assert estimation._sign_corrected_init(freqs, (1e-4, 1 - 1e-4)) is None
+        eigs = d.l_to_k(d.moment_init(freqs)).eigenvalues
+        assert eigs[0] >= 1e-4 - 1e-12 and eigs[-1] <= 1 - 1e-4 + 1e-12
 
 
 class TestEstimateRisk:

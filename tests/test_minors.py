@@ -26,15 +26,6 @@ class TestMaskHelpers:
         for mask in (0, 1, 0b1010, 0b11111):
             assert minors.mask_of(minors.subset_indices(mask)) == mask
 
-    def test_popcounts(self):
-        np.testing.assert_array_equal(
-            minors.popcounts(np.arange(8)), [0, 1, 1, 2, 1, 2, 2, 3])
-
-    def test_supersets(self):
-        masks = np.arange(8)
-        np.testing.assert_array_equal(
-            minors.supersets_of(masks, 0b101), [False] * 5 + [True, False, True])
-
     def test_budget(self):
         with pytest.raises(GroundSetTooLarge):
             minors.check_enum_budget(21)
@@ -169,7 +160,19 @@ class TestStreams:
         assert not np.array_equal(a, c)
 
 
-class TestEnumerationOrder:
-    def test_all_masks_increasing(self):
-        masks = minors.all_masks(3)
-        np.testing.assert_array_equal(masks, np.arange(8))
+class TestSupersetSums:
+    def test_against_brute_force(self):
+        gen = np.random.default_rng(3)
+        for n in range(0, 9):
+            values = gen.normal(size=2 ** n)
+            before = values.copy()
+            masks = np.arange(2 ** n)
+            expect = [values[(masks & s) == s].sum() for s in masks]
+            np.testing.assert_allclose(minors.superset_sums(values), expect,
+                                       rtol=0, atol=1e-12, err_msg=f"n={n}")
+            np.testing.assert_array_equal(values, before)      # the input is left alone
+
+    def test_rejects_other_lengths(self):
+        for bad in (np.zeros(0), np.zeros(6), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="2\\^n"):
+                minors.superset_sums(bad)

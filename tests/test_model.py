@@ -113,6 +113,8 @@ class TestInclusionProbability:
         for bad in (-1, 4):
             with pytest.raises(ValueError, match="outside"):
                 d.inclusion_probability(table, bad)
+            with pytest.raises(ValueError, match="outside"):
+                table.inclusion_from_sum(bad)
 
     def test_agrees_with_superset_sum(self, rng):
         ker = random_kernel(6, rng)
