@@ -5,38 +5,36 @@ frequencies q is
 
     Lhat(L) = sum_J q_J log det(L_J) - log det(I+L),
 
-and its gradient is sum_J q_J pad(L_J^{-1}) - (I+L)^{-1}.  Both are
-taken over the full table of 2^n masks by one forward pass of the
-all-minors recursion in `minors` and its adjoint.  Since det(I+L) =
-sum_J det L_J, the normalizer is a logsumexp of the same
-log-determinants, and the gradient is one adjoint sweep with weights
-q_J - p_J, p_J = det L_J / det(I+L); I+L is never factored.  q_J = 0
-terms add exactly zero, but any nonpositive minor, observed or not,
-makes the value -inf.  The objective is invariant under sign
-conjugation, so estimates are only meaningful up to the sign orbit and
-performance is measured by the orbit loss min_D ||Lhat - D Lstar D||_F.
+and its gradient is sum_J q_J pad(L_J^{-1}) - (I+L)^{-1}, both over the
+full table of 2^n masks (see `_Objective`).  The objective is invariant
+under sign conjugation, so estimates are only meaningful up to the sign
+orbit and performance is measured by the orbit loss
+min_D ||Lhat - D Lstar D||_F.
 
-Optimization runs over a Cholesky factor with log-parametrized diagonal
-(positivity for free), ascending by BFGS with a backtracking line
-search.  Near the optimum, where f = -Lhat no longer resolves the
-Armijo decrease, a step is accepted on the approximate Wolfe test of
-Hager & Zhang (SIAM J. Optim. 16, 2005), and a step too small to move
-the parameters ends the search.  After each accepted step the spectrum
-of the correlation kernel is clipped into a compact box [alpha, beta]
-so degenerate frequency tables cannot push the iterates to the
-boundary of the cone.
-
-Fits start from the moment-matched kernel and its sign-corrected
-variant (cycle signs from triple moments; Urschel et al., ICML 2017),
-both read from one `minors.superset_sums` of the frequencies at any n.
+The fit is damped Newton in the orthonormal symmetric coordinates of L
+on the exact observed information, the form (H, K) ->
+-sum_J q_J Tr(P_J H P_J K) + Tr(G H G K) with P_J = pad(L_J^{-1}) from
+the bordering recursion in `minors` and G = (I+L)^{-1} = sum_J p_J P_J.
+The likelihood is not concave (Brunel, Moitra, Rigollet & Urschel,
+arXiv:1701.06501), so the eigenvalues of -H are reflected and floored at
+1e-13 of the largest, and Armijo backtracking from step 1 makes every
+step a rise (Nocedal & Wright, ch. 3.4).  A nonpositive minor makes the
+value -inf, so iterates stay positive definite; a candidate the spectral
+box [alpha, beta] of the correlation kernel moves is taken only if it
+rises.  A member stops on `grad_tol`; on `roundoff`, when half the
+Newton decrement g^T (-H)^{-1} g is at most 8 eps max(1, |f|), below
+what f resolves (Boyd & Vandenberghe, 9.5.1), after one full step
+taken unless f falls by more than that; on `line_search`, when no step
+moves L; or on `max_iters`.  `grad_tol`, `converged` and
+`gradient_norm` use the gradient norm in the log-Cholesky parameters
+of L = C C^T at the returned kernel, and nothing else does.
 
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 replicates x restarts of one sample size in `estimate_risk`, iterate
-together (Nocedal & Wright, "Numerical Optimization", ch. 6 and 3.1),
-each member with its own parameters, inverse Hessian, step and stop
-state, and each objective call is one stacked recursion over the
-members still searching.  No operation mixes members, so a member's
-fit is bitwise the same alone, in any batch, or in any chunk.
+together, each member with its own state, and each objective call is
+one stacked recursion over the members still searching.  No operation
+mixes members, so a member's fit is bitwise the same alone, in any
+batch, or in any chunk.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,20 +53,26 @@ from . import minors, rngs
 from .errors import GroundSetTooLarge, LikelihoodDecrease, SingularInformation
 from .geometry import hessian_matrix
 from .kernels import (DeterminantalGraph, Kernel, conjugate_by_signs,
-                      determinantal_graph, k_to_l, symmetrize)
+                      determinantal_graph, k_to_l, symmetric_basis, symmetrize)
 from .model import DppTable, EmpiricalTable, build_table, empirical_table, sample
 
 #: Exhaustive sign-orbit enumeration cap.
 MAX_SIGN_ENUM_N = 20
 
-#: Roundoff allowance, in units of max(1, |f|), under which a line-search
-#: candidate that fails Armijo may pass the approximate Wolfe test.
-_WOLFE_SLACK = 8 * np.finfo(float).eps
+#: Why a fit member stopped (see the module docstring).
+STOP_REASONS = ("grad_tol", "roundoff", "line_search", "max_iters")
+_GRAD_TOL, _ROUNDOFF, _LINE_SEARCH, _MAX_ITERS = range(4)
+
+_EPS = np.finfo(float).eps
+_ROUNDOFF_SLACK = 8 * _EPS          # what f resolves, in units of max(1, |f|)
 
 #: Members fitted in lockstep at once are capped at this many masks in
 #: all (members x 2^n), which bounds the kept Schur stacks: 8 members at
 #: n = 14, one from n = 17 on.
 _FIT_CHUNK_MASKS = 2 ** 17
+
+#: Padded-inverse floats (members x 2^n x n^2) per Hessian chunk.
+_HESSIAN_CHUNK_FLOATS = 2 ** 17
 
 #: Sign vectors scored per batch in sign_orbit_loss (n=18: ~2.6 MB each
 #: for the stacked differences).
@@ -113,14 +117,7 @@ class MleConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "spectral_box": list(self.spectral_box),
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "grad_tol": self.grad_tol,
-            "init_jitter": self.init_jitter,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "spectral_box": list(self.spectral_box)}
 
 
 def empirical_log_likelihood(freqs: EmpiricalTable, kernel: Kernel) -> float:
@@ -161,8 +158,8 @@ class _Objective:
         self.freqs = np.asarray(freqs, dtype=float)
 
     def evaluate(self, matrices: np.ndarray, members):
-        """(values of the kernels of `members`, the point `gradient`
-        reads); -inf where some principal minor is not positive."""
+        """(values of the kernels of `members`, the point `gradient` and
+        `hessian` read); -inf where some principal minor is not positive."""
         logdets, ok, stacks = minors._schur_pass(matrices, keep=True)
         q = self.freqs[members]
         with np.errstate(all="ignore"):
@@ -181,8 +178,29 @@ class _Objective:
             logdets, log_z, q = logdets[which], log_z[which], q[which]
         return minors._logdet_adjoint(stacks, q - np.exp(logdets - log_z[:, None]))
 
+    def hessian(self, point, which: np.ndarray) -> np.ndarray:
+        """Hessians at the members `which` of a point whose values are
+        finite, in the coordinates of `symmetric_basis` (the form in the
+        module docstring), from the Gram of the distinct entries of the
+        P_J, in member chunks of _HESSIAN_CHUNK_FLOATS."""
+        stacks, logdets, log_z, q = point
+        matrices = stacks[0][:, 0]          # the stack entering step 0 holds the kernels
+        n = matrices.shape[1]
+        distinct, first, second, basis = _hessian_layout(n)
+        size = max(1, _HESSIAN_CHUNK_FLOATS // (2 ** n * n * n))
+        out = np.empty((len(which), len(basis), len(basis)))
+        for lo in range(0, len(which), size):
+            at = which[lo:lo + size]
+            x = np.take(minors._bordered_inverses(matrices[at]).reshape(len(at), -1, n * n),
+                        distinct, axis=2)
+            g = x.transpose(0, 2, 1) @ np.exp(logdets[at] - log_z[at, None])[:, :, None]
+            x *= np.sqrt(q[at])[:, :, None]
+            gram = x.transpose(0, 2, 1) @ x - g * g.transpose(0, 2, 1)   # y^T y is a syrk
+            out[lo:lo + size] = -(basis @ gram[:, first, second] @ basis.T)
+        return out
 
-# --- Cholesky-factor parametrization -------------------------------------
+
+# --- Newton step -----------------------------------------------------------
 
 @functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
 def _strict_lower(n: int):
@@ -193,29 +211,32 @@ def _strict_lower(n: int):
     return rows, cols
 
 
-def _theta_from_matrix(matrices: np.ndarray) -> np.ndarray:
+def _theta_norm(grad_l: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Norms of the gradients in the log-Cholesky parameters theta of
+    L = C C^T (log of diag C, then the strict lower triangle), the
+    measure `grad_tol` and `converged` are stated in."""
     c = np.linalg.cholesky(matrices)
-    n = matrices.shape[1]
-    diag = np.arange(n)
-    return np.concatenate([np.log(c[:, diag, diag]), c[(slice(None), *_strict_lower(n))]],
-                          axis=1)
-
-
-def _matrix_from_theta(theta: np.ndarray, n: int):
-    c = np.zeros((theta.shape[0], n, n))
-    diag = np.arange(n)
-    with np.errstate(over="ignore"):
-        c[:, diag, diag] = np.exp(np.clip(theta[:, :n], -200, 200))
-    c[(slice(None), *_strict_lower(n))] = theta[:, n:]
-    return c @ c.transpose(0, 2, 1), c
-
-
-def _theta_grad(grad_l: np.ndarray, c: np.ndarray) -> np.ndarray:
     gc = 2.0 * grad_l @ c
-    n = c.shape[1]
-    diag = np.arange(n)
-    return np.concatenate([gc[:, diag, diag] * c[:, diag, diag],
-                           gc[(slice(None), *_strict_lower(n))]], axis=1)
+    diag = np.arange(c.shape[1])
+    g = np.concatenate([gc[:, diag, diag] * c[:, diag, diag],
+                        gc[(slice(None), *_strict_lower(c.shape[1]))]], axis=1)
+    return np.sqrt(_rowdot(g, g))
+
+
+@functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
+def _hessian_layout(n: int):
+    """Read-only (flat indices of the entries i <= j of an n x n matrix;
+    the row and column indices that read entry [(b, c), (d, a)] of
+    sum_J q_J P_J (x) P_J from the Gram of those entries of the P_J;
+    `symmetric_basis(n)` as rows)."""
+    rows, cols = np.triu_indices(n)
+    u = np.empty((n, n), dtype=np.intp)
+    u[rows, cols] = u[cols, rows] = np.arange(rows.size)
+    b, c, d, a = np.indices((n,) * 4).reshape(4, n * n, n * n)
+    layout = (rows * n + cols, u[a, b], u[c, d], np.reshape(symmetric_basis(n), (-1, n * n)))
+    for x in layout:
+        x.flags.writeable = False
+    return layout
 
 
 def _project_box(matrices: np.ndarray, box: tuple):
@@ -242,6 +263,7 @@ class MleResult:
     converged: bool
     restart_index: int
     gradient_norm: float
+    stop_reason: str
 
     def to_json(self) -> str:
         return json.dumps({
@@ -252,120 +274,94 @@ class MleResult:
             "converged": self.converged,
             "restart_index": self.restart_index,
             "gradient_norm": self.gradient_norm,
+            "stop_reason": self.stop_reason,
         })
 
 
-def _line_search(obj, members, theta, fval, d, dg, n: int, config: MleConfig):
-    """Backtracking from step 1 along d, every member at once with its
-    own step.  Returns the accepted flags and, for the accepted members
-    in order, their new theta, kernel, log-likelihood, gradient of the
-    negated objective, and whether the box moved them."""
-    size = len(members)
-    step = np.ones(size)
-    searching = np.ones(size, dtype=bool)
-    accepted = np.zeros(size, dtype=bool)
-    projected = np.zeros(size, dtype=bool)
-    theta_new = np.empty_like(theta)
-    matrix_new = np.empty((size, n, n))
-    f_acc = np.empty(size)
-    g_new = np.empty_like(theta)
-    slack = _WOLFE_SLACK * np.maximum(1.0, np.abs(fval))
-    while searching.any():
-        idx = np.flatnonzero(searching & (step >= 1e-14))
-        cand = theta[idx] + step[idx, None] * d[idx]
-        moves = ~np.all(cand == theta[idx], axis=1)   # else the step no longer moves theta
+def _line_search(obj, members, matrix, fval, direction, slope, flat, config: MleConfig):
+    """Backtracking from step 1 along each member's direction, every
+    member at once with its own step, on the Armijo rise
+    f(L + tD) >= f(L) + 1e-4 t slope, until the step no longer moves L;
+    a candidate the box moves is taken only if it rises.  Where f cannot
+    resolve the predicted rise (`flat`), only the full step is tried,
+    and it is taken unless f falls by more than the roundoff slack.
+    Returns the accepted flags and, in order, the accepted kernels."""
+    floor = np.where(flat, 1.0, 1e-14)
+    slack = np.where(flat, _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval)), 0.0)
+    step = np.ones(len(members))
+    accepted = np.zeros(len(members), dtype=bool)
+    out = np.empty_like(matrix)
+    idx = np.arange(len(members))
+    while True:
+        idx = idx[step[idx] >= floor[idx]]
+        cand = matrix[idx] + step[idx, None, None] * direction[idx]
+        moves = ~np.all(cand == matrix[idx], axis=(1, 2))
         idx, cand = idx[moves], cand[moves]
-        searching[:] = False
-        searching[idx] = True
-        cand_matrix, cand_c = _matrix_from_theta(cand, n)
-        finite = np.isfinite(cand_matrix).all(axis=(1, 2))
-        idx, cand = idx[finite], cand[finite]
-        cand_matrix, cand_c = cand_matrix[finite], cand_c[finite]
-        proj_matrix, proj = _project_box(cand_matrix, config.spectral_box)
-        values, point = obj.evaluate(proj_matrix, members[idx])
-        f_new, f_old = -values, -fval[idx]
-        valid = np.isfinite(f_new)
-        take_proj = valid & proj & (f_new < f_old)
-        armijo = valid & ~proj & (f_new <= f_old + 1e-4 * step[idx] * dg[idx])
-        # f no longer resolves the Armijo decrease: accept on the slope
-        # instead (approximate Wolfe, Hager & Zhang)
-        near = valid & ~proj & ~armijo & (f_new <= f_old + slack[idx])
-        ask = np.flatnonzero(armijo | near)
-        g_cand = -_theta_grad(obj.gradient(point, ask), cand_c[ask])
-        slope = _rowdot(d[idx[ask]], g_cand)
-        take = armijo[ask] | ((0.9 * dg[idx[ask]] <= slope) & (slope <= -0.8 * dg[idx[ask]]))
-        ask, g_cand = ask[take], g_cand[take]
-        done = idx[ask]
-        theta_new[done], matrix_new[done] = cand[ask], cand_matrix[ask]
-        f_acc[done], g_new[done] = -f_new[ask], g_cand
-        accepted[done] = True
-        done = idx[take_proj]
-        matrix_new[done] = proj_matrix[take_proj]
-        accepted[done] = projected[done] = True
-        searching &= ~accepted
-        step[searching] *= 0.5
-    # a projected point is refactored, which may perturb its value by
-    # roundoff, so it gets a fresh evaluation
-    done = np.flatnonzero(projected)
-    if done.size:
-        theta_new[done] = _theta_from_matrix(matrix_new[done])
-        matrix_new[done], c = _matrix_from_theta(theta_new[done], n)
-        f_acc[done], point = obj.evaluate(matrix_new[done], members[done])
-        g_new[done] = -_theta_grad(obj.gradient(point, np.arange(done.size)), c)
-    return (accepted, theta_new[accepted], matrix_new[accepted], f_acc[accepted],
-            g_new[accepted], projected[accepted])
+        if not idx.size:
+            return accepted, out[accepted]
+        cand, projected = _project_box(cand, config.spectral_box)
+        values, _ = obj.evaluate(cand, members[idx])
+        rise = values - fval[idx]
+        take = np.isfinite(values) & np.where(
+            projected, rise > 0, rise >= 1e-4 * step[idx] * slope[idx] - slack[idx])
+        out[idx[take]] = cand[take]
+        accepted[idx[take]] = True
+        idx = idx[~take]
+        step[idx] *= 0.5
 
 
 def _lockstep(obj, starts: np.ndarray, members: np.ndarray, config: MleConfig):
-    """BFGS ascent from each start, one iteration of every live member
-    per pass; (kernels, log-likelihoods, iterations, converged, gradient
-    norms).  Each member keeps its own theta, value, gradient, inverse
-    Hessian and stop state, so its result does not depend on the rest
-    of the batch."""
+    """Damped Newton ascent from each start, one iteration of every live
+    member per pass; (kernels, log-likelihoods, iterations, converged,
+    gradient norms, stop codes indexing STOP_REASONS).  Each member
+    keeps its own kernel, value and stop state, so its result does not
+    depend on the rest of the batch."""
     n = starts.shape[1]
-    theta = _theta_from_matrix(starts)
-    matrix, c = _matrix_from_theta(theta, n)
+    basis = _hessian_layout(n)[3]
+    matrix = np.array(starts, dtype=float)
     fval, point = obj.evaluate(matrix, members)
-    g = -_theta_grad(obj.gradient(point, np.arange(len(members))), c)  # of the negated objective
-    eye = np.eye(theta.shape[1])
-    h_inv = np.repeat(eye[None], len(members), axis=0)
     iterations = np.zeros(len(members), dtype=int)
-    converged = np.zeros(len(members), dtype=bool)
+    gnorm = np.zeros(len(members))
+    stop = np.full(len(members), _MAX_ITERS)
+    flat = np.zeros(len(members), dtype=bool)       # the last step was below roundoff
     live = np.arange(len(members))
     for _ in range(config.max_iters):
-        gl = g[live]
-        done = np.sqrt(_rowdot(gl, gl)) <= config.grad_tol
-        converged[live[done]] = True
-        live, gl = live[~done], gl[~done]
+        grad = obj.gradient(point, np.arange(live.size))
+        gnorm[live] = _theta_norm(grad, matrix[live])
+        done = gnorm[live] <= config.grad_tol
+        stop[live[done]] = _GRAD_TOL
+        stop[live[~done & flat[live]]] = _ROUNDOFF
+        keep = np.flatnonzero(~done & ~flat[live])
+        live, grad = live[keep], grad[keep]
         if not live.size:
             break
-        d = -(h_inv[live] @ gl[:, :, None])[:, :, 0]
-        dg = _rowdot(d, gl)
-        stale = dg >= 0.0                 # stale curvature; restart from steepest
-        h_inv[live[stale]] = eye
-        d[stale] = -gl[stale]
-        dg[stale] = _rowdot(d[stale], gl[stale])
-        accepted, theta_new, matrix_new, f_acc, g_new, projected = _line_search(
-            obj, members[live], theta[live], fval[live], d, dg, n, config)
-        live = live[accepted]             # a failed line search stops its member
-        drop = ~(f_acc >= fval[live] - 1e-9 * np.maximum(1.0, np.abs(fval[live])))
+        # the step solves against -H with its eigenvalues reflected and
+        # floored, so it ascends wherever H is indefinite
+        w, v = np.linalg.eigh(-obj.hessian(point, keep))
+        w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
+        z = (grad.reshape(live.size, 1, n * n) @ basis.T @ v)[:, 0] / np.sqrt(w)
+        decrement = _rowdot(z, z)           # lambda^2 = g^T (-H)^{-1} g
+        # below what f resolves, a member takes the full step once and stops
+        flat[live] = decrement / 2.0 <= _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval[live]))
+        step = (z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1)   # (-H)^{-1} g, as a row
+        direction = (step @ basis).reshape(live.size, n, n)
+        accepted, matrix_new = _line_search(obj, members[live], matrix[live], fval[live],
+                                            direction, decrement, flat[live], config)
+        stop[live[~accepted]] = np.where(flat[live[~accepted]], _ROUNDOFF, _LINE_SEARCH)
+        live = live[accepted]
+        if not live.size:
+            break
+        f_new, point = obj.evaluate(matrix_new, members[live])
+        drop = ~(f_new >= fval[live] - 1e-9 * np.maximum(1.0, np.abs(fval[live])))
         if drop.any():
             k = int(np.argmax(drop))
             raise LikelihoodDecrease(f"line search accepted a decrease in likelihood: "
-                                     f"{float(fval[live[k]])!r} -> {float(f_acc[k])!r}")
-        s = theta_new - theta[live]
-        y = g_new - g[live]
-        sy = _rowdot(s, y)
-        reset = projected | (sy <= 1e-12 * np.sqrt(_rowdot(s, s)) * np.sqrt(_rowdot(y, y)))
-        h_inv[live[reset]] = eye
-        upd, s, y, rho = live[~reset], s[~reset], y[~reset], (1.0 / sy[~reset])[:, None, None]
-        v = eye - rho * (s[:, :, None] * y[:, None, :])
-        h_inv[upd] = v @ h_inv[upd] @ v.transpose(0, 2, 1) + rho * (s[:, :, None] * s[:, None, :])
-        theta[live], matrix[live] = theta_new, matrix_new
-        fval[live], g[live] = f_acc, g_new
+                                     f"{float(fval[live[k]])!r} -> {float(f_new[k])!r}")
+        matrix[live], fval[live] = matrix_new, f_new
         iterations[live] += 1
-    gnorm = np.sqrt(_rowdot(g, g))
-    return matrix, fval, iterations, converged | (gnorm <= config.grad_tol), gnorm
+    else:
+        gnorm[live] = _theta_norm(obj.gradient(point, np.arange(live.size)), matrix[live])
+    return matrix, fval, iterations, gnorm <= config.grad_tol, gnorm, stop
 
 
 def _fit_batch(obj, starts: np.ndarray, config: MleConfig):
@@ -407,16 +403,19 @@ def _fit_tables(tables: list, config: MleConfig) -> list:
     table fitted as one batch."""
     r = config.restarts
     obj = _Objective(np.repeat([t.freqs for t in tables], r, axis=0))
-    matrices, fvals, iterations, converged, gnorms = _fit_batch(
+    matrices, fvals, iterations, converged, gnorms, stops = _fit_batch(
         obj, np.concatenate([_starts(t, config) for t in tables]), config)
     results = []
     for lo in range(0, len(obj.freqs), r):
-        best = lo + int(np.argmax(fvals[lo:lo + r]))     # the first of equal maxima
+        # the lowest restart within roundoff of the best, not the last-bit largest
+        top = fvals[lo:lo + r].max()
+        best = lo + int(np.argmax(fvals[lo:lo + r] >= top - 4 * _EPS * max(1.0, abs(top))))
         results.append(MleResult(estimate=Kernel(symmetrize(matrices[best])),
                                  log_likelihood=float(fvals[best]),
                                  iterations=int(iterations[best]),
                                  converged=bool(converged[best]), restart_index=best - lo,
-                                 gradient_norm=float(gnorms[best])))
+                                 gradient_norm=float(gnorms[best]),
+                                 stop_reason=STOP_REASONS[stops[best]]))
     return results
 
 
@@ -424,7 +423,8 @@ def fit_mle(freqs: EmpiricalTable, config: MleConfig) -> MleResult:
     """Best local maximum of the empirical likelihood over
     `config.restarts` starts (the moment-matched kernel, its
     sign-corrected variant, then jittered copies; see `_starts`), all
-    fitted as one lockstep batch.  The first of equal maxima wins."""
+    fitted as one lockstep batch.  Of restarts within 4 eps max(1, |f|)
+    of the best, the lowest wins."""
     return _fit_tables([freqs], config)[0]
 
 
@@ -462,7 +462,7 @@ def moment_init(freqs: EmpiricalTable, spectral_box: tuple = (1e-4, 1.0 - 1e-4))
 
 def _sign_corrected_init(freqs: EmpiricalTable, spectral_box: tuple) -> Kernel | None:
     """Moment kernel with off-diagonal signs recovered from triple
-    inclusion moments.
+    inclusion moments (Urschel et al., ICML 2017).
 
     Sign patterns are identified only up to conjugation, and the
     conjugation class is pinned by the cycle products K_ij K_jk K_ik.
@@ -617,18 +617,12 @@ def estimate_risk(l_star: Kernel, sample_size: int, replicates: int,
                 for res in _fit_tables(tables, config)]
     else:
         fits = [(estimator(freqs), True, 0) for freqs in tables]
-    losses = np.zeros(replicates)
-    within = np.zeros(replicates)
-    cross = np.zeros(replicates)
-    converged = np.zeros(replicates, dtype=bool)
-    iterations = np.zeros(replicates, dtype=int)
-    for r, (l_hat, conv, iters) in enumerate(fits):
+    scores = []
+    for l_hat, conv, iters in fits:
         full = sign_orbit_loss(l_hat, l_star)
         diff = l_hat.matrix - conjugate_by_signs(l_star.matrix, full.argmin_signs)
-        losses[r] = full.value
-        within[r], cross[r] = _split_by_blocks(diff, graph)
-        converged[r] = conv
-        iterations[r] = iters
+        scores.append((full.value, *_split_by_blocks(diff, graph), conv, iters))
+    losses, within, cross, converged, iterations = (np.array(c) for c in zip(*scores))
     return RiskEstimate(sample_size=sample_size, replicates=replicates,
                         mean_loss=float(losses.mean()),
                         std_error=float(losses.std(ddof=1) / np.sqrt(replicates)),

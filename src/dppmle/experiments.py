@@ -212,10 +212,8 @@ def load_frequencies(path: Path) -> EmpiricalTable:
             masks = np.array([int(m) for m, _ in body], dtype=np.int64)
             values = np.array([float(p) for _, p in body])
             n, order = len(body).bit_length() - 1, np.argsort(masks)
-            if (n < 1 or not np.array_equal(masks[order], np.arange(2 ** n))
-                    or not np.all((values >= 0) & (values < np.inf))):
-                raise ValueError("a table lists each mask of [0, 2^n), n >= 1, once, "
-                                 "with a finite nonnegative probability")
+            if n < 1 or not np.array_equal(masks[order], np.arange(2 ** n)):
+                raise ValueError("a table lists each mask of [0, 2^n), n >= 1, once")
             return EmpiricalTable.from_probabilities(n, values[order])
         return empirical_table(SampleBatch.from_json(text))
     except ConfigError:

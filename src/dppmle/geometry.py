@@ -121,14 +121,15 @@ def directional_derivative(table_star: DppTable, kernel: Kernel,
     return (-1.0) ** (k - 1) * math.factorial(k - 1) * diff
 
 
+def _variance(probs: np.ndarray, values: np.ndarray) -> float:
+    mean = probs @ values
+    return float(probs @ values ** 2 - mean ** 2)
+
+
 def hessian_quadratic_form(table_star: DppTable, direction: np.ndarray) -> float:
     """-Var[Tr((L*_Z)^{-1} H_Z)] over the table; always <= 0."""
-    cache = trace_cache(table_star)
-    h = np.asarray(direction, dtype=float)
-    t = np.einsum("jab,ab->j", cache.padded_inv, h)
-    p = table_star.probs
-    mean = p @ t
-    return -float(p @ t ** 2 - mean ** 2)
+    per, _ = _stats_upto(table_star.kernel, direction, 1)
+    return -_variance(table_star.probs, per[:, 0])
 
 
 @dataclass
@@ -216,17 +217,13 @@ def fourth_order_form(table_star: DppTable, direction: np.ndarray,
     otherwise.  Rejects directions outside the Hessian null space.
     """
     h = np.asarray(direction, dtype=float)
-    q = hessian_quadratic_form(table_star, h)
+    per, _ = _stats_upto(table_star.kernel, h, 2)
+    q = -_variance(table_star.probs, per[:, 0])
     scale = max(1.0, float((h * h).sum()))
     if abs(q) > null_tol * scale:
         raise NotNullDirection(
             f"direction has Hessian value {q:.3e}, not a null direction")
-    cache = trace_cache(table_star)
-    m = cache.padded_inv @ h
-    t2 = np.einsum("jab,jba->j", m, m)
-    p = table_star.probs
-    mean = p @ t2
-    return -3.0 * float(p @ t2 ** 2 - mean ** 2)
+    return -3.0 * _variance(table_star.probs, per[:, 1])
 
 
 def decompose_null_direction(direction: np.ndarray, graph: DeterminantalGraph):

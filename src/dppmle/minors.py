@@ -24,9 +24,9 @@ stacked numpy operations over all masks at once:
 The work is O(2^n) for the log-determinants and O(2^n n^2) for the
 padded inverses and the gradient, with no Python loop per subset.  All
 three refuse a pivot that is not positive, which marks a nonpositive
-minor.  The forward pass and its adjoint take a leading batch axis over
-matrices, (B, n, n) -> (B, 2^n), with an ok flag per member in place of
-the error, for the batched fitter in `estimation`; the two public
+minor.  All three take a leading batch axis over matrices, (B, n, n)
+-> (B, 2^n, ...), for the batched fitter in `estimation`, with an ok
+flag per member or no check in place of the error; the public
 functions above are the batch of one.
 
 `superset_sums`, the zeta transform in n in-place passes (Yates;
@@ -90,15 +90,6 @@ def _select(full: np.ndarray, masks) -> np.ndarray:
     if masks.size and (masks.min() < 0 or masks.max() >= full.shape[0]):
         raise ValueError(f"masks must lie in [0, {full.shape[0]})")
     return full[masks]
-
-
-def _check_pivots(pivots: np.ndarray, offset: int) -> None:
-    """Raise unless every pivot is > 0; pivot j belongs to mask offset + j."""
-    positive = pivots > 0               # False at NaN too
-    if np.count_nonzero(positive) < positive.size:
-        bad = np.flatnonzero(~positive)
-        raise np.linalg.LinAlgError(
-            f"nonpositive principal minor at masks {(bad[:4] + offset).tolist()}")
 
 
 def _schur_pass(matrices: np.ndarray, keep: bool = False):
@@ -205,6 +196,34 @@ def weighted_logdet_grad(matrix: np.ndarray, weights: np.ndarray):
     return float(logdets @ w), _logdet_adjoint(stacks, w[None])[0]
 
 
+def _bordered_inverses(matrices: np.ndarray, check: bool = False) -> np.ndarray:
+    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n); the
+    pivots are checked, for a batch of one, only with `check`."""
+    a = np.asarray(matrices, dtype=float)
+    b, n = a.shape[0], a.shape[1]
+    check_enum_budget(n)
+    out = np.empty((b, 2 ** n, n, n))
+    out[:, 0] = 0.0
+    for i in range(n):
+        half = 2 ** i
+        inv = out[:, :half]
+        # bordering A_J by index i: with u = A_J^{-1} A_{J,i} and
+        # v = A_{i,J} A_J^{-1} (both padded, so zero at i) and the Schur
+        # pivot s, the padded inverse of A_{J u {i}} is
+        # inv_J + (u - e_i)(v - e_i)^T / s
+        u = (inv @ a[:, None, :, i, None])[..., 0]
+        v = (a[:, None, None, i] @ inv)[:, :, 0]
+        s = a[:, i, i, None] - (u @ a[:, i, :, None])[..., 0]
+        if check and not (s > 0).all():          # False at NaN too
+            bad = np.flatnonzero(~(s > 0))[:4] + half
+            raise np.linalg.LinAlgError(f"nonpositive principal minor at masks {bad.tolist()}")
+        u[:, :, i] = v[:, :, i] = -1.0
+        new = out[:, half:2 * half]
+        np.multiply(u[..., :, None], v[..., None, :] / s[..., None, None], out=new)
+        new += inv
+    return out
+
+
 def padded_inverses(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
     """Inverses of all principal submatrices, zero-padded to n x n.
 
@@ -212,24 +231,8 @@ def padded_inverses(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.n
     k-th mask and which vanishes elsewhere.  Raises LinAlgError, naming
     the masks, when a principal minor is not positive.
     """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    check_enum_budget(n)
-    out = np.zeros((2 ** n, n, n))
-    for i in range(n):
-        half = 2 ** i
-        inv = out[:half]
-        # bordering A_J by index i: with u = A_J^{-1} A_{J,i} and
-        # v = A_{i,J} A_J^{-1} (both padded, so zero at i) and the Schur
-        # pivot s, the padded inverse of A_{J u {i}} is
-        # inv_J + (u - e_i)(v - e_i)^T / s
-        u = inv @ a[:, i]
-        v = a[i] @ inv
-        s = a[i, i] - u @ a[i]
-        _check_pivots(s, half)
-        u[:, i] = v[:, i] = -1.0
-        out[half:2 * half] = inv + u[:, :, None] * (v[:, None, :] / s[:, None, None])
-    return _select(out, masks)
+    return _select(_bordered_inverses(np.asarray(matrix, dtype=float)[None], check=True)[0],
+                   masks)
 
 
 def superset_sums(values: np.ndarray) -> np.ndarray:

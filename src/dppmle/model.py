@@ -182,16 +182,21 @@ class EmpiricalTable:
     freqs: np.ndarray
     total: int
 
+    def __post_init__(self):
+        f = self.freqs = np.asarray(self.freqs, dtype=float)
+        if (f.shape != (2 ** self.n,) or not np.all((f >= 0) & (f < np.inf))
+                or not abs(f.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"frequencies for n={self.n} must be 2^n finite nonnegative "
+                             f"values summing to 1 within 1e-9, got shape {f.shape}, "
+                             f"sum {f.sum()!r}")
+
     def to_csv(self) -> str:
         return _mask_csv(self.freqs)
 
     @classmethod
     def from_probabilities(cls, n: int, probs: np.ndarray, total: int = 0) -> "EmpiricalTable":
         """Wrap an exact probability vector as frequencies (population input)."""
-        p = np.asarray(probs, dtype=float)
-        if p.shape != (2 ** n,):
-            raise ValueError(f"expected {2 ** n} probabilities for n={n}")
-        return cls(n=n, freqs=p, total=total)
+        return cls(n=n, freqs=probs, total=total)
 
 
 def empirical_table(batch: SampleBatch) -> EmpiricalTable:

@@ -92,6 +92,7 @@ class TestSimulateEstimateFlow:
         assert code == 0
         report = json.loads((tmp_path / "estimate.json").read_text())
         assert "loss" in report
+        assert report["result"]["stop_reason"] == "grad_tol"
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json",

@@ -112,6 +112,40 @@ class TestObjective:
             np.testing.assert_allclose(obj.gradient(point, np.arange(1))[0], grad,
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
+    def test_hessian_matches_per_mask_reference(self, rng):
+        # -sum_J q_J Tr(P_J E_p P_J E_q) + Tr(G E_p G E_q) over the
+        # orthonormal symmetric basis, one inverse per mask
+        for name, a in reference_kernels():
+            n = a.shape[0]
+            raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
+            raw[0] += 1.0
+            q = raw / raw.sum()
+            inv, glob = brute_inverses(a), np.linalg.inv(np.eye(n) + a)
+            per = [(inv @ e, glob @ e) for e in d.symmetric_basis(n)]
+            expect = np.array([[np.trace(gp @ gq) - q @ np.einsum("jab,jba->j", mp, mq)
+                                for mq, gq in per] for mp, gp in per])
+            obj = estimation._Objective(q[None])
+            _, point = obj.evaluate(a[None], [0])
+            np.testing.assert_allclose(obj.hessian(point, np.arange(1))[0], expect,
+                                       rtol=0, atol=1e-10, err_msg=name)
+
+    def test_hessian_matches_gradient_differences(self, rng):
+        # central differences of the gradient's coordinates along each
+        # basis direction, on sampled frequencies
+        star = d.tridiagonal_kernel(4, 2.0, 0.7)
+        freqs = d.empirical_table(d.sample(d.build_table(star), 3000, seed=6))
+        cand = random_kernel(4, rng)
+        obj = estimation._Objective(freqs.freqs[None])
+        _, point = obj.evaluate(cand.matrix[None], [0])
+        hess = obj.hessian(point, np.arange(1))[0]
+        basis = d.symmetric_basis(4)
+        step = 1e-5
+        for p, ep in enumerate(basis):
+            up = d.likelihood_gradient(freqs, d.Kernel(cand.matrix + step * ep))
+            dn = d.likelihood_gradient(freqs, d.Kernel(cand.matrix - step * ep))
+            fd = d.sym_to_coords(d.symmetrize(up - dn)) / (2 * step)
+            np.testing.assert_allclose(hess[p], fd, rtol=0, atol=1e-7, err_msg=f"direction {p}")
+
     def test_fit_does_not_call_public_minors(self, monkeypatch):
         # the traced public primitives must not count objective calls
         freqs = d.empirical_table(d.sample(d.build_table(random_block_kernel([2, 2], np.random.default_rng(3))),
@@ -137,32 +171,20 @@ class TestObjective:
 
 def fit_one(obj, start, config):
     """A single member through the batched fitter, as plain values."""
-    matrices, fvals, iters, conv, gnorms = estimation._fit_batch(obj, start[None], config)
-    return matrices[0], fvals[0], iters[0], conv[0], gnorms[0]
+    return tuple(column[0] for column in estimation._fit_batch(obj, start[None], config))
+
+
+def unit_hessian(point, which):
+    """-I in symmetric coordinates of 2 x 2 kernels, the Hessian of
+    -||L - T||^2 / 2."""
+    return np.repeat(-np.eye(3)[None], len(which), axis=0)
 
 
 class TestLineSearch:
-    def test_flat_value_reaches_grad_tol(self):
-        """A constant value never passes Armijo, so every step must pass
-        the slope test; the gradient is that of -||L - target||^2 / 2."""
-        target = np.array([[2.0, 0.5], [0.5, 1.0]])
-
-        class Flat:
-            def evaluate(self, matrices, members):
-                return np.full(len(matrices), -3.0), matrices
-
-            def gradient(self, point, which):
-                return target - point[which]
-
-        cfg = MleConfig()
-        matrix, fval, iters, conv, gnorm = fit_one(Flat(), np.eye(2), cfg)
-        assert conv and gnorm <= cfg.grad_tol and iters < cfg.max_iters
-        np.testing.assert_allclose(matrix, target, atol=1e-8)
-
     def test_gives_up_when_no_step_moves_theta(self):
         """Every move lowers the likelihood; the gradient is above grad_tol
-        but so small that backtracking stops moving theta above its step
-        floor, where Armijo would pass on roundoff alone, every iteration."""
+        and its Newton decrement above roundoff, but so small that
+        backtracking stops moving L above its step floor."""
 
         class Peaked:
             peak = None
@@ -177,12 +199,42 @@ class TestLineSearch:
             def gradient(self, point, which):
                 return np.repeat(1e-6 * np.eye(2)[None], len(which), axis=0)
 
+            hessian = staticmethod(unit_hessian)
+
         obj = Peaked()
         cfg = MleConfig()
-        _, fval, iters, conv, gnorm = fit_one(obj, 2.0 * np.eye(2), cfg)
-        # a step may still change theta in its last bit but not the matrix
-        assert iters <= 2 and not conv and gnorm > cfg.grad_tol
+        _, fval, iters, conv, gnorm, stop = fit_one(obj, 2.0 * np.eye(2), cfg)
+        assert iters == 0 and not conv and gnorm > cfg.grad_tol
+        assert estimation.STOP_REASONS[stop] == "line_search"
         assert fval == -1.0 and obj.calls < 200
+
+    def test_decrement_below_roundoff_stops(self):
+        """f = 1e6 - ||L - T||^2 / 2 with T 1e-6 away, and a Hessian of
+        twice the true curvature: the gradient stays above grad_tol, but
+        the decrement is below what f resolves, so the member takes the
+        (half) Newton step once and stops."""
+        target = np.eye(2) + 1e-6 * np.array([[1.0, 0.0], [0.0, -1.0]])
+
+        class Quadratic:
+            calls = 0
+
+            def evaluate(self, matrices, members):
+                self.calls += 1
+                return 1e6 - 0.5 * ((matrices - target) ** 2).sum(axis=(1, 2)), matrices
+
+            def gradient(self, point, which):
+                return target - point[which]
+
+            def hessian(self, point, which):
+                return 2.0 * unit_hessian(point, which)
+
+        obj = Quadratic()
+        cfg = MleConfig()
+        matrix, fval, iters, conv, gnorm, stop = fit_one(obj, np.eye(2), cfg)
+        assert estimation.STOP_REASONS[stop] == "roundoff"
+        assert iters == 1 and not conv and gnorm > cfg.grad_tol
+        np.testing.assert_allclose(matrix, (np.eye(2) + target) / 2, rtol=0, atol=1e-15)
+        assert obj.calls == 3          # the start, the full step, its fresh evaluation
 
 
 def replicate_tables(n, count, size, seed=5):
@@ -201,8 +253,8 @@ def batch_of(tables, config):
 
 class TestLockstepBatch:
     def assert_members_equal(self, batch, members, alone, where=""):
-        for field, whole, own in zip(("matrix", "f", "iterations", "converged", "gnorm"),
-                                     batch, alone):
+        for field, whole, own in zip(("matrix", "f", "iterations", "converged", "gnorm",
+                                      "stop"), batch, alone):
             np.testing.assert_array_equal(whole[members], own, err_msg=f"{where} {field}")
 
     def test_composition_invariance(self, monkeypatch):
@@ -313,6 +365,31 @@ class TestFitMle:
             other = random_kernel(5, rng)
             assert d.empirical_log_likelihood(freqs, other) <= result.log_likelihood + 1e-9
 
+    def test_stop_reasons_of_real_fits(self):
+        freqs = d.empirical_table(d.sample(d.build_table(d.tridiagonal_kernel(3, 2.0, 0.6)),
+                                           2000, seed=3))
+        assert d.fit_mle(freqs, MleConfig(seed=1)).stop_reason == "grad_tol"
+        capped = d.fit_mle(freqs, MleConfig(seed=1, max_iters=1))
+        assert capped.stop_reason == "max_iters"
+        assert capped.iterations == 1 and not capped.converged
+
+    def test_tied_restarts_take_the_lowest(self, monkeypatch):
+        """Restarts 1 and 2 tie within one ulp, restart 2 the larger: the
+        lowest of them wins."""
+        freqs = d.empirical_table(d.sample(d.build_table(d.tridiagonal_kernel(3, 2.0, 0.6)),
+                                           500, seed=2))
+        fit_batch = estimation._fit_batch
+
+        def tied(obj, starts, config):
+            columns = list(fit_batch(obj, starts, config))
+            top = columns[1].max()
+            columns[1] = np.array([top - 1.0, top, np.nextafter(top, np.inf), top - 1.0])
+            return tuple(columns)
+
+        monkeypatch.setattr(estimation, "_fit_batch", tied)
+        result = d.fit_mle(freqs, MleConfig(seed=1, restarts=4))
+        assert result.restart_index == 1
+
     def test_config_validation(self):
         for kwargs in ({"spectral_box": (0.5, 0.4)}, {"restarts": 0},
                        {"restarts": 2.5}, {"max_iters": 100.0},
@@ -324,8 +401,8 @@ class TestFitMle:
 
     def test_accepted_decrease_raises(self):
         class Decreasing:
-            """Line search sees a rise at a point outside the box, the
-            refactored projected point a fall."""
+            """Line search sees a rise, the fresh evaluation of the
+            accepted point a fall."""
             calls = 0
 
             def evaluate(self, matrices, members):
@@ -333,8 +410,9 @@ class TestFitMle:
                 return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), None
 
             def gradient(self, point, which):
-                # the first step leaves the box
                 return np.repeat(5.0 * np.eye(2)[None], len(which), axis=0)
+
+            hessian = staticmethod(unit_hessian)
 
         with pytest.raises(LikelihoodDecrease):
             fit_one(Decreasing(), np.eye(2), MleConfig())
@@ -623,7 +701,7 @@ class TestMleResultSerialization:
         result = d.fit_mle(exact_frequencies(star), MleConfig(seed=0))
         import json
         obj = json.loads(result.to_json())
-        assert obj["converged"] is True
+        assert obj["converged"] is True and obj["stop_reason"] == "grad_tol"
         assert len(obj["estimate"]) == 4
 
     def test_config_json_roundtrip(self):

@@ -109,6 +109,19 @@ class TestPaddedInverses:
         np.testing.assert_allclose(inv, brute_inverses(ker.matrix)[masks],
                                    rtol=0, atol=1e-12)
 
+    def test_batched_recursion_is_bitwise_the_same(self):
+        # the fitter's batched bordering recursion against the public one,
+        # each member alone and in a batch of the kernels of its size
+        by_size = {}
+        for name, a in reference_kernels():
+            by_size.setdefault(a.shape[0], []).append(a)
+        for n, mats in by_size.items():
+            whole = minors._bordered_inverses(np.array(mats))
+            for k, a in enumerate(mats):
+                public = minors.padded_inverses(a)
+                np.testing.assert_array_equal(minors._bordered_inverses(a[None])[0], public)
+                np.testing.assert_array_equal(whole[k], public, err_msg=f"n={n} member {k}")
+
     def test_zero_padding_outside_subset(self, rng):
         ker = random_kernel(3, rng)
         inv = minors.padded_inverses(ker.matrix)

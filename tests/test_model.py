@@ -9,7 +9,7 @@ import dppmle as d
 from dppmle import minors
 from dppmle.errors import EmptyBatch, GroundSetTooLarge, NormalizationMismatch
 from dppmle.kernels import sign_vectors
-from dppmle.model import SampleBatch
+from dppmle.model import EmpiricalTable, SampleBatch
 
 from conftest import random_block_kernel, random_kernel
 
@@ -191,6 +191,14 @@ class TestEmpiricalTable:
         batch = SampleBatch(n=2, seed=0, draws=np.array([0, 1, 2, 3]),
                             counts=np.ones(4, dtype=int))
         np.testing.assert_array_equal(d.empirical_table(batch).freqs, 0.25)
+
+    def test_rejects_malformed_frequencies(self):
+        for bad in ([-0.5, 1.5, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0], [0.25, 0.25, 0.0, 0.0],
+                    [0.5, 0.5]):
+            with pytest.raises(ValueError):
+                EmpiricalTable.from_probabilities(2, np.array(bad))
+            with pytest.raises(ValueError):
+                EmpiricalTable(n=2, freqs=np.array(bad), total=2)
 
     def test_empty_batch_rejected(self):
         batch = SampleBatch(n=1, seed=0, draws=np.array([], dtype=int), counts=np.zeros(2, dtype=int))

@@ -27,17 +27,19 @@ def test_one_report_writer():
     assert len(calls) == 1, f"write_text calls in src/dppmle: {calls}"
 
 
-def test_one_bfgs_loop():
+def test_one_fit_loop():
     # every fit runs through the lockstep batch: one `range(config.max_iters)`
-    # loop, and no per-restart fitter beside it
-    loops, single = [], []
+    # loop, no per-restart fitter beside it, and none of the quasi-Newton
+    # state or the approximate-Wolfe endgame that the Newton step replaced
+    loops, banned = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
                     and ast.unparse(node.iter) == "range(config.max_iters)"):
                 loops.append(f"{path.name}:{node.lineno}")
-            if "_fit_single" in {getattr(node, "name", None), getattr(node, "id", None),
-                                 getattr(node, "attr", None)}:
-                single.append(f"{path.name}:{node.lineno}")
-    assert len(loops) == 1, f"BFGS loops in src/dppmle: {loops}"
-    assert not single, f"_fit_single in src/dppmle: {single}"
+            names = {getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)}
+            for name in names & {"_fit_single", "_WOLFE_SLACK", "_matrix_from_theta", "h_inv"}:
+                banned.append(f"{name} at {path.name}:{node.lineno}")
+    assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
+    assert not banned, f"removed fitter machinery in src/dppmle: {banned}"
