@@ -33,8 +33,8 @@ Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 replicates x restarts of one sample size in `estimate_risk`, iterate
 together, each member with its own state, and each objective call is
 one stacked recursion over the members still searching.  No operation
-mixes members, so a member's fit is bitwise the same alone, in any
-batch, or in any chunk.
+mixes members, so a member's fit is bitwise the same alone or in any
+batch.
 """
 
 from __future__ import annotations
@@ -66,12 +66,7 @@ _GRAD_TOL, _ROUNDOFF, _LINE_SEARCH, _MAX_ITERS = range(4)
 _EPS = np.finfo(float).eps
 _ROUNDOFF_SLACK = 8 * _EPS          # what f resolves, in units of max(1, |f|)
 
-#: Members fitted in lockstep at once are capped at this many masks in
-#: all (members x 2^n), which bounds the kept Schur stacks: 8 members at
-#: n = 14, one from n = 17 on.
-_FIT_CHUNK_MASKS = 2 ** 17
-
-#: Padded-inverse floats (members x 2^n x n^2) per Hessian chunk.
+#: Padded-inverse floats (members x 2^n x n^2) per `derivatives` chunk.
 _HESSIAN_CHUNK_FLOATS = 2 ** 17
 
 #: Sign vectors scored per batch in sign_orbit_loss (n=18: ~2.6 MB each
@@ -100,6 +95,8 @@ class MleConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 0 < self.grad_tol < math.inf:
@@ -134,7 +131,7 @@ def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
         raise ValueError("ground-set sizes differ")
     obj = _Objective(freqs.freqs[None])
     _, point = obj.evaluate(kernel.matrix[None], [0])
-    return obj.gradient(point, np.arange(1))[0]
+    return obj.derivatives(point)[0][0]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,54 +147,52 @@ class _Objective:
 
     The value is one forward pass of the all-minors recursion: sum_J q_J
     log det L_J minus log det(I+L), taken as the logsumexp of the same
-    log-determinants since det(I+L) = sum_J det L_J.  So the gradient is
-    one adjoint sweep with weights q_J - p_J, p_J = det L_J / det(I+L),
-    and needs no factorization of I+L."""
+    log-determinants since det(I+L) = sum_J det L_J.  Both derivatives
+    come from the padded inverses P_J of one bordering recursion: the
+    gradient is sum_J (q_J - p_J) P_J, p_J = det L_J / det(I+L), and the
+    Hessian a Gram of the P_J, so I+L is never factored."""
 
     def __init__(self, freqs: np.ndarray):
         self.freqs = np.asarray(freqs, dtype=float)
 
     def evaluate(self, matrices: np.ndarray, members):
-        """(values of the kernels of `members`, the point `gradient` and
-        `hessian` read); -inf where some principal minor is not positive."""
-        logdets, ok, stacks = minors._schur_pass(matrices, keep=True)
+        """(values of the kernels of `members`, the point `derivatives`
+        reads); -inf where some principal minor is not positive."""
+        matrices = np.asarray(matrices, dtype=float)
+        logdets, ok = minors._schur_pass(matrices)
         q = self.freqs[members]
         with np.errstate(all="ignore"):
             top = logdets.max(axis=1)
             log_z = top + np.log(np.exp(logdets - top[:, None]).sum(axis=1))
             values = _rowdot(logdets, q) - log_z
         values[~(ok & np.isfinite(values))] = -np.inf
-        return values, (stacks, logdets, log_z, q)
+        return values, (matrices, logdets, log_z, q)
 
-    def gradient(self, point, which: np.ndarray) -> np.ndarray:
-        """Gradients at the members `which` (indices into the evaluated
-        batch) of a point whose values are finite."""
-        stacks, logdets, log_z, q = point
-        if len(which) < len(q):
-            stacks = [s[which] for s in stacks]
-            logdets, log_z, q = logdets[which], log_z[which], q[which]
-        return minors._logdet_adjoint(stacks, q - np.exp(logdets - log_z[:, None]))
-
-    def hessian(self, point, which: np.ndarray) -> np.ndarray:
-        """Hessians at the members `which` of a point whose values are
-        finite, in the coordinates of `symmetric_basis` (the form in the
-        module docstring), from the Gram of the distinct entries of the
-        P_J, in member chunks of _HESSIAN_CHUNK_FLOATS."""
-        stacks, logdets, log_z, q = point
-        matrices = stacks[0][:, 0]          # the stack entering step 0 holds the kernels
-        n = matrices.shape[1]
-        distinct, first, second, basis = _hessian_layout(n)
+    def derivatives(self, point):
+        """(gradients, Hessians) of every member of a point whose values
+        are finite, both from the distinct entries of the P_J of one
+        bordering recursion per member, in member chunks of
+        _HESSIAN_CHUNK_FLOATS.  The Hessians are in the coordinates of
+        `symmetric_basis` (the form in the module docstring), from the
+        Gram of those entries."""
+        matrices, logdets, log_z, q = point
+        b, n = matrices.shape[0], matrices.shape[1]
+        distinct, first, second, basis, spread = _hessian_layout(n)
         size = max(1, _HESSIAN_CHUNK_FLOATS // (2 ** n * n * n))
-        out = np.empty((len(which), len(basis), len(basis)))
-        for lo in range(0, len(which), size):
-            at = which[lo:lo + size]
-            x = np.take(minors._bordered_inverses(matrices[at]).reshape(len(at), -1, n * n),
+        grad = np.empty((b, n, n))
+        hess = np.empty((b, len(basis), len(basis)))
+        for lo in range(0, b, size):
+            at = slice(lo, lo + size)
+            x = np.take(minors._bordered_inverses(matrices[at]).reshape(-1, 2 ** n, n * n),
                         distinct, axis=2)
-            g = x.transpose(0, 2, 1) @ np.exp(logdets[at] - log_z[at, None])[:, :, None]
+            p = np.exp(logdets[at] - log_z[at, None])
+            d = (x.transpose(0, 2, 1) @ (q[at] - p)[:, :, None])[:, :, 0]
+            grad[at] = d[:, spread].reshape(-1, n, n)
+            g = x.transpose(0, 2, 1) @ p[:, :, None]
             x *= np.sqrt(q[at])[:, :, None]
             gram = x.transpose(0, 2, 1) @ x - g * g.transpose(0, 2, 1)   # y^T y is a syrk
-            out[lo:lo + size] = -(basis @ gram[:, first, second] @ basis.T)
-        return out
+            hess[at] = -(basis @ gram[:, first, second] @ basis.T)
+        return grad, hess
 
 
 # --- Newton step -----------------------------------------------------------
@@ -228,12 +223,14 @@ def _hessian_layout(n: int):
     """Read-only (flat indices of the entries i <= j of an n x n matrix;
     the row and column indices that read entry [(b, c), (d, a)] of
     sum_J q_J P_J (x) P_J from the Gram of those entries of the P_J;
-    `symmetric_basis(n)` as rows)."""
+    `symmetric_basis(n)` as rows; the index among those entries of each
+    entry of the flat n x n matrix)."""
     rows, cols = np.triu_indices(n)
     u = np.empty((n, n), dtype=np.intp)
     u[rows, cols] = u[cols, rows] = np.arange(rows.size)
     b, c, d, a = np.indices((n,) * 4).reshape(4, n * n, n * n)
-    layout = (rows * n + cols, u[a, b], u[c, d], np.reshape(symmetric_basis(n), (-1, n * n)))
+    layout = (rows * n + cols, u[a, b], u[c, d], np.reshape(symmetric_basis(n), (-1, n * n)),
+              u.ravel())
     for x in layout:
         x.flags.writeable = False
     return layout
@@ -310,34 +307,35 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
         step[idx] *= 0.5
 
 
-def _lockstep(obj, starts: np.ndarray, members: np.ndarray, config: MleConfig):
-    """Damped Newton ascent from each start, one iteration of every live
-    member per pass; (kernels, log-likelihoods, iterations, converged,
-    gradient norms, stop codes indexing STOP_REASONS).  Each member
-    keeps its own kernel, value and stop state, so its result does not
-    depend on the rest of the batch."""
+def _lockstep(obj, starts: np.ndarray, config: MleConfig):
+    """Damped Newton ascent from each start, member i against the
+    objective's row i, one iteration of every live member per pass;
+    (kernels, log-likelihoods, iterations, converged, gradient norms,
+    stop codes indexing STOP_REASONS).  Each member keeps its own
+    kernel, value and stop state, so its result does not depend on the
+    rest of the batch."""
     n = starts.shape[1]
     basis = _hessian_layout(n)[3]
     matrix = np.array(starts, dtype=float)
-    fval, point = obj.evaluate(matrix, members)
-    iterations = np.zeros(len(members), dtype=int)
-    gnorm = np.zeros(len(members))
-    stop = np.full(len(members), _MAX_ITERS)
-    flat = np.zeros(len(members), dtype=bool)       # the last step was below roundoff
-    live = np.arange(len(members))
+    live = np.arange(len(matrix))                   # members still searching
+    fval, point = obj.evaluate(matrix, live)
+    iterations = np.zeros(len(live), dtype=int)
+    gnorm = np.zeros(len(live))
+    stop = np.full(len(live), _MAX_ITERS)
+    flat = np.zeros(len(live), dtype=bool)          # the last step was below roundoff
     for _ in range(config.max_iters):
-        grad = obj.gradient(point, np.arange(live.size))
+        grad, hess = obj.derivatives(point)
         gnorm[live] = _theta_norm(grad, matrix[live])
         done = gnorm[live] <= config.grad_tol
         stop[live[done]] = _GRAD_TOL
         stop[live[~done & flat[live]]] = _ROUNDOFF
         keep = np.flatnonzero(~done & ~flat[live])
-        live, grad = live[keep], grad[keep]
+        live, grad, hess = live[keep], grad[keep], hess[keep]
         if not live.size:
             break
         # the step solves against -H with its eigenvalues reflected and
         # floored, so it ascends wherever H is indefinite
-        w, v = np.linalg.eigh(-obj.hessian(point, keep))
+        w, v = np.linalg.eigh(-hess)
         w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
         z = (grad.reshape(live.size, 1, n * n) @ basis.T @ v)[:, 0] / np.sqrt(w)
         decrement = _rowdot(z, z)           # lambda^2 = g^T (-H)^{-1} g
@@ -345,13 +343,13 @@ def _lockstep(obj, starts: np.ndarray, members: np.ndarray, config: MleConfig):
         flat[live] = decrement / 2.0 <= _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval[live]))
         step = (z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1)   # (-H)^{-1} g, as a row
         direction = (step @ basis).reshape(live.size, n, n)
-        accepted, matrix_new = _line_search(obj, members[live], matrix[live], fval[live],
+        accepted, matrix_new = _line_search(obj, live, matrix[live], fval[live],
                                             direction, decrement, flat[live], config)
         stop[live[~accepted]] = np.where(flat[live[~accepted]], _ROUNDOFF, _LINE_SEARCH)
         live = live[accepted]
         if not live.size:
             break
-        f_new, point = obj.evaluate(matrix_new, members[live])
+        f_new, point = obj.evaluate(matrix_new, live)
         drop = ~(f_new >= fval[live] - 1e-9 * np.maximum(1.0, np.abs(fval[live])))
         if drop.any():
             k = int(np.argmax(drop))
@@ -360,18 +358,8 @@ def _lockstep(obj, starts: np.ndarray, members: np.ndarray, config: MleConfig):
         matrix[live], fval[live] = matrix_new, f_new
         iterations[live] += 1
     else:
-        gnorm[live] = _theta_norm(obj.gradient(point, np.arange(live.size)), matrix[live])
+        gnorm[live] = _theta_norm(obj.derivatives(point)[0], matrix[live])
     return matrix, fval, iterations, gnorm <= config.grad_tol, gnorm, stop
-
-
-def _fit_batch(obj, starts: np.ndarray, config: MleConfig):
-    """`_lockstep` over every start, member i against the objective's
-    row i, in chunks of at most _FIT_CHUNK_MASKS masks in all."""
-    size = max(1, _FIT_CHUNK_MASKS >> starts.shape[1])
-    parts = [_lockstep(obj, starts[lo:lo + size],
-                       np.arange(lo, min(lo + size, len(starts))), config)
-             for lo in range(0, len(starts), size)]
-    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _starts(freqs: EmpiricalTable, config: MleConfig) -> np.ndarray:
@@ -403,7 +391,7 @@ def _fit_tables(tables: list, config: MleConfig) -> list:
     table fitted as one batch."""
     r = config.restarts
     obj = _Objective(np.repeat([t.freqs for t in tables], r, axis=0))
-    matrices, fvals, iterations, converged, gnorms, stops = _fit_batch(
+    matrices, fvals, iterations, converged, gnorms, stops = _lockstep(
         obj, np.concatenate([_starts(t, config) for t in tables]), config)
     results = []
     for lo in range(0, len(obj.freqs), r):

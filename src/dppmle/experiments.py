@@ -396,7 +396,9 @@ def run_rate_study(config: dict, out: Path | None = None,
         raise ConfigError("replicates: must be >= 2")
     seed = _seed(config, seed_override)
     mle_cfg = _mle_config(config)
-    oracle = bool(config.get("oracle", False))
+    oracle = config.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise ConfigError(f"oracle: expected true or false, got {oracle!r}")
     estimator = (lambda freqs: kernel) if oracle else None
 
     resolved = {
@@ -440,6 +442,8 @@ def run_rate_study(config: dict, out: Path | None = None,
 def run_verify_identities(config: dict, out: Path | None = None,
                           seed_override: int | None = None) -> dict:
     trials = _typed(config.get("trials", 100), int, "trials")
+    if trials < 1:
+        raise ConfigError(f"trials: must be >= 1, got {trials}")
     n_values = _int_list(config.get("n_values", list(range(2, 9))), "n_values")
     if min(n_values) < 1:
         raise ConfigError("n_values: required positive integers")

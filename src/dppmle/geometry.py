@@ -39,12 +39,9 @@ NULL_EIG_TOL = 1e-9
 
 
 class TraceCache:
-    """Per-subset inverse minors of a kernel, zero-padded, built once.
-
-    Immutable after construction; all geometry operations against the
-    same kernel share it.  It holds no reference back to the kernel, so
-    the pair forms no cycle and is freed as soon as the kernel is.
-    """
+    """Per-subset inverse minors of a kernel, zero-padded, and the global
+    inverse (I+L)^{-1}: what every trace statistic reads.  Each geometry
+    call builds one and drops it on return."""
 
     __slots__ = ("padded_inv", "global_inv")
 
@@ -55,12 +52,7 @@ class TraceCache:
 
 
 def trace_cache(obj) -> TraceCache:
-    kernel = obj.kernel if isinstance(obj, DppTable) else obj
-    cache = kernel._trace_cache
-    if cache is None:
-        cache = TraceCache(kernel)
-        kernel._trace_cache = cache
-    return cache
+    return TraceCache(obj.kernel if isinstance(obj, DppTable) else obj)
 
 
 @dataclass
@@ -74,9 +66,8 @@ class TraceStatistics:
     global_value: float
 
 
-def _stats_upto(kernel: Kernel, direction: np.ndarray, kmax: int):
+def _stats_upto(cache: TraceCache, direction: np.ndarray, kmax: int):
     """per[:, k-1] = a_{J,k} and glob[k-1] = a_k for k = 1..kmax."""
-    cache = trace_cache(kernel)
     h = np.asarray(direction, dtype=float)
     m = cache.padded_inv @ h
     g = cache.global_inv @ h
@@ -95,7 +86,7 @@ def _stats_upto(kernel: Kernel, direction: np.ndarray, kmax: int):
 def trace_statistics(kernel: Kernel, direction: np.ndarray, k: int) -> TraceStatistics:
     if k < 1:
         raise ValueError("order k must be >= 1")
-    per, glob = _stats_upto(kernel, direction, k)
+    per, glob = _stats_upto(trace_cache(kernel), direction, k)
     return TraceStatistics(kernel=kernel, direction=np.asarray(direction, dtype=float),
                            order=k, per_subset=per[:, k - 1],
                            global_value=float(glob[k - 1]))
@@ -116,7 +107,7 @@ def directional_derivative(table_star: DppTable, kernel: Kernel,
     """k-th derivative of t -> Phi(L + tH) at t = 0, in closed form."""
     if not 1 <= k:
         raise ValueError("order k must be >= 1")
-    per, glob = _stats_upto(kernel, direction, k)
+    per, glob = _stats_upto(trace_cache(kernel), direction, k)
     diff = float(table_star.probs @ per[:, k - 1] - glob[k - 1])
     return (-1.0) ** (k - 1) * math.factorial(k - 1) * diff
 
@@ -128,7 +119,7 @@ def _variance(probs: np.ndarray, values: np.ndarray) -> float:
 
 def hessian_quadratic_form(table_star: DppTable, direction: np.ndarray) -> float:
     """-Var[Tr((L*_Z)^{-1} H_Z)] over the table; always <= 0."""
-    per, _ = _stats_upto(table_star.kernel, direction, 1)
+    per, _ = _stats_upto(trace_cache(table_star), direction, 1)
     return -_variance(table_star.probs, per[:, 0])
 
 
@@ -217,7 +208,7 @@ def fourth_order_form(table_star: DppTable, direction: np.ndarray,
     otherwise.  Rejects directions outside the Hessian null space.
     """
     h = np.asarray(direction, dtype=float)
-    per, _ = _stats_upto(table_star.kernel, h, 2)
+    per, _ = _stats_upto(trace_cache(table_star), h, 2)
     q = -_variance(table_star.probs, per[:, 0])
     scale = max(1.0, float((h * h).sum()))
     if abs(q) > null_tol * scale:
@@ -290,7 +281,8 @@ class IdentityResiduals:
 def identity_residuals(kernel: Kernel, direction: np.ndarray) -> IdentityResiduals:
     table = build_table(kernel)
     p = table.probs
-    per, glob = _stats_upto(kernel, direction, 4)
+    cache = trace_cache(kernel)
+    per, glob = _stats_upto(cache, direction, 4)
     a1, a2, a3, a4 = (per[:, i] for i in range(4))
     g1, g2, g3, g4 = glob
 
@@ -324,7 +316,6 @@ def identity_residuals(kernel: Kernel, direction: np.ndarray) -> IdentityResidua
     r4 = left4 - (t4a / 6.0 - t4b + 4.0 * t4c / 3.0 + t4d / 2.0)
     s4 = max(abs(left4), abs(t4a / 6.0), abs(t4b), abs(4.0 * t4c / 3.0), abs(t4d / 2.0))
 
-    cache = trace_cache(kernel)
     weighted = np.einsum("j,jab->ab", p, cache.padded_inv)
     mf = float(np.linalg.norm(weighted - cache.global_inv))
 

@@ -36,7 +36,7 @@ class Kernel:
     available in `spd_margin` for diagnostics.
     """
 
-    __slots__ = ("matrix", "n", "eigenvalues", "_trace_cache")
+    __slots__ = ("matrix", "n", "eigenvalues")
 
     def __init__(self, matrix):
         a = np.asarray(matrix, dtype=float)
@@ -54,7 +54,6 @@ class Kernel:
         self.matrix = a
         self.n = a.shape[0]
         self.eigenvalues = w
-        self._trace_cache = None
 
     @property
     def spd_margin(self) -> float:

@@ -15,19 +15,14 @@ stacked numpy operations over all masks at once:
   the block of the remaining indices.  Its leading entry is the pivot
   det(A_{J u {k}}) / det(A_J); its complement after eliminating k is the
   state of J u {k}.
-- `weighted_logdet_grad` runs that forward pass keeping its stacks, then
-  the reverse-mode adjoint of each step from k = n-1 down to 0
-  (Griewank & Walther, "Evaluating Derivatives"), so sum_J w_J log det
-  A_J and its gradient sum_J w_J pad(A_J^{-1}) cost one sweep each way.
 - `padded_inverses` borders (A_J)^{-1} by index k with the same pivot.
 
 The work is O(2^n) for the log-determinants and O(2^n n^2) for the
-padded inverses and the gradient, with no Python loop per subset.  All
-three refuse a pivot that is not positive, which marks a nonpositive
-minor.  All three take a leading batch axis over matrices, (B, n, n)
--> (B, 2^n, ...), for the batched fitter in `estimation`, with an ok
-flag per member or no check in place of the error; the public
-functions above are the batch of one.
+padded inverses, with no Python loop per subset.  Both refuse a pivot
+that is not positive, which marks a nonpositive minor.  Both take a
+leading batch axis over matrices, (B, n, n) -> (B, 2^n, ...), for the
+batched fitter in `estimation`, with an ok flag per member or no check
+in place of the error; the public functions above are the batch of one.
 
 `superset_sums`, the zeta transform in n in-place passes (Yates;
 Bjorklund et al., "Fourier meets Mobius", STOC 2007), gives every
@@ -92,12 +87,10 @@ def _select(full: np.ndarray, masks) -> np.ndarray:
     return full[masks]
 
 
-def _schur_pass(matrices: np.ndarray, keep: bool = False):
+def _schur_pass(matrices: np.ndarray):
     """Forward pass of the recursion over a batch of B matrices (B, n, n):
     (log det of all 2^n principal submatrices of each, (B, 2^n) indexed
-    by mask; per-member ok flags, False where some pivot is not > 0; the
-    (B, 2^k, n-k, n-k) Schur stacks entering each step k when `keep` is
-    set, else an empty list).
+    by mask; per-member ok flags, False where some pivot is not > 0).
 
     Members never mix, so each row is the same whatever else is in the
     batch; a member that is not ok carries garbage past its first bad
@@ -107,15 +100,12 @@ def _schur_pass(matrices: np.ndarray, keep: bool = False):
     check_enum_budget(n)
     out = np.zeros((b, 2 ** n))
     ok = np.ones(b, dtype=bool)
-    stacks = []
     # schur[:, j] is the Schur complement of A_J in A_{J u R}, for J over
     # the indices processed so far and R the remaining ones
     schur = a[:, None]
     with np.errstate(all="ignore"):
         for k in range(n):
             half = 2 ** k
-            if keep:
-                stacks.append(schur)
             pivot = schur[:, :, 0, 0]
             ok &= (pivot > 0).all(axis=1)       # False at NaN too
             np.add(out[:, :half], np.log(pivot), out=out[:, half:2 * half])
@@ -124,51 +114,7 @@ def _schur_pass(matrices: np.ndarray, keep: bool = False):
                 taken = rest - schur[:, :, 1:, :1] * (schur[:, :, :1, 1:]
                                                       / pivot[:, :, None, None])
                 schur = np.concatenate([rest, taken], axis=1)
-    return out, ok, stacks
-
-
-def _logdet_adjoint(stacks: list, weights: np.ndarray) -> np.ndarray:
-    """sum_J w_J pad(A_J^{-T}) for each member, the reverse-mode adjoint
-    of `_schur_pass` from its kept stacks and (B, 2^n) weights."""
-    w = weights
-    # g is the adjoint of the stack leaving step k: g[:, :half] for the
-    # children without k (`rest` = B), g[:, half:] for those with k
-    # (`taken` = B - c r^T / p, c the column and r the row under and
-    # beside the pivot p).  So B gets g0 + g1, c gets -g1 r / p, r gets
-    # -c^T g1 / p, and p gets w_k / p + c^T g1 r / p^2
-    # = (w_k - r . (-c^T g1 / p)) / p.  The last step leaves 0 x 0
-    # blocks, so its adjoint is the pivot's.
-    half = w.shape[1] // 2
-    g = (w[:, half:] / stacks[-1][:, :, 0, 0])[:, :, None, None]
-    w = w[:, :half] + w[:, half:]
-    for k in range(len(stacks) - 2, -1, -1):
-        half = 2 ** k
-        schur = stacks[k]
-        pivot = schur[:, :, 0, 0]
-        row = schur[:, :, 0, 1:]
-        g1 = g[:, half:]
-        neg_inv = (-1.0 / pivot)[:, :, None]
-        up = np.empty_like(schur)
-        up[:, :, 1:, 0] = (g1 @ row[:, :, :, None])[:, :, :, 0] * neg_inv
-        up[:, :, 0, 1:] = (schur[:, :, None, 1:, 0] @ g1)[:, :, 0, :] * neg_inv
-        up[:, :, 0, 0] = (w[:, half:] - (up[:, :, 0, 1:] * row).sum(axis=2)) / pivot
-        np.add(g[:, :half], g1, out=up[:, :, 1:, 1:])
-        w = w[:, :half] + w[:, half:]
-        g = up
-    return g[:, 0]
-
-
-def _one_member(matrix: np.ndarray, keep: bool = False):
-    """`_schur_pass` of a single matrix as the batch of one; LinAlgError
-    naming the masks of the first nonpositive pivot."""
-    logdets, ok, stacks = _schur_pass(np.asarray(matrix, dtype=float)[None], keep)
-    if not ok[0]:
-        # the first bad step k leaves its bad masks, and only those, in
-        # [2^k, 2^(k+1)) non-finite
-        bad = np.flatnonzero(~np.isfinite(logdets[0]))
-        bad = bad[bad < 2 * 2 ** (int(bad[0]).bit_length() - 1)]
-        raise np.linalg.LinAlgError(f"nonpositive principal minor at masks {bad[:4].tolist()}")
-    return logdets[0], stacks
+    return out, ok
 
 
 def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
@@ -178,22 +124,14 @@ def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np
     by mask value).  Raises LinAlgError, naming the masks, when a
     principal minor is not positive.
     """
-    return _select(_one_member(matrix)[0], masks)
-
-
-def weighted_logdet_grad(matrix: np.ndarray, weights: np.ndarray):
-    """(sum_J w_J log det A_J, sum_J w_J pad(A_J^{-1})) over all 2^n masks.
-
-    The gradient is the reverse-mode adjoint of `principal_logdets`
-    (d/dA_ij, no symmetry assumed, so it is sum_J w_J pad(A_J^{-T})).
-    Raises LinAlgError, naming the masks, when a principal minor is not
-    positive, whatever its weight.
-    """
-    logdets, stacks = _one_member(matrix, keep=True)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != logdets.shape:
-        raise ValueError(f"weights must have shape {logdets.shape}, got {w.shape}")
-    return float(logdets @ w), _logdet_adjoint(stacks, w[None])[0]
+    logdets, ok = _schur_pass(np.asarray(matrix, dtype=float)[None])
+    if not ok[0]:
+        # the first bad step k leaves its bad masks, and only those, in
+        # [2^k, 2^(k+1)) non-finite
+        bad = np.flatnonzero(~np.isfinite(logdets[0]))
+        bad = bad[bad < 2 * 2 ** (int(bad[0]).bit_length() - 1)]
+        raise np.linalg.LinAlgError(f"nonpositive principal minor at masks {bad[:4].tolist()}")
+    return _select(logdets[0], masks)
 
 
 def _bordered_inverses(matrices: np.ndarray, check: bool = False) -> np.ndarray:

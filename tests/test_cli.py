@@ -169,6 +169,8 @@ class TestMalformedConfig:
         ("rate-study", {**RATE, "mle": {"seed": 0.5}}, "mle"),
         ("simulate", {**SIM, "kernel": {"n": 2, "entries": [1.0, float("inf"), 0.0, 1.0]}},
          "kernel"),
+        ("rate-study", {**RATE, "oracle": "false"}, "oracle"),
+        ("verify-identities", {**VERIFY, "trials": 0}, "trials"),
     ])
     def test_exits_config_error_naming_field(self, tmp_path, capsys, command, config, field):
         # json.dumps writes NaN and Infinity, which json.loads reads back

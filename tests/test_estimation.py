@@ -98,7 +98,7 @@ class TestObjective:
 
     def test_matches_per_mask_reference(self, rng):
         # log det(I+L) as a logsumexp over the minors, and the gradient as
-        # one adjoint sweep with weights q - p, against slogdet and inv
+        # the padded inverses weighted by q - p, against slogdet and inv
         for name, a in reference_kernels():
             n = a.shape[0]
             raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
@@ -109,7 +109,7 @@ class TestObjective:
             obj = estimation._Objective(q[None])
             values, point = obj.evaluate(a[None], [0])
             assert values[0] == pytest.approx(value, rel=1e-12, abs=1e-12), name
-            np.testing.assert_allclose(obj.gradient(point, np.arange(1))[0], grad,
+            np.testing.assert_allclose(obj.derivatives(point)[0][0], grad,
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_hessian_matches_per_mask_reference(self, rng):
@@ -126,7 +126,7 @@ class TestObjective:
                                 for mq, gq in per] for mp, gp in per])
             obj = estimation._Objective(q[None])
             _, point = obj.evaluate(a[None], [0])
-            np.testing.assert_allclose(obj.hessian(point, np.arange(1))[0], expect,
+            np.testing.assert_allclose(obj.derivatives(point)[1][0], expect,
                                        rtol=0, atol=1e-10, err_msg=name)
 
     def test_hessian_matches_gradient_differences(self, rng):
@@ -137,7 +137,7 @@ class TestObjective:
         cand = random_kernel(4, rng)
         obj = estimation._Objective(freqs.freqs[None])
         _, point = obj.evaluate(cand.matrix[None], [0])
-        hess = obj.hessian(point, np.arange(1))[0]
+        hess = obj.derivatives(point)[1][0]
         basis = d.symmetric_basis(4)
         step = 1e-5
         for p, ep in enumerate(basis):
@@ -171,13 +171,13 @@ class TestObjective:
 
 def fit_one(obj, start, config):
     """A single member through the batched fitter, as plain values."""
-    return tuple(column[0] for column in estimation._fit_batch(obj, start[None], config))
+    return tuple(column[0] for column in estimation._lockstep(obj, start[None], config))
 
 
-def unit_hessian(point, which):
-    """-I in symmetric coordinates of 2 x 2 kernels, the Hessian of
-    -||L - T||^2 / 2."""
-    return np.repeat(-np.eye(3)[None], len(which), axis=0)
+def unit_hessian(point):
+    """-I in symmetric coordinates of 2 x 2 kernels, for each member of a
+    point that holds the kernels: the Hessian of -||L - T||^2 / 2."""
+    return np.repeat(-np.eye(3)[None], len(point), axis=0)
 
 
 class TestLineSearch:
@@ -194,12 +194,10 @@ class TestLineSearch:
                 if self.peak is None:
                     self.peak = matrices[0].copy()
                 self.calls += len(matrices)
-                return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2)), None
+                return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2)), matrices
 
-            def gradient(self, point, which):
-                return np.repeat(1e-6 * np.eye(2)[None], len(which), axis=0)
-
-            hessian = staticmethod(unit_hessian)
+            def derivatives(self, point):
+                return np.repeat(1e-6 * np.eye(2)[None], len(point), axis=0), unit_hessian(point)
 
         obj = Peaked()
         cfg = MleConfig()
@@ -222,11 +220,8 @@ class TestLineSearch:
                 self.calls += 1
                 return 1e6 - 0.5 * ((matrices - target) ** 2).sum(axis=(1, 2)), matrices
 
-            def gradient(self, point, which):
-                return target - point[which]
-
-            def hessian(self, point, which):
-                return 2.0 * unit_hessian(point, which)
+            def derivatives(self, point):
+                return target - point, 2.0 * unit_hessian(point)
 
         obj = Quadratic()
         cfg = MleConfig()
@@ -257,22 +252,18 @@ class TestLockstepBatch:
                                       "stop"), batch, alone):
             np.testing.assert_array_equal(whole[members], own, err_msg=f"{where} {field}")
 
-    def test_composition_invariance(self, monkeypatch):
-        """Each member's fit is bitwise the same alone, in the batch, and
-        split across chunks, over several sampled batches."""
+    def test_composition_invariance(self):
+        """Each member's fit is bitwise the same alone and in the batch,
+        over several sampled batches."""
         cfg = MleConfig(seed=3, restarts=3)
         for seed in (1, 4, 5, 6):
             obj, starts = batch_of(replicate_tables(3, 4, 300, seed), cfg)
-            whole = estimation._fit_batch(obj, starts, cfg)
+            whole = estimation._lockstep(obj, starts, cfg)
             assert whole[2].max() > 1                   # real fits, not stops at the start
             for i in range(len(starts)):
                 alone = estimation._Objective(obj.freqs[i:i + 1])
-                self.assert_members_equal(whole, [i], estimation._fit_batch(
+                self.assert_members_equal(whole, [i], estimation._lockstep(
                     alone, starts[i:i + 1], cfg), f"seed {seed} member {i}")
-            with monkeypatch.context() as m:
-                m.setattr(estimation, "_FIT_CHUNK_MASKS", 5 * 2 ** 3)
-                chunked = estimation._fit_batch(obj, starts, cfg)
-            self.assert_members_equal(whole, slice(None), chunked, f"seed {seed} chunked")
 
     def test_one_bad_member_stops_alone(self):
         """Member 1's candidates have a nonpositive minor, member 3's line
@@ -280,7 +271,7 @@ class TestLockstepBatch:
         results are bitwise those of the batch without the faults."""
         cfg = MleConfig(seed=3, restarts=2)
         obj, starts = batch_of(replicate_tables(3, 2, 400), cfg)
-        clean = estimation._fit_batch(obj, starts, cfg)
+        clean = estimation._lockstep(obj, starts, cfg)
 
         class Faulty(estimation._Objective):
             calls = 0
@@ -295,7 +286,7 @@ class TestLockstepBatch:
                     values[np.asarray(members) == 3] = -np.inf
                 return values, point
 
-        faulty = estimation._fit_batch(Faulty(obj.freqs), starts, cfg)
+        faulty = estimation._lockstep(Faulty(obj.freqs), starts, cfg)
         self.assert_members_equal(clean, [0, 2], [x[[0, 2]] for x in faulty])
         np.testing.assert_array_equal(faulty[2][[1, 3]], 0)
         assert not faulty[3][[1, 3]].any()
@@ -308,9 +299,9 @@ class TestLockstepBatch:
         one_mask = EmpiricalTable(n=n, freqs=np.eye(2 ** n)[2 ** n - 1], total=7)
         tables = replicate_tables(n, 2, 200) + [one_mask]
         obj, starts = batch_of(tables, cfg)
-        whole = estimation._fit_batch(obj, starts, cfg)
+        whole = estimation._lockstep(obj, starts, cfg)
         for i in range(len(starts)):
-            self.assert_members_equal(whole, [i], estimation._fit_batch(
+            self.assert_members_equal(whole, [i], estimation._lockstep(
                 estimation._Objective(obj.freqs[i:i + 1]), starts[i:i + 1], cfg))
         assert np.isfinite(whole[1]).all()
         # the one-mask table's sup is on the boundary: held by the box
@@ -378,21 +369,21 @@ class TestFitMle:
         lowest of them wins."""
         freqs = d.empirical_table(d.sample(d.build_table(d.tridiagonal_kernel(3, 2.0, 0.6)),
                                            500, seed=2))
-        fit_batch = estimation._fit_batch
+        lockstep = estimation._lockstep
 
         def tied(obj, starts, config):
-            columns = list(fit_batch(obj, starts, config))
+            columns = list(lockstep(obj, starts, config))
             top = columns[1].max()
             columns[1] = np.array([top - 1.0, top, np.nextafter(top, np.inf), top - 1.0])
             return tuple(columns)
 
-        monkeypatch.setattr(estimation, "_fit_batch", tied)
+        monkeypatch.setattr(estimation, "_lockstep", tied)
         result = d.fit_mle(freqs, MleConfig(seed=1, restarts=4))
         assert result.restart_index == 1
 
     def test_config_validation(self):
         for kwargs in ({"spectral_box": (0.5, 0.4)}, {"restarts": 0},
-                       {"restarts": 2.5}, {"max_iters": 100.0},
+                       {"restarts": 2.5}, {"max_iters": 100.0}, {"max_iters": -1},
                        {"grad_tol": float("nan")}, {"grad_tol": float("inf")},
                        {"init_jitter": float("nan")}, {"init_jitter": float("inf")},
                        {"seed": -1}, {"seed": 1.5}, {"seed": "1"}):
@@ -407,12 +398,10 @@ class TestFitMle:
 
             def evaluate(self, matrices, members):
                 self.calls += 1
-                return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), None
+                return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), matrices
 
-            def gradient(self, point, which):
-                return np.repeat(5.0 * np.eye(2)[None], len(which), axis=0)
-
-            hessian = staticmethod(unit_hessian)
+            def derivatives(self, point):
+                return np.repeat(5.0 * np.eye(2)[None], len(point), axis=0), unit_hessian(point)
 
         with pytest.raises(LikelihoodDecrease):
             fit_one(Decreasing(), np.eye(2), MleConfig())

@@ -130,35 +130,6 @@ class TestPaddedInverses:
         assert inv[mask][:, 1].sum() == 0.0
 
 
-class TestWeightedLogdetGrad:
-    def test_matches_reference(self):
-        gen = np.random.default_rng(5)
-        for name, a in reference_kernels():
-            w = gen.random(2 ** a.shape[0])
-            total, grad = minors.weighted_logdet_grad(a, w)
-            expect = np.einsum("m,mij->ij", w, brute_inverses(a))
-            assert total == pytest.approx(w @ brute_logdets(a), rel=1e-12, abs=1e-12), name
-            np.testing.assert_allclose(grad, expect, rtol=1e-12, atol=1e-12, err_msg=name)
-
-    def test_uses_rows_and_columns_separately(self, rng):
-        # on a nonsymmetric matrix the adjoint is sum_J w_J pad(A_J^{-T})
-        a = random_kernel(4, rng).matrix + 0.3 * np.triu(np.ones((4, 4)), 1)
-        w = rng.random(16)
-        _, grad = minors.weighted_logdet_grad(a, w)
-        expect = np.einsum("m,mij->ij", w, brute_inverses(a))
-        np.testing.assert_allclose(grad, expect.T, rtol=1e-12, atol=1e-12)
-
-    def test_rejects_nonpositive_3x3_minor_of_zero_weight(self):
-        w = np.zeros(8)
-        w[:7] = 1.0
-        with pytest.raises(np.linalg.LinAlgError, match=r"masks \[7\]"):
-            minors.weighted_logdet_grad(NEGATIVE_3X3, w)
-
-    def test_rejects_wrong_weight_shape(self, rng):
-        with pytest.raises(ValueError):
-            minors.weighted_logdet_grad(random_kernel(3, rng).matrix, np.ones(7))
-
-
 class TestStreams:
     def test_same_path_reproduces(self):
         a = rngs.stream(7, 1, 2).random(5)

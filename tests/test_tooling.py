@@ -29,8 +29,9 @@ def test_one_report_writer():
 
 def test_one_fit_loop():
     # every fit runs through the lockstep batch: one `range(config.max_iters)`
-    # loop, no per-restart fitter beside it, and none of the quasi-Newton
-    # state or the approximate-Wolfe endgame that the Newton step replaced
+    # loop, no per-restart fitter or fit chunking beside it, none of the
+    # quasi-Newton state or the approximate-Wolfe endgame that the Newton
+    # step replaced, and no adjoint gradient beside the padded inverses
     loops, banned = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -39,7 +40,9 @@ def test_one_fit_loop():
                 loops.append(f"{path.name}:{node.lineno}")
             names = {getattr(node, "name", None), getattr(node, "id", None),
                      getattr(node, "attr", None)}
-            for name in names & {"_fit_single", "_WOLFE_SLACK", "_matrix_from_theta", "h_inv"}:
+            for name in names & {"_fit_single", "_WOLFE_SLACK", "_matrix_from_theta", "h_inv",
+                                 "_logdet_adjoint", "weighted_logdet_grad", "_fit_batch",
+                                 "_FIT_CHUNK_MASKS"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed fitter machinery in src/dppmle: {banned}"
