@@ -9,7 +9,10 @@ and its gradient is sum_J q_J pad(L_J^{-1}) - (I+L)^{-1}, both over the
 full table of 2^n masks (see `_Objective`).  The objective is invariant
 under sign conjugation, so estimates are only meaningful up to the sign
 orbit and performance is measured by the orbit loss
-min_D ||Lhat - D Lstar D||_F.
+min_D ||Lhat - D Lstar D||_F.  `sign_orbit_loss` ranks all 2^(n-1)
+classes by s^T (Lhat o Lstar) s from two half sign sets in one matrix
+product, then scores the classes within a roundoff band of the best
+directly, so its value and signs are those of the direct scan.
 
 The fit is damped Newton in the orthonormal symmetric coordinates of L
 on the exact observed information, the form (H, K) ->
@@ -50,27 +53,26 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import minors, rngs
-from .errors import GroundSetTooLarge, LikelihoodDecrease, SingularInformation
+from .errors import LikelihoodDecrease, SingularInformation
 from .geometry import hessian_matrix
 from .kernels import (DeterminantalGraph, Kernel, conjugate_by_signs,
                       determinantal_graph, k_to_l, symmetric_basis, symmetrize)
 from .model import DppTable, EmpiricalTable, build_table, empirical_table, sample
-
-#: Exhaustive sign-orbit enumeration cap.
-MAX_SIGN_ENUM_N = 20
 
 #: Why a fit member stopped (see the module docstring).
 STOP_REASONS = ("grad_tol", "roundoff", "line_search", "max_iters")
 _GRAD_TOL, _ROUNDOFF, _LINE_SEARCH, _MAX_ITERS = range(4)
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _ROUNDOFF_SLACK = 8 * _EPS          # what f resolves, in units of max(1, |f|)
 
 #: Padded-inverse floats (members x 2^n x n^2) per `derivatives` chunk.
 _HESSIAN_CHUNK_FLOATS = 2 ** 17
 
-#: Sign vectors scored per batch in sign_orbit_loss (n=18: ~2.6 MB each
-#: for the stacked differences).
+#: Candidate sign vectors rescored per slice in sign_orbit_loss (n=20:
+#: ~3.3 MB for the stacked differences); a diagonal truth makes all
+#: 2^(n-1) classes candidates.
 _SIGN_CHUNK = 1024
 
 
@@ -90,15 +92,19 @@ class MleConfig:
         a, b = self.spectral_box
         if not (0.0 < a < b < 1.0):
             raise ValueError(f"spectral_box must satisfy 0 < alpha < beta < 1, got {self.spectral_box}")
-        for name in ("restarts", "max_iters"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("grad_tol", "init_jitter"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         if not math.isfinite(self.init_jitter):
@@ -488,22 +494,59 @@ class LossValue:
     argmin_signs: np.ndarray
 
 
+def _code_signs(codes: np.ndarray, width: int) -> np.ndarray:
+    """Sign vectors of length `width`, one row per code: bit width-1-i
+    of a code flips sign i, so codes below 2^(width-1) keep sign 0 at +1
+    and run in the order of sign_vectors(width, fix_first=True)."""
+    signs = np.ones((codes.size, width))
+    signs -= 2.0 * ((codes[:, None] >> np.arange(width - 1, -1, -1)) & 1)
+    return signs
+
+
 def sign_orbit_loss(l_hat: Kernel, l_star: Kernel) -> LossValue:
+    """min over the 2^(n-1) sign classes D of ||Lhat - D Lstar D||_F.
+
+    The value and signs are those of scoring every class directly, as
+    sqrt of the summed squared entries of the difference, and taking the
+    first minimum in code order.  Only the classes within roundoff of the
+    best are scored that way; a half-split pass ranks them all first."""
     a, b = l_hat.matrix, l_star.matrix
     n = l_hat.n
     if l_star.n != n:
         raise ValueError("ground-set sizes differ")
-    if n > MAX_SIGN_ENUM_N:
-        raise GroundSetTooLarge(
-            f"exhaustive sign enumeration capped at n={MAX_SIGN_ENUM_N}, got {n}")
-    # codes in the order of sign_vectors(n, fix_first=True): bit n-1-i of
-    # the code flips sign i, for i >= 1
-    shifts = np.arange(n - 2, -1, -1)
+    minors.check_enum_budget(n)
+    # ||A - SBS||^2 = ||A||^2 + ||B||^2 - 2 q(s) with q(s) = s^T (A o B) s.
+    # Split s into a high half (s_0 = +1 and the next h - 1 signs) and a
+    # low half of n - h signs (Horowitz & Sahni's meet in the middle): q is
+    # the two within-half forms plus 2 s_hi^T M s_lo, all three for every
+    # pair of halves in one product whose C order is the code order.
+    h = 1 + (n - 1) // 2
+    hi = _code_signs(np.arange(2 ** (h - 1)), h)
+    lo = _code_signs(np.arange(2 ** (n - h)), n - h)
+    # The direct score d(s) = fl(sqrt(S(s))), S(s) the computed sum of
+    # squares, must be minimal at some code kept here.  Let N = ||A||^2 +
+    # ||B||^2, T(s) the exact squared distance (T <= 2N) and g = gamma_k =
+    # k eps / (1 - k eps) with k = n^2 + 4, more roundings than any term of
+    # q or S passes through.  Then
+    #   |q - s^T M s| <= g sum|a_ij b_ij| <= g N / 2     (Cauchy-Schwarz),
+    #   |S - T| <= g T <= 2 g N,
+    # and sqrt merges sums at most 2.01 eps S <= 4.1 eps N apart, since two
+    # roots rounding to one d lie within ulp(d) <= eps d.  So if d(s) <=
+    # d(s') for the code s' maximizing q, T(s) <= T(s') + 4 g N + 4.1 eps N
+    # and q(s) >= q(s') - 3 g N - 2.1 eps N.  The band 4 k eps N covers
+    # that and the rounding of N; n^2 tiny covers underflowed products.
+    # An overflowed N makes the band inf and keeps every code.
+    with np.errstate(all="ignore"):     # overflow warns once, in the rescoring
+        m = a * b
+        x = np.column_stack([hi @ (2.0 * m[:h, h:]), ((hi @ m[:h, :h]) * hi).sum(axis=1),
+                             np.ones(len(hi))])
+        y = np.column_stack([lo, np.ones(len(lo)), ((lo @ m[h:, h:]) * lo).sum(axis=1)])
+        q = (x @ y.T).ravel()
+        band = 4.0 * (n * n + 4) * _EPS * ((a * a).sum() + (b * b).sum()) + n * n * _TINY
+        candidates = np.flatnonzero(~(q < q.max() - band))
     best_val, best_signs = None, None
-    for start in range(0, 2 ** (n - 1), _SIGN_CHUNK):
-        codes = np.arange(start, min(start + _SIGN_CHUNK, 2 ** (n - 1)))
-        signs = np.ones((codes.size, n))
-        signs[:, 1:] -= 2.0 * ((codes[:, None] >> shifts) & 1)
+    for start in range(0, candidates.size, _SIGN_CHUNK):
+        signs = _code_signs(candidates[start:start + _SIGN_CHUNK], n)
         diff = a - signs[:, :, None] * signs[:, None, :] * b
         vals = np.sqrt((diff * diff).sum(axis=(1, 2)))
         k = int(np.argmin(vals))       # first minimum, as a strict < scan

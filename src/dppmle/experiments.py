@@ -92,13 +92,16 @@ def fit_semilog_slope(points) -> SlopeFit:
 
 def _typed(value, kind, field: str):
     """`kind(value)` for kind int or float; ConfigError naming the field
-    when the value does not convert or the float is not finite."""
+    unless the value is a number (not a boolean or a string) that is
+    finite and, for int, integral: 1e6 reads as 1000000, 10.5 is refused."""
     noun = "an integer" if kind is int else "a finite number"
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"not a number: {value!r}")
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}: expected {noun}, got {value!r}") from exc
-    if kind is float and not math.isfinite(out):
+    if kind is int and out != value or kind is float and not math.isfinite(out):
         raise ConfigError(f"{field}: expected {noun}, got {value!r}")
     return out
 
@@ -449,6 +452,8 @@ def run_verify_identities(config: dict, out: Path | None = None,
         raise ConfigError("n_values: required positive integers")
     seed = _seed(config, seed_override)
     tol = _typed(config.get("tolerance", 1e-9), float, "tolerance")
+    if tol <= 0:
+        raise ConfigError(f"tolerance: must be > 0, got {tol!r}")
     records = []
     worst = 0.0
     for t in range(trials):

@@ -20,6 +20,12 @@ from .kernels import Kernel, l_to_k
 #: Relative keyEq residual beyond which table construction aborts.
 BREAKDOWN_TOL = 1e-6
 
+#: Table size from which `sample` searches the uniforms in sorted order.
+#: Against 1e3-1e6 uniforms (one core, numpy 2.4) the plain search is
+#: faster up to 2^4-2^7 masks and the sorted one from 2^8-2^9 on (0.5-0.8x
+#: the time at 2^9, 0.2-0.6x at 2^18-2^20); 8-mask tables stay plain.
+_SORTED_SEARCH_MIN_TABLE = 2 ** 9
+
 
 def _mask_csv(values: np.ndarray) -> str:
     """`mask,probability` CSV of a per-mask vector, in csv.writer's
@@ -160,7 +166,12 @@ def sample(table: DppTable, count: int, seed: int, stream_path: tuple = ()) -> S
 
     Uses the counter-based Philox stream (seed, stream_path), so the
     same arguments always reproduce the batch bit-exactly and parallel
-    callers with distinct paths cannot interfere.
+    callers with distinct paths cannot interfere.  Each draw is
+    searchsorted(cdf, u, side="right") of its own uniform u.  From
+    _SORTED_SEARCH_MIN_TABLE masks on, the uniforms are searched in
+    ascending order, each search starting from the previous one's bound
+    among table entries still in cache, and the results are scattered
+    back to their draws: the same draws, without a cache miss per step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -168,7 +179,17 @@ def sample(table: DppTable, count: int, seed: int, stream_path: tuple = ()) -> S
     cdf[-1] = 1.0
     gen = rngs.stream(seed, rngs.SAMPLE_STREAM, *stream_path)
     u = gen.random(count)
-    draws = np.searchsorted(cdf, u, side="right").astype(np.int64)
+    if cdf.size < _SORTED_SEARCH_MIN_TABLE:
+        draws = np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
+    else:
+        # rebinding u and deleting it once searched keeps at most three
+        # arrays of `count` entries alive at once
+        order = np.argsort(u)
+        u = u[order]
+        idx = np.searchsorted(cdf, u, side="right")
+        del u
+        draws = np.empty(count, dtype=np.int64)
+        draws[order] = idx
     counts = np.bincount(draws, minlength=table.probs.size)
     stored_seed = seed if not stream_path else (seed, *stream_path)
     return SampleBatch(n=table.n, seed=stored_seed, draws=draws, counts=counts)

@@ -5,6 +5,7 @@ import pytest
 
 from dppmle import Kernel, block_diagonal_kernel, estimation, minors, symmetrize
 from dppmle.experiments import random_kernel, random_symmetric
+from dppmle.kernels import sign_vectors
 
 
 #: Symmetric, every 1x1 and 2x2 principal minor positive, det = -2.888.
@@ -125,7 +126,19 @@ def loop_sign_corrected_init(freqs, spectral_box):
     return estimation._clip_to_kernel(signed, spectral_box)
 
 
+def loop_loss(hat, star):
+    """Reference: each sign class scored on its own, in the order of
+    sign_vectors(n, fix_first=True); the first minimum is kept."""
+    best_val, best_signs = None, None
+    for s in sign_vectors(hat.n, fix_first=True):
+        diff = hat.matrix - np.outer(s, s) * star.matrix
+        val = float(np.sqrt((diff * diff).sum()))
+        if best_val is None or val < best_val:
+            best_val, best_signs = val, s.copy()
+    return best_val, best_signs
+
+
 __all__ = ["NEGATIVE_3X3", "brute_inverses", "brute_logdets", "brute_submatrix",
-           "loop_moment_correlation", "loop_sign_corrected_init", "random_kernel",
+           "loop_loss", "loop_moment_correlation", "loop_sign_corrected_init", "random_kernel",
            "random_symmetric", "random_block_kernel", "random_null_direction",
            "reference_kernels", "symmetrize"]

@@ -171,6 +171,23 @@ class TestMalformedConfig:
          "kernel"),
         ("rate-study", {**RATE, "oracle": "false"}, "oracle"),
         ("verify-identities", {**VERIFY, "trials": 0}, "trials"),
+        ("simulate", {**SIM, "count": True}, "count"),
+        ("simulate", {**SIM, "count": 10.5}, "count"),
+        ("simulate", {**SIM, "count": "12"}, "count"),
+        ("simulate", {**SIM, "seed": False}, "seed"),
+        ("rate-study", {**RATE, "replicates": 2.5}, "replicates"),
+        ("curvature-scan", {**SCAN, "n_values": [3, 4.5, 5]}, "n_values"),
+        ("curvature-scan", {**SCAN, "max_n": True}, "max_n"),
+        ("variance-growth", {**SCAN, "tridiagonal": {"a": "2.0", "b": 0.9}}, "tridiagonal.a"),
+        ("variance-growth", {**SCAN, "tridiagonal": {"a": 2.0, "b": True}}, "tridiagonal.b"),
+        ("verify-identities", {**VERIFY, "tolerance": True}, "tolerance"),
+        ("rate-study", {**RATE, "mle": {"restarts": True}}, "mle"),
+        ("rate-study", {**RATE, "mle": {"max_iters": False}}, "mle"),
+        ("rate-study", {**RATE, "mle": {"seed": True}}, "mle"),
+        ("rate-study", {**RATE, "mle": {"grad_tol": True}}, "mle"),
+        ("rate-study", {**RATE, "mle": {"init_jitter": False}}, "mle"),
+        ("verify-identities", {**VERIFY, "tolerance": -1}, "tolerance"),
+        ("verify-identities", {**VERIFY, "tolerance": 0}, "tolerance"),
     ])
     def test_exits_config_error_naming_field(self, tmp_path, capsys, command, config, field):
         # json.dumps writes NaN and Infinity, which json.loads reads back
@@ -178,6 +195,13 @@ class TestMalformedConfig:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err.splitlines()[0], err
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        cfg = write_config(tmp_path, "top.json", {**self.SIM, "count": 1e2, "seed": 3.0})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "simulate.json").read_text())
+        assert report["config"]["count"] == 100 and report["config"]["seed"] == 3
+        assert type(report["config"]["count"]) is int
 
     def test_nonfinite_entries_print_only_the_config_error(self, tmp_path, capsys):
         # a warning raised while reading the kernel would fail here

@@ -8,9 +8,9 @@ from dppmle.estimation import MleConfig
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable
 
-from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, loop_moment_correlation,
-                      loop_sign_corrected_init, random_block_kernel, random_kernel,
-                      reference_kernels)
+from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, loop_loss,
+                      loop_moment_correlation, loop_sign_corrected_init, random_block_kernel,
+                      random_kernel, reference_kernels)
 
 
 def exact_frequencies(kernel) -> EmpiricalTable:
@@ -470,25 +470,64 @@ class TestSignOrbitLoss:
         assert loss.value <= np.linalg.norm(hat.matrix - star.matrix) + 1e-15
 
     def test_matches_loop_reference(self, rng):
-        def loop_loss(hat, star):
-            best_val, best_signs = None, None
-            for s in sign_vectors(hat.n, fix_first=True):
-                diff = hat.matrix - np.outer(s, s) * star.matrix
-                val = float(np.sqrt((diff * diff).sum()))
-                if best_val is None or val < best_val:
-                    best_val, best_signs = val, s.copy()
-            return best_val, best_signs
-
-        cases = [(random_kernel(n, rng), random_kernel(n, rng)) for n in range(1, 9)]
-        # ties: a diagonal truth is at the same distance from every class
+        cases = [(random_kernel(n, rng), random_kernel(n, rng)) for n in (*range(1, 13), 14)]
+        for n in (2, 7, 12):
+            # the truth's own orbit: the loss is exactly 0.0 at its class
+            star = random_kernel(n, rng)
+            s = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            conj = d.Kernel(d.conjugate_by_signs(star.matrix, s))
+            assert d.sign_orbit_loss(conj, star).value == 0.0
+            cases.append((conj, star))
+        # ties: a diagonal truth is at the same distance from every class,
+        # so at n = 12 all 2048 classes are rescored, in two slices
         cases.append((random_kernel(5, rng), d.Kernel(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))))
+        cases.append((random_kernel(12, rng), d.Kernel(np.diag(1.0 + rng.random(12)))))
         star = random_block_kernel([3, 3], rng)
         cases.append((star, star))
+        cases.append((random_kernel(9, rng), random_block_kernel([4, 2, 3], rng)))
         for hat, star in cases:
             loss = d.sign_orbit_loss(hat, star)
             val, signs = loop_loss(hat, star)
             assert loss.value == val
             np.testing.assert_array_equal(loss.argmin_signs, signs)
+
+    def test_near_tied_classes_match_loop_reference(self, rng):
+        # flipping sign 1 changes only the (0, 1) entries when the truth's
+        # row 1 is zero elsewhere, by 8 * hat_01 * star_01 in the squared
+        # distance T: within +-4 ulps of T here, so the two classes' direct
+        # scores fall on either side of each other or round to one value.
+        # With hat 100 times the truth's scale, s^T (hat o star) s is ~100
+        # times smaller than T and tells the two apart even where they round
+        # to one direct score, at which the first class must win.
+        outcomes = set()
+        for n in (2, 5):
+            hat, star = 10.0 * random_kernel(n, rng).matrix, 0.1 * random_kernel(n, rng).matrix
+            star[1, 2:] = star[2:, 1] = 0.0
+            c = np.sqrt(np.spacing(np.sum((hat - star) ** 2)) / 2.0)
+            star[0, 1] = star[1, 0] = c
+            for t in np.linspace(-1.0, 1.0, 41):
+                hat[0, 1] = hat[1, 0] = c * t
+                loss = d.sign_orbit_loss(d.Kernel(hat), d.Kernel(star))
+                val, signs = loop_loss(d.Kernel(hat), d.Kernel(star))
+                assert loss.value == val
+                np.testing.assert_array_equal(loss.argmin_signs, signs)
+                flipped = signs.copy()
+                flipped[1] = -flipped[1]
+                diff = hat - d.conjugate_by_signs(star, flipped)
+                other = float(np.sqrt((diff * diff).sum()))
+                outcomes.add("tie" if other == val else f"sign1={signs[1]:+.0f}")
+        assert outcomes == {"tie", "sign1=+1", "sign1=-1"}
+
+    def test_rescoring_slices_do_not_change_the_result(self, rng, monkeypatch):
+        cases = [(random_kernel(8, rng), d.Kernel(np.diag(1.0 + rng.random(8)))),
+                 (random_kernel(8, rng), random_kernel(8, rng))]
+        expected = [d.sign_orbit_loss(hat, star) for hat, star in cases]
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(estimation, "_SIGN_CHUNK", chunk)
+            for (hat, star), ref in zip(cases, expected):
+                loss = d.sign_orbit_loss(hat, star)
+                assert loss.value == ref.value
+                np.testing.assert_array_equal(loss.argmin_signs, ref.argmin_signs)
 
     def test_cap(self):
         big = d.Kernel(np.eye(21))

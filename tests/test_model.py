@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dppmle as d
-from dppmle import minors
+from dppmle import minors, model, rngs
 from dppmle.errors import EmptyBatch, GroundSetTooLarge, NormalizationMismatch
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable, SampleBatch
@@ -179,6 +179,22 @@ class TestSampling:
         batch = d.sample(table, 1000, seed=1)
         assert batch.counts.sum() == 1000
         np.testing.assert_array_equal(batch.counts, np.bincount(batch.draws, minlength=4))
+
+    def test_draws_are_the_plain_inverse_cdf(self, rng):
+        # both sides of the table-size rule: a plain search at n = 3 and a
+        # sorted one at n = 12, each draw searchsorted of its own uniform
+        assert 2 ** 3 < model._SORTED_SEARCH_MIN_TABLE <= 2 ** 12
+        for n in (3, 12):
+            table = d.build_table(random_kernel(n, rng))
+            cdf = np.cumsum(table.probs)
+            cdf[-1] = 1.0
+            for seed, count, path in ((0, 1, ()), (5, 997, ()), (8, 20000, (2,)),
+                                      (13, 100000, (rngs.REPLICATE_STREAM, 4))):
+                batch = d.sample(table, count, seed, stream_path=path)
+                u = rngs.stream(seed, rngs.SAMPLE_STREAM, *path).random(count)
+                assert batch.draws.dtype == np.int64
+                np.testing.assert_array_equal(batch.draws,
+                                              np.searchsorted(cdf, u, side="right"))
 
 
 class TestEmpiricalTable:
