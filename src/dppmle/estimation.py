@@ -67,9 +67,6 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _ROUNDOFF_SLACK = 8 * _EPS          # what f resolves, in units of max(1, |f|)
 
-#: Padded-inverse floats (members x 2^n x n^2) per `derivatives` chunk.
-_HESSIAN_CHUNK_FLOATS = 2 ** 17
-
 #: Candidate sign vectors rescored per slice in sign_orbit_loss (n=20:
 #: ~3.3 MB for the stacked differences); a diagonal truth makes all
 #: 2^(n-1) classes candidates.
@@ -165,7 +162,8 @@ class _Objective:
         """(values of the kernels of `members`, the point `derivatives`
         reads); -inf where some principal minor is not positive."""
         matrices = np.asarray(matrices, dtype=float)
-        logdets, ok = minors._schur_pass(matrices)
+        jets, ok = minors._schur_pass(matrices)
+        logdets = jets[0]
         q = self.freqs[members]
         with np.errstate(all="ignore"):
             top = logdets.max(axis=1)
@@ -178,17 +176,15 @@ class _Objective:
         """(gradients, Hessians) of every member of a point whose values
         are finite, both from the distinct entries of the P_J of one
         bordering recursion per member, in member chunks of
-        _HESSIAN_CHUNK_FLOATS.  The Hessians are in the coordinates of
+        `minors._chunks`.  The Hessians are in the coordinates of
         `symmetric_basis` (the form in the module docstring), from the
         Gram of those entries."""
         matrices, logdets, log_z, q = point
         b, n = matrices.shape[0], matrices.shape[1]
         distinct, first, second, basis, spread = _hessian_layout(n)
-        size = max(1, _HESSIAN_CHUNK_FLOATS // (2 ** n * n * n))
         grad = np.empty((b, n, n))
         hess = np.empty((b, len(basis), len(basis)))
-        for lo in range(0, b, size):
-            at = slice(lo, lo + size)
+        for at in minors._chunks(b, 2 ** n * n * n):
             x = np.take(minors._bordered_inverses(matrices[at]).reshape(-1, 2 ** n, n * n),
                         distinct, axis=2)
             p = np.exp(logdets[at] - log_z[at, None])

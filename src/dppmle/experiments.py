@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rngs
+from .minors import MAX_DRAWS
 from .errors import (ConfigError, GroundSetTooLarge, InsufficientPoints,
                      NonpositiveValue, SingularInformation)
 from .estimation import (MleConfig, asymptotic_covariance, estimate_risk,
@@ -190,8 +191,8 @@ def _write_report(out: Path | None, name: str, report: dict,
 def run_simulate(config: dict, out: Path, seed_override: int | None = None) -> dict:
     kernel = parse_kernel_spec(config.get("kernel", {}))
     count = _typed(config.get("count"), int, "count")
-    if count < 1:
-        raise ConfigError("count: must be >= 1")
+    if not 1 <= count <= MAX_DRAWS:
+        raise ConfigError(f"count: must be in 1..{MAX_DRAWS}, got {config.get('count')!r}")
     seed = _seed(config, seed_override)
     table = build_table(kernel)
     batch = sample(table, count, seed)
@@ -454,17 +455,22 @@ def run_verify_identities(config: dict, out: Path | None = None,
     tol = _typed(config.get("tolerance", 1e-9), float, "tolerance")
     if tol <= 0:
         raise ConfigError(f"tolerance: must be > 0, got {tol!r}")
+    sizes = [n_values[t % len(n_values)] for t in range(trials)]
+    gens = [rngs.stream(seed, t) for t in range(trials)]
+    inputs = [(random_kernel(n, gen), random_symmetric(n, gen)) for n, gen in zip(sizes, gens)]
+    results = {}                # one batch per ground-set size
+    for n in dict.fromkeys(sizes):
+        batch = [t for t in range(trials) if sizes[t] == n]
+        results.update(zip(batch, identity_residuals([inputs[t][0] for t in batch],
+                                                     np.array([inputs[t][1] for t in batch]))))
     records = []
     worst = 0.0
     for t in range(trials):
-        gen = rngs.stream(seed, t)
-        n = n_values[t % len(n_values)]
-        kernel = random_kernel(n, gen)
-        h = random_symmetric(n, gen)
-        res = identity_residuals(kernel, h)
+        res = results[t]
         rel = max(res.max_relative(), res.matrix_form_residual)
         worst = max(worst, rel)
-        records.append({"trial": t, "n": n, **json.loads(res.to_json()),
+        records.append({"trial": t, "n": sizes[t], "r1": res.r1, "r2": res.r2, "r3": res.r3,
+                        "r4": res.r4, "matrix_form_residual": res.matrix_form_residual,
                         "max_relative": res.max_relative()})
     return _write_report(out, "identities", {
         "command": "verify-identities",

@@ -18,6 +18,11 @@ supported on cross-block index pairs of L*.  Along those directions the
 third derivative vanishes and the fourth is minus three times the
 variance of the quadratic trace statistic, strictly negative for any
 nonzero null direction.
+
+Every a_{J,k} comes from one pass of the all-minors recursion in
+`minors`, carried in Taylor jets of L + tH: a_{J,k} = (-1)^(k-1) k c_{J,k}
+for c_{J,k} the t^k coefficient of log det(L_J + tH_J).  The identity
+suite takes a batch of kernels of one size at once.
 """
 
 from __future__ import annotations
@@ -32,23 +37,22 @@ from . import minors
 from .errors import NotNullDirection
 from .kernels import (DeterminantalGraph, Kernel, stack_to_coords,
                       symmetric_dim)
-from .model import DppTable, build_table
+from .model import DppTable, build_table, normalized
 
 #: Relative eigenvalue threshold used to identify the numerical null space.
 NULL_EIG_TOL = 1e-9
 
 
 class TraceCache:
-    """Per-subset inverse minors of a kernel, zero-padded, and the global
-    inverse (I+L)^{-1}: what every trace statistic reads.  Each geometry
-    call builds one and drops it on return."""
+    """Per-subset inverse minors of a kernel, zero-padded: what the
+    Hessian Gram reads.  `hessian_matrix` builds one and drops it on
+    return."""
 
-    __slots__ = ("padded_inv", "global_inv")
+    __slots__ = ("padded_inv",)
 
     def __init__(self, kernel: Kernel):
         minors.check_enum_budget(kernel.n)
         self.padded_inv = minors.padded_inverses(kernel.matrix)
-        self.global_inv = np.linalg.inv(np.eye(kernel.n) + kernel.matrix)
 
 
 def trace_cache(obj) -> TraceCache:
@@ -66,30 +70,39 @@ class TraceStatistics:
     global_value: float
 
 
-def _stats_upto(cache: TraceCache, direction: np.ndarray, kmax: int):
-    """per[:, k-1] = a_{J,k} and glob[k-1] = a_k for k = 1..kmax."""
+def _traces(matrices: np.ndarray, directions: np.ndarray, order: int):
+    """For B kernels and directions (B, n, n) and k = 1..order: (log det
+    L_J, (B, 2^n); a_{J,k} = (-1)^(k-1) k c_{J,k}, (order, B, 2^n), with
+    c_{J,k} the t^k coefficient of log det(L_J + tH_J) from one jet pass;
+    a_k by n x n powers, (order, B); (I+L)^{-1}).  LinAlgError on a
+    nonpositive minor."""
+    jets, ok = minors._schur_pass(matrices, directions, order)
+    if not ok.all():            # the bad member's own pass names its masks
+        minors.principal_logdets(matrices[np.argmin(ok)])
+    k = np.arange(1, order + 1)[:, None, None]
+    global_inv = np.linalg.inv(np.eye(matrices.shape[-1]) + matrices)
+    powers = [global_inv @ directions]
+    for _ in range(order - 1):
+        powers.append(powers[-1] @ powers[0])
+    return (jets[0], jets[1:] * (-1.0) ** (k - 1) * k,
+            np.trace(powers, axis1=2, axis2=3), global_inv)
+
+
+def _stats(kernel: Kernel, direction, order: int):
+    """(a_{J,k}, (order, 2^n); a_k, (order,)) of one kernel and direction."""
     h = np.asarray(direction, dtype=float)
-    m = cache.padded_inv @ h
-    g = cache.global_inv @ h
-    per = np.empty((m.shape[0], kmax))
-    glob = np.empty(kmax)
-    mp, gp = m, g
-    for k in range(1, kmax + 1):
-        if k > 1:
-            mp = mp @ m
-            gp = gp @ g
-        per[:, k - 1] = np.einsum("jii->j", mp)
-        glob[k - 1] = np.trace(gp)
-    return per, glob
+    if h.shape != kernel.matrix.shape:
+        raise ValueError(f"direction of shape {h.shape} for a kernel of size {kernel.n}")
+    _, per, glob, _ = _traces(kernel.matrix[None], h[None], order)
+    return per[:, 0], glob[:, 0]
 
 
 def trace_statistics(kernel: Kernel, direction: np.ndarray, k: int) -> TraceStatistics:
     if k < 1:
         raise ValueError("order k must be >= 1")
-    per, glob = _stats_upto(trace_cache(kernel), direction, k)
+    per, glob = _stats(kernel, direction, k)
     return TraceStatistics(kernel=kernel, direction=np.asarray(direction, dtype=float),
-                           order=k, per_subset=per[:, k - 1],
-                           global_value=float(glob[k - 1]))
+                           order=k, per_subset=per[k - 1], global_value=float(glob[k - 1]))
 
 
 def expected_log_likelihood(table_star: DppTable, kernel: Kernel) -> float:
@@ -107,8 +120,8 @@ def directional_derivative(table_star: DppTable, kernel: Kernel,
     """k-th derivative of t -> Phi(L + tH) at t = 0, in closed form."""
     if not 1 <= k:
         raise ValueError("order k must be >= 1")
-    per, glob = _stats_upto(trace_cache(kernel), direction, k)
-    diff = float(table_star.probs @ per[:, k - 1] - glob[k - 1])
+    per, glob = _stats(kernel, direction, k)
+    diff = float(table_star.probs @ per[k - 1] - glob[k - 1])
     return (-1.0) ** (k - 1) * math.factorial(k - 1) * diff
 
 
@@ -119,8 +132,7 @@ def _variance(probs: np.ndarray, values: np.ndarray) -> float:
 
 def hessian_quadratic_form(table_star: DppTable, direction: np.ndarray) -> float:
     """-Var[Tr((L*_Z)^{-1} H_Z)] over the table; always <= 0."""
-    per, _ = _stats_upto(trace_cache(table_star), direction, 1)
-    return -_variance(table_star.probs, per[:, 0])
+    return -_variance(table_star.probs, _stats(table_star.kernel, direction, 1)[0][0])
 
 
 @dataclass
@@ -208,13 +220,13 @@ def fourth_order_form(table_star: DppTable, direction: np.ndarray,
     otherwise.  Rejects directions outside the Hessian null space.
     """
     h = np.asarray(direction, dtype=float)
-    per, _ = _stats_upto(trace_cache(table_star), h, 2)
-    q = -_variance(table_star.probs, per[:, 0])
+    per = _stats(table_star.kernel, h, 2)[0]
+    q = -_variance(table_star.probs, per[0])
     scale = max(1.0, float((h * h).sum()))
     if abs(q) > null_tol * scale:
         raise NotNullDirection(
             f"direction has Hessian value {q:.3e}, not a null direction")
-    return -3.0 * _variance(table_star.probs, per[:, 1])
+    return -3.0 * _variance(table_star.probs, per[1])
 
 
 def decompose_null_direction(direction: np.ndarray, graph: DeterminantalGraph):
@@ -278,12 +290,33 @@ class IdentityResiduals:
         })
 
 
-def identity_residuals(kernel: Kernel, direction: np.ndarray) -> IdentityResiduals:
-    table = build_table(kernel)
-    p = table.probs
-    cache = trace_cache(kernel)
-    per, glob = _stats_upto(cache, direction, 4)
-    a1, a2, a3, a4 = (per[:, i] for i in range(4))
+def identity_residuals(kernels, directions):
+    """IdentityResiduals of a kernel and direction, or their list for
+    kernels of one size and a (B, n, n) stack of directions.  Per member
+    chunk, one jet pass gives the a_{J,k} and, in its order-0 row, the
+    log-determinants behind the probabilities (`normalized`); the matrix
+    form weighs the padded inverses by them.  Members never mix, so each
+    result is bitwise the same alone, in any batch and chunk size."""
+    if isinstance(kernels, Kernel):
+        return identity_residuals([kernels], np.asarray(directions, dtype=float)[None])[0]
+    mats = np.array([kernel.matrix for kernel in kernels])
+    dirs = np.asarray(directions, dtype=float)
+    if dirs.shape != mats.shape:
+        raise ValueError(f"directions of shape {dirs.shape} for kernels {mats.shape}")
+    out = []
+    # an order-4 jet pass peaks near 4 x 5 x 2^n floats a member
+    for at in minors._chunks(len(mats), 20 * 2 ** mats.shape[-1]):
+        logdets, per, glob, global_inv = _traces(mats[at], dirs[at], 4)
+        probs = np.array([normalized(row, a)[0] for row, a in zip(logdets, mats[at])])
+        weighted = minors._weighted_inverse_sums(mats[at], probs)
+        out += [_residuals(p, per[:, i], glob[:, i], float(np.linalg.norm(w - g)))
+                for i, (p, w, g) in enumerate(zip(probs, weighted, global_inv))]
+    return out
+
+
+def _residuals(p: np.ndarray, per: np.ndarray, glob: np.ndarray, mf: float) -> IdentityResiduals:
+    """One member's cascade from p, the a_{J,1..4} rows, the global a_k."""
+    a1, a2, a3, a4 = per
     g1, g2, g3, g4 = glob
 
     def delta(per_vals, glob_val):
@@ -291,7 +324,7 @@ def identity_residuals(kernel: Kernel, direction: np.ndarray) -> IdentityResidua
 
     # order 1: expectation of the linear statistic equals its global value
     lhs1 = float(p @ a1)
-    r1 = lhs1 - g1
+    r1 = lhs1 - float(g1)
     s1 = max(abs(lhs1), abs(g1))
 
     # order 2: centered second statistic equals centered square
@@ -315,9 +348,6 @@ def identity_residuals(kernel: Kernel, direction: np.ndarray) -> IdentityResidua
     t4d = delta(a2 ** 2, g2 ** 2)
     r4 = left4 - (t4a / 6.0 - t4b + 4.0 * t4c / 3.0 + t4d / 2.0)
     s4 = max(abs(left4), abs(t4a / 6.0), abs(t4b), abs(4.0 * t4c / 3.0), abs(t4d / 2.0))
-
-    weighted = np.einsum("j,jab->ab", p, cache.padded_inv)
-    mf = float(np.linalg.norm(weighted - cache.global_inv))
 
     return IdentityResiduals(r1=r1, r2=r2, r3=r3, r4=r4, matrix_form_residual=mf,
                              scales=(max(s1, 1.0e-300), max(s2, 1e-300),

@@ -17,12 +17,18 @@ stacked numpy operations over all masks at once:
   state of J u {k}.
 - `padded_inverses` borders (A_J)^{-1} by index k with the same pivot.
 
+The Schur pass can carry Taylor jets of A + tH (Griewank & Walther,
+"Evaluating Derivatives", 2nd ed., ch. 13): the t^k coefficient of
+log det(A_J + tH_J) is (-1)^(k-1) Tr((A_J^{-1} H_J)^k) / k, so one pass
+gives every trace statistic of `geometry` in O(k^2 2^n) work.
+
 The work is O(2^n) for the log-determinants and O(2^n n^2) for the
 padded inverses, with no Python loop per subset.  Both refuse a pivot
 that is not positive, which marks a nonpositive minor.  Both take a
 leading batch axis over matrices, (B, n, n) -> (B, 2^n, ...), for the
-batched fitter in `estimation`, with an ok flag per member or no check
-in place of the error; the public functions above are the batch of one.
+batched fitter and identity suite, in chunks of _CHUNK_FLOATS, with an
+ok flag per member or no check in place of the error; the public
+functions above are the batch of one.
 
 `superset_sums`, the zeta transform in n in-place passes (Yates;
 Bjorklund et al., "Fourier meets Mobius", STOC 2007), gives every
@@ -37,6 +43,14 @@ from .errors import GroundSetTooLarge
 
 #: Hard cap on ground-set size for full 2^n enumeration (8 MiB per table).
 MAX_ENUM_N = 20
+
+#: Hard cap on the draws of one `simulate` run: a float64 uniform, int64
+#: mask and sort index, and a Python int and JSON text per draw take ~52 MiB
+#: per 10^6 draws, so the cap peaks near 0.55 GB.
+MAX_DRAWS = 10 ** 7
+
+#: Floats a chunk of a batched consumer holds (1 MiB), `_chunks`.
+_CHUNK_FLOATS = 2 ** 17
 
 
 def check_enum_budget(n: int, cap: int = MAX_ENUM_N) -> None:
@@ -87,10 +101,13 @@ def _select(full: np.ndarray, masks) -> np.ndarray:
     return full[masks]
 
 
-def _schur_pass(matrices: np.ndarray):
-    """Forward pass of the recursion over a batch of B matrices (B, n, n):
-    (log det of all 2^n principal submatrices of each, (B, 2^n) indexed
-    by mask; per-member ok flags, False where some pivot is not > 0).
+def _schur_pass(matrices: np.ndarray, directions: np.ndarray | None = None,
+                order: int = 0):
+    """Forward pass of the recursion over B matrices A (B, n, n) in jets
+    of A + tH for directions H (B, n, n): (c[d, b, J], the t^d coefficient
+    of log det(A_J + tH_J) for d = 0..order, (order+1, B, 2^n) indexed by
+    mask; per-member ok flags, False where some pivot is not > 0).  Row 0,
+    the log-determinants, is bitwise the same whatever the order.
 
     Members never mix, so each row is the same whatever else is in the
     batch; a member that is not ok carries garbage past its first bad
@@ -98,23 +115,49 @@ def _schur_pass(matrices: np.ndarray):
     a = np.asarray(matrices, dtype=float)
     b, n = a.shape[0], a.shape[1]
     check_enum_budget(n)
-    out = np.zeros((b, 2 ** n))
+    out = np.zeros((order + 1, b, 2 ** n))
     ok = np.ones(b, dtype=bool)
-    # schur[:, j] is the Schur complement of A_J in A_{J u R}, for J over
-    # the indices processed so far and R the remaining ones
-    schur = a[:, None]
+    # schur[d, :, :, :, j] is the t^d coefficient of the Schur complement
+    # of (A + tH)_J in (A + tH)_{J u R}, for J over the indices processed
+    # so far and R the remaining ones; masks last, the long axis
+    schur = a[None]
+    if order:
+        schur = np.concatenate([schur, np.asarray(directions, dtype=float)[None],
+                                np.zeros((order - 1, b, n, n))])
+    schur = schur.transpose(0, 2, 3, 1)[..., None]
     with np.errstate(all="ignore"):
         for k in range(n):
             half = 2 ** k
-            pivot = schur[:, :, 0, 0]
-            ok &= (pivot > 0).all(axis=1)       # False at NaN too
-            np.add(out[:, :half], np.log(pivot), out=out[:, half:2 * half])
+            pivot = schur[:, 0, 0]
+            p0 = pivot[0]
+            ok &= (p0 > 0).all(axis=1)       # False at NaN too
+            log_pivot = np.log(p0)
+            if order:       # log p has the derivative p'/p, a jet quotient
+                d = np.arange(1, order + 1)[:, None, None]
+                log_pivot = np.concatenate([log_pivot[None],
+                                            _jet_divide(d * pivot[1:], pivot[:order]) / d])
+            np.add(out[:, :, :half], log_pivot, out=out[:, :, half:2 * half])
             if k + 1 < n:
-                rest = schur[:, :, 1:, 1:]
-                taken = rest - schur[:, :, 1:, :1] * (schur[:, :, :1, 1:]
-                                                      / pivot[:, :, None, None])
-                schur = np.concatenate([rest, taken], axis=1)
+                rest = schur[:, 1:, 1:]
+                col, row = schur[:, 1:, :1], schur[:, :1, 1:]
+                # J u {k} gets rest - col quot, quot = row / pivot in jets
+                quot = _jet_divide(row, pivot) if order else row / p0
+                prod = col[0] * quot
+                for j in range(1, order + 1):
+                    prod[j:] += col[j] * quot[:order + 1 - j]
+                schur = np.concatenate([rest, np.subtract(rest, prod, out=prod)], axis=-1)
     return out, ok
+
+
+def _jet_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Taylor jet (axis 0) of num / den, den on the trailing axes of num:
+    q_0 = num_0 / den_0 and q_d = (num_d - sum_j den_j q_(d-j)) / den_0,
+    0 < j <= d."""
+    q = num / den[0]
+    den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
+    for d in range(1, len(q)):
+        q[d] = (num[d] - (den[1:d + 1] * q[:d][::-1]).sum(axis=0)) / den[0]
+    return q
 
 
 def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
@@ -124,26 +167,39 @@ def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np
     by mask value).  Raises LinAlgError, naming the masks, when a
     principal minor is not positive.
     """
-    logdets, ok = _schur_pass(np.asarray(matrix, dtype=float)[None])
+    jets, ok = _schur_pass(np.asarray(matrix, dtype=float)[None])
     if not ok[0]:
         # the first bad step k leaves its bad masks, and only those, in
         # [2^k, 2^(k+1)) non-finite
-        bad = np.flatnonzero(~np.isfinite(logdets[0]))
+        bad = np.flatnonzero(~np.isfinite(jets[0, 0]))
         bad = bad[bad < 2 * 2 ** (int(bad[0]).bit_length() - 1)]
         raise np.linalg.LinAlgError(f"nonpositive principal minor at masks {bad[:4].tolist()}")
-    return _select(logdets[0], masks)
+    return _select(jets[0, 0], masks)
 
 
-def _bordered_inverses(matrices: np.ndarray, check: bool = False) -> np.ndarray:
-    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n); the
-    pivots are checked, for a batch of one, only with `check`."""
+def _chunks(b: int, floats: int) -> list:
+    """Slices of b members, of `floats` floats each, that hold at most
+    _CHUNK_FLOATS in all, one member at least."""
+    size = max(1, _CHUNK_FLOATS // floats)
+    return [slice(lo, lo + size) for lo in range(0, b, size)]
+
+
+def _bordered_inverses(matrices: np.ndarray, check: bool = False, indices=None,
+                       start: np.ndarray | None = None) -> np.ndarray:
+    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n): the
+    padded inverses `start` (B, M, n, n) of some masks (the empty mask
+    when omitted), then those masks joined to each subset of `indices`
+    (all n); the pivots are checked, for a batch of one, only with
+    `check`."""
     a = np.asarray(matrices, dtype=float)
     b, n = a.shape[0], a.shape[1]
     check_enum_budget(n)
-    out = np.empty((b, 2 ** n, n, n))
-    out[:, 0] = 0.0
-    for i in range(n):
-        half = 2 ** i
+    start = np.zeros((b, 1, n, n)) if start is None else start
+    indices = range(n) if indices is None else indices
+    out = np.empty((b, start.shape[1] * 2 ** len(indices), n, n))
+    out[:, :start.shape[1]] = start
+    for step, i in enumerate(indices):
+        half = start.shape[1] * 2 ** step
         inv = out[:, :half]
         # bordering A_J by index i: with u = A_J^{-1} A_{J,i} and
         # v = A_{i,J} A_J^{-1} (both padded, so zero at i) and the Schur
@@ -159,6 +215,34 @@ def _bordered_inverses(matrices: np.ndarray, check: bool = False) -> np.ndarray:
         new = out[:, half:2 * half]
         np.multiply(u[..., :, None], v[..., None, :] / s[..., None, None], out=new)
         new += inv
+    return out
+
+
+def _weighted_inverse_sums(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_J weights[b, J] pad(A_J^{-1}) of B matrices, (B, n, n), summed
+    in mask order as an einsum over `_bordered_inverses` is.  A member
+    past _CHUNK_FLOATS is split by its top c indices: block S is bordered
+    from block 0 by the indices of S in increasing order, the parents the
+    full recursion uses, so every bit is the same (at up to c/2 times the
+    work).  Blocks keep 16 masks: BLAS sums a gemv of < 4 rows otherwise."""
+    a = np.asarray(matrices, dtype=float)
+    b, n = a.shape[0], a.shape[1]
+    c = 0
+    while c < n - 4 and 2 ** (n - c) * n * n > _CHUNK_FLOATS:
+        c += 1
+    size = 2 ** (n - c)
+    out = np.empty((b, n, n))
+    for at in _chunks(b, size * n * n):
+        low = _bordered_inverses(a[at], indices=range(n - c))
+        out[at] = np.einsum("bj,bjac->bac", weights[at, :size], low)
+        for top in range(1, 2 ** c):
+            block = low
+            for i in subset_indices(top):
+                whole = _bordered_inverses(a[at], indices=[n - c + int(i)], start=block)
+                block = whole[:, size:]
+            whole[:, size - 1] = out[at]        # the sum so far, weighted by 1
+            w = np.insert(weights[at, top * size:(top + 1) * size], 0, 1.0, axis=1)
+            out[at] = np.einsum("bj,bjac->bac", w, whole[:, size - 1:])
     return out
 
 

@@ -63,27 +63,30 @@ class DppTable:
         return _mask_csv(self.probs)
 
 
-def build_table(kernel: Kernel, cap: int = minors.MAX_ENUM_N) -> DppTable:
-    """Enumerate all 2^n subset probabilities of the kernel.
-
-    Log-determinants of the principal minors are normalized through a
-    log-sum-exp, which both avoids underflow and checks the determinant
-    identity sum_J det(L_J) = det(I+L) before any probability is formed.
-    """
-    minors.check_enum_budget(kernel.n, cap)
-    log_dets = minors.principal_logdets(kernel.matrix)
+def normalized(log_dets: np.ndarray, matrix: np.ndarray):
+    """(probabilities det(L_J) / det(I+L), log det(I+L), residual) from
+    all 2^n principal log-minors of L, through a log-sum-exp that avoids
+    underflow and checks sum_J det(L_J) = det(I+L) before any probability
+    is formed: NormalizationMismatch past BREAKDOWN_TOL."""
     # logaddexp.reduce over ascending values keeps the reduction stable
     order = np.argsort(log_dets)
     lse = np.logaddexp.reduce(log_dets[order])
-    log_z = float(np.linalg.slogdet(np.eye(kernel.n) + kernel.matrix)[1])
+    log_z = float(np.linalg.slogdet(np.eye(len(matrix)) + matrix)[1])
     residual = abs(np.expm1(lse - log_z))
     if residual > BREAKDOWN_TOL:
         raise NormalizationMismatch(
             f"sum of principal minors misses det(I+L) by relative {residual:.3e}")
-    probs = np.exp(log_dets - lse)
+    return np.exp(log_dets - lse), log_z, float(residual)
+
+
+def build_table(kernel: Kernel, cap: int = minors.MAX_ENUM_N) -> DppTable:
+    """Enumerate all 2^n subset probabilities of the kernel."""
+    minors.check_enum_budget(kernel.n, cap)
+    log_dets = minors.principal_logdets(kernel.matrix)
+    probs, log_z, residual = normalized(log_dets, kernel.matrix)
     return DppTable(kernel=kernel, probs=probs, normalizer=float(np.exp(log_z)),
                     log_normalizer=log_z, log_dets=log_dets,
-                    normalization_residual=float(residual))
+                    normalization_residual=residual)
 
 
 def subset_probability(kernel: Kernel, mask: int) -> float:

@@ -138,7 +138,26 @@ def loop_loss(hat, star):
     return best_val, best_signs
 
 
+def matmul_trace_stats(kernel, direction, kmax):
+    """Reference: (a_{J,k}, (2^n, kmax); a_k, (kmax,)) for k = 1..kmax
+    from powers of the padded inverses times H and of (I+L)^{-1} H, as
+    the geometry consumers formed them before the jet pass."""
+    h = np.asarray(direction, dtype=float)
+    m = minors.padded_inverses(kernel.matrix) @ h
+    g = np.linalg.inv(np.eye(kernel.n) + kernel.matrix) @ h
+    per = np.empty((m.shape[0], kmax))
+    glob = np.empty(kmax)
+    mp, gp = m, g
+    for k in range(1, kmax + 1):
+        if k > 1:
+            mp = mp @ m
+            gp = gp @ g
+        per[:, k - 1] = np.einsum("jii->j", mp)
+        glob[k - 1] = np.trace(gp)
+    return per, glob
+
+
 __all__ = ["NEGATIVE_3X3", "brute_inverses", "brute_logdets", "brute_submatrix",
-           "loop_loss", "loop_moment_correlation", "loop_sign_corrected_init", "random_kernel",
-           "random_symmetric", "random_block_kernel", "random_null_direction",
-           "reference_kernels", "symmetrize"]
+           "loop_loss", "loop_moment_correlation", "loop_sign_corrected_init",
+           "matmul_trace_stats", "random_kernel", "random_symmetric",
+           "random_block_kernel", "random_null_direction", "reference_kernels", "symmetrize"]

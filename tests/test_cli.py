@@ -3,7 +3,9 @@ import warnings
 
 import pytest
 
+from dppmle import experiments
 from dppmle.cli import main
+from dppmle.minors import MAX_DRAWS
 
 
 def write_config(tmp_path, name, obj):
@@ -195,6 +197,18 @@ class TestMalformedConfig:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err.splitlines()[0], err
+
+    @pytest.mark.parametrize("count", [1e300, MAX_DRAWS + 1])
+    def test_draw_cap_refuses_before_any_allocation(self, tmp_path, capsys, monkeypatch,
+                                                     count):
+        def banned(*args, **kwargs):
+            raise AssertionError("a refused count reached the table or the sampler")
+        monkeypatch.setattr(experiments, "build_table", banned)
+        monkeypatch.setattr(experiments, "sample", banned)
+        cfg = write_config(tmp_path, "top.json", {**self.SIM, "count": count})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: count: must be in 1..{MAX_DRAWS}"), err
 
     def test_integral_floats_read_as_integers(self, tmp_path):
         cfg = write_config(tmp_path, "top.json", {**self.SIM, "count": 1e2, "seed": 3.0})

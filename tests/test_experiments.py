@@ -234,3 +234,17 @@ class TestVerifyIdentities:
         assert report["passed"]
         assert report["worst_relative_residual"] <= 1e-9
         assert len(report["records"]) == 10
+
+    def test_records_are_the_per_trial_residuals_in_trial_order(self):
+        # one batch per size gives each trial the residuals of its own
+        # kernel and direction, and the record the fields of to_json
+        config = {"trials": 9, "n_values": [3, 2, 3, 5], "seed": 4}
+        report = ex.run_verify_identities(config)
+        for t, record in enumerate(report["records"]):
+            gen = ex.rngs.stream(4, t)
+            n = config["n_values"][t % 4]
+            res = ex.identity_residuals(ex.random_kernel(n, gen), ex.random_symmetric(n, gen))
+            assert list(record) == ["trial", "n", "r1", "r2", "r3", "r4",
+                                    "matrix_form_residual", "max_relative"]
+            assert record == {"trial": t, "n": n, **json.loads(res.to_json()),
+                              "max_relative": res.max_relative()}

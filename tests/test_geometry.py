@@ -5,8 +5,15 @@ import dppmle as d
 from dppmle.errors import NotNullDirection
 from dppmle.kernels import sign_vectors
 
-from conftest import (random_block_kernel, random_kernel,
+from dppmle import geometry, minors, model
+from conftest import (NEGATIVE_3X3, matmul_trace_stats, random_block_kernel, random_kernel,
                       random_null_direction, random_symmetric)
+
+
+def close(got, ref, tol=1e-12):
+    """Relative agreement within tol of the larger magnitude (1 at least)."""
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=tol * scale)
 
 
 def phi_along(table, base, direction):
@@ -391,6 +398,98 @@ class TestIdentityResiduals:
         res = d.identity_residuals(random_kernel(2, rng), random_symmetric(2, rng))
         record = json.loads(res.to_json())
         assert set(record) == {"r1", "r2", "r3", "r4", "matrix_form_residual"}
+
+
+class TestJetConsumers:
+    """The five consumers of the jet pass against the padded matrix powers
+    they read before (`matmul_trace_stats`)."""
+
+    def test_trace_statistics(self, rng):
+        for n in range(1, 8):
+            kernel = random_kernel(n, rng)
+            for h in (random_symmetric(n, rng), rng.normal(size=(n, n))):
+                per, glob = matmul_trace_stats(kernel, h, 4)
+                for k in range(1, 5):
+                    stats = d.trace_statistics(kernel, h, k)
+                    close(stats.per_subset, per[:, k - 1])
+                    close(stats.global_value, glob[k - 1])
+
+    def test_directional_derivative(self, rng):
+        for n in range(2, 7):
+            table = d.build_table(random_kernel(n, rng))
+            kernel, h = random_kernel(n, rng), random_symmetric(n, rng)
+            per, glob = matmul_trace_stats(kernel, h, 4)
+            for k in range(1, 5):
+                expect = (-1.0) ** (k - 1) * np.prod(range(1, k)) * (table.probs @ per[:, k - 1]
+                                                                     - glob[k - 1])
+                close(d.directional_derivative(table, kernel, h, k), expect)
+
+    def test_quadratic_and_quartic_forms(self, rng):
+        kernel = random_block_kernel([2, 3], rng)
+        table = d.build_table(kernel)
+        h = random_symmetric(5, rng)
+        per, _ = matmul_trace_stats(kernel, h, 2)
+        p = table.probs
+        close(d.hessian_quadratic_form(table, h), -(p @ per[:, 0] ** 2 - (p @ per[:, 0]) ** 2))
+        null = random_null_direction(d.determinantal_graph(kernel), rng)
+        per, _ = matmul_trace_stats(kernel, null, 2)
+        close(d.fourth_order_form(table, null),
+              -3.0 * (p @ per[:, 1] ** 2 - (p @ per[:, 1]) ** 2))
+
+    def test_identity_residuals(self, rng):
+        for n in range(1, 9):
+            kernel, h = random_kernel(n, rng), random_symmetric(n, rng)
+            res = d.identity_residuals(kernel, h)
+            per, glob = matmul_trace_stats(kernel, h, 4)
+            ref = geometry._residuals(d.build_table(kernel).probs, per.T, glob,
+                                      res.matrix_form_residual)
+            for got, expect, scale in zip((res.r1, res.r2, res.r3, res.r4),
+                                          (ref.r1, ref.r2, ref.r3, ref.r4), ref.scales):
+                assert abs(got - expect) <= 1e-12 * max(1.0, scale)
+            close(np.array(res.scales), np.array(ref.scales))
+
+
+class TestIdentityBatch:
+    @staticmethod
+    def fields(res):
+        return (res.r1, res.r2, res.r3, res.r4, res.matrix_form_residual, res.scales)
+
+    def test_member_alone_in_any_batch_and_chunk(self, monkeypatch):
+        gen = np.random.default_rng(31)
+        for n in (1, 3, 6, 9):
+            kernels = [random_kernel(n, gen) for _ in range(5)]
+            dirs = np.array([random_symmetric(n, gen) for _ in range(5)])
+            alone = [self.fields(d.identity_residuals(k, h)) for k, h in zip(kernels, dirs)]
+            for budget in (1, 2 ** 12, 2 ** 17, 2 ** 30):
+                monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
+                batch = d.identity_residuals(kernels, dirs)
+                assert [self.fields(r) for r in batch] == alone, (n, budget)
+                part = d.identity_residuals(kernels[3:0:-1], dirs[3:0:-1])
+                assert [self.fields(r) for r in part] == alone[3:0:-1], (n, budget)
+
+    def test_probabilities_are_build_tables(self, rng):
+        # the order-0 row of the jets gives build_table's probabilities bit for bit
+        kernel, h = random_kernel(6, rng), random_symmetric(6, rng)
+        logdets = geometry._traces(kernel.matrix[None], h[None], 4)[0]
+        probs = model.normalized(logdets[0], kernel.matrix)[0]
+        np.testing.assert_array_equal(probs, d.build_table(kernel).probs)
+
+    def test_nonpositive_minor_raises(self, rng):
+        bad = d.Kernel(np.eye(3))
+        bad.matrix = NEGATIVE_3X3
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"nonpositive principal minor at masks \[7\]"):
+            d.identity_residuals([random_kernel(3, rng), bad], np.ones((2, 3, 3)))
+
+    def test_directions_must_match(self, rng):
+        # a (1, 1) direction would broadcast over the jets' direction slot
+        kernel = random_kernel(3, rng)
+        with pytest.raises(ValueError, match="directions"):
+            d.identity_residuals([kernel], np.ones((2, 3, 3)))
+        for call in (lambda h: d.trace_statistics(kernel, h, 1),
+                     lambda h: d.hessian_quadratic_form(d.build_table(kernel), h)):
+            with pytest.raises(ValueError, match="direction"):
+                call(np.ones((1, 1)))
 
 
 class TestMinCurvature:

@@ -6,7 +6,7 @@ from dppmle.errors import GroundSetTooLarge
 from dppmle import rngs
 
 from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, brute_submatrix,
-                      random_kernel, reference_kernels)
+                      random_kernel, random_symmetric, reference_kernels)
 
 
 class TestMaskHelpers:
@@ -128,6 +128,74 @@ class TestPaddedInverses:
         mask = 0b101
         assert inv[mask][1, :].sum() == 0.0
         assert inv[mask][:, 1].sum() == 0.0
+
+
+def per_mask_traces(a, h, kmax):
+    """Reference: Tr((A_J^{-1} H_J)^k) for k = 1..kmax, one inverse per mask."""
+    n = a.shape[0]
+    out = np.zeros((kmax, 2 ** n))
+    for mask in range(1, 2 ** n):
+        idx = minors.subset_indices(mask)
+        m = np.linalg.inv(a[np.ix_(idx, idx)]) @ h[np.ix_(idx, idx)]
+        power = m
+        for k in range(kmax):
+            if k:
+                power = power @ m
+            out[k, mask] = np.trace(power)
+    return out
+
+
+class TestJets:
+    def test_against_per_mask_inverses(self):
+        # a_{J,k} = (-1)^(k-1) k c_{J,k}, also for a direction that is not symmetric
+        gen = np.random.default_rng(21)
+        for name, a in reference_kernels():
+            n = a.shape[0]
+            for h in (gen.normal(size=(n, n)), random_symmetric(n, gen)):
+                jets, ok = minors._schur_pass(a[None], h[None], 4)
+                assert ok.all() and jets.shape == (5, 1, 2 ** n)
+                ref = per_mask_traces(a, h, 4)
+                for k in range(1, 5):
+                    got = (-1.0) ** (k - 1) * k * jets[k, 0]
+                    np.testing.assert_allclose(got, ref[k - 1], rtol=1e-12,
+                                               atol=1e-12 * np.abs(ref[k - 1]).max(),
+                                               err_msg=f"{name} k={k}")
+
+    def test_order_zero_is_principal_logdets(self):
+        gen = np.random.default_rng(22)
+        for n in range(1, 13):
+            mats = np.array([random_kernel(n, gen).matrix for _ in range(3)])
+            dirs = gen.normal(size=(3, n, n))
+            for order in range(5):
+                jets, ok = minors._schur_pass(mats, dirs, order)
+                assert ok.all()
+                for b, a in enumerate(mats):
+                    np.testing.assert_array_equal(jets[0, b], minors.principal_logdets(a),
+                                                  err_msg=f"n={n} order={order}")
+
+    def test_bad_member_is_flagged_alone(self):
+        good = random_kernel(3, np.random.default_rng(23)).matrix
+        jets, ok = minors._schur_pass(np.array([good, NEGATIVE_3X3]), np.ones((2, 3, 3)), 2)
+        assert ok.tolist() == [True, False]
+        np.testing.assert_array_equal(jets[0, 0], minors.principal_logdets(good))
+
+
+class TestWeightedInverseSums:
+    def test_bitwise_the_einsum_under_any_block_split(self, monkeypatch):
+        # mask blocks bordered from block 0 keep every inverse and the
+        # mask-order sum of the full recursion
+        gen = np.random.default_rng(24)
+        for n in range(1, 12):
+            mats = np.array([random_kernel(n, gen).matrix for _ in range(2)])
+            weights = gen.random((2, 2 ** n))
+            full = minors._bordered_inverses(mats)
+            expect = [np.einsum("j,jab->ab", w, p) for w, p in zip(weights, full)]
+            for budget in (1, 2 ** 10, 2 ** 17, 2 ** 30):
+                monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
+                got = minors._weighted_inverse_sums(mats, weights)
+                for b in range(2):
+                    np.testing.assert_array_equal(got[b], expect[b],
+                                                  err_msg=f"n={n} budget={budget}")
 
 
 class TestStreams:

@@ -32,7 +32,9 @@ def test_one_fit_loop():
     # loop, no per-restart fitter or fit chunking beside it, none of the
     # quasi-Newton state or the approximate-Wolfe endgame that the Newton
     # step replaced, and no adjoint gradient beside the padded inverses;
-    # enumeration has one cap, minors.MAX_ENUM_N
+    # enumeration has one cap, minors.MAX_ENUM_N; every trace statistic
+    # a_{J,k} comes from the one all-minors recursion, carried in jets,
+    # not from padded matrix powers
     loops, banned = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -43,7 +45,7 @@ def test_one_fit_loop():
                      getattr(node, "attr", None)}
             for name in names & {"_fit_single", "_WOLFE_SLACK", "_matrix_from_theta", "h_inv",
                                  "_logdet_adjoint", "weighted_logdet_grad", "_fit_batch",
-                                 "_FIT_CHUNK_MASKS", "MAX_SIGN_ENUM_N"}:
+                                 "_FIT_CHUNK_MASKS", "MAX_SIGN_ENUM_N", "_stats_upto"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed machinery in src/dppmle: {banned}"
