@@ -132,9 +132,12 @@ def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
     the frequency-weighted padded inverse minors minus (I+L)^{-1}."""
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
-    obj = _Objective(freqs.freqs[None])
-    _, point = obj.evaluate(kernel.matrix[None], [0])
-    return obj.derivatives(point)[0][0]
+    tape = []
+    _, (_, logdets, log_z, q) = _Objective(freqs.freqs[None]).evaluate(
+        kernel.matrix[None], [0], tape)
+    # sum_J (q_J - p_J) P_J, from the reverse sweep of the value's pass
+    grad = minors._schur_adjoint(tape, q - np.exp(logdets - log_z[:, None]))[0]
+    return (grad + grad.T) / 2.0
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,11 +161,12 @@ class _Objective:
     def __init__(self, freqs: np.ndarray):
         self.freqs = np.asarray(freqs, dtype=float)
 
-    def evaluate(self, matrices: np.ndarray, members):
+    def evaluate(self, matrices: np.ndarray, members, tape: list | None = None):
         """(values of the kernels of `members`, the point `derivatives`
-        reads); -inf where some principal minor is not positive."""
+        reads); -inf where some principal minor is not positive.  The
+        pass writes `tape` (see `minors._schur_pass`)."""
         matrices = np.asarray(matrices, dtype=float)
-        jets, ok = minors._schur_pass(matrices)
+        jets, ok = minors._schur_pass(matrices, tape=tape)
         logdets = jets[0]
         q = self.freqs[members]
         with np.errstate(all="ignore"):

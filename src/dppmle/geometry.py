@@ -21,8 +21,10 @@ nonzero null direction.
 
 Every a_{J,k} comes from one pass of the all-minors recursion in
 `minors`, carried in Taylor jets of L + tH: a_{J,k} = (-1)^(k-1) k c_{J,k}
-for c_{J,k} the t^k coefficient of log det(L_J + tH_J).  The identity
-suite takes a batch of kernels of one size at once.
+for c_{J,k} the t^k coefficient of log det(L_J + tH_J).  The matrix form
+sum_J p_J pad(L_J^{-1}) = (I+L)^{-1}, the identity differentiated once,
+is the reverse sweep of that pass's order-0 row, with no padded inverse
+formed.  The identity suite takes kernels of one size at once.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ class TraceStatistics:
     global_value: float
 
 
-def _traces(matrices: np.ndarray, directions: np.ndarray, order: int):
+def _traces(matrices: np.ndarray, directions: np.ndarray, order: int,
+            tape: list | None = None):
     """For B kernels and directions (B, n, n) and k = 1..order: (log det
     L_J, (B, 2^n); a_{J,k} = (-1)^(k-1) k c_{J,k}, (order, B, 2^n), with
-    c_{J,k} the t^k coefficient of log det(L_J + tH_J) from one jet pass;
-    a_k by n x n powers, (order, B); (I+L)^{-1}).  LinAlgError on a
-    nonpositive minor."""
-    jets, ok = minors._schur_pass(matrices, directions, order)
+    c_{J,k} the t^k coefficient of log det(L_J + tH_J) from one jet pass,
+    which writes `tape`; a_k by n x n powers, (order, B); (I+L)^{-1}).
+    LinAlgError on a nonpositive minor."""
+    jets, ok = minors._schur_pass(matrices, directions, order, tape)
     if not ok.all():            # the bad member's own pass names its masks
         minors.principal_logdets(matrices[np.argmin(ok)])
     k = np.arange(1, order + 1)[:, None, None]
@@ -295,8 +298,9 @@ def identity_residuals(kernels, directions):
     kernels of one size and a (B, n, n) stack of directions.  Per member
     chunk, one jet pass gives the a_{J,k} and, in its order-0 row, the
     log-determinants behind the probabilities (`normalized`); the matrix
-    form weighs the padded inverses by them.  Members never mix, so each
-    result is bitwise the same alone, in any batch and chunk size."""
+    form is the reverse sweep of its order-0 row with those weights.
+    Members never mix, so each result is bitwise the same alone, in any
+    batch and chunk size."""
     if isinstance(kernels, Kernel):
         return identity_residuals([kernels], np.asarray(directions, dtype=float)[None])[0]
     mats = np.array([kernel.matrix for kernel in kernels])
@@ -304,11 +308,12 @@ def identity_residuals(kernels, directions):
     if dirs.shape != mats.shape:
         raise ValueError(f"directions of shape {dirs.shape} for kernels {mats.shape}")
     out = []
-    # an order-4 jet pass peaks near 4 x 5 x 2^n floats a member
-    for at in minors._chunks(len(mats), 20 * 2 ** mats.shape[-1]):
-        logdets, per, glob, global_inv = _traces(mats[at], dirs[at], 4)
+    # a member's order-4 jet pass peaks near 4 x 5 x 2^n floats, its tape 3 x 2^n
+    for at in minors._chunks(len(mats), 23 * 2 ** mats.shape[-1]):
+        tape = []
+        logdets, per, glob, global_inv = _traces(mats[at], dirs[at], 4, tape)
         probs = np.array([normalized(row, a)[0] for row, a in zip(logdets, mats[at])])
-        weighted = minors._weighted_inverse_sums(mats[at], probs)
+        weighted = minors._schur_adjoint(tape, probs)
         out += [_residuals(p, per[:, i], glob[:, i], float(np.linalg.norm(w - g)))
                 for i, (p, w, g) in enumerate(zip(probs, weighted, global_inv))]
     return out

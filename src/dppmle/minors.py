@@ -16,19 +16,20 @@ stacked numpy operations over all masks at once:
   det(A_{J u {k}}) / det(A_J); its complement after eliminating k is the
   state of J u {k}.
 - `padded_inverses` borders (A_J)^{-1} by index k with the same pivot.
+- `_schur_adjoint` runs the pass backwards (Griewank & Walther,
+  "Evaluating Derivatives", 2nd ed., ch. 3): sum_J w_J pad(A_J^{-1}),
+  the gradient of sum_J w_J log det A_J, with no inverse formed.
 
-The Schur pass can carry Taylor jets of A + tH (Griewank & Walther,
-"Evaluating Derivatives", 2nd ed., ch. 13): the t^k coefficient of
-log det(A_J + tH_J) is (-1)^(k-1) Tr((A_J^{-1} H_J)^k) / k, so one pass
-gives every trace statistic of `geometry` in O(k^2 2^n) work.
+The Schur pass can carry Taylor jets of A + tH (ibid., ch. 13): the t^k
+coefficient of log det(A_J + tH_J) is (-1)^(k-1) Tr((A_J^{-1} H_J)^k) / k,
+so one pass gives every trace statistic of `geometry` in O(k^2 2^n) work.
 
-The work is O(2^n) for the log-determinants and O(2^n n^2) for the
-padded inverses, with no Python loop per subset.  Both refuse a pivot
-that is not positive, which marks a nonpositive minor.  Both take a
-leading batch axis over matrices, (B, n, n) -> (B, 2^n, ...), for the
-batched fitter and identity suite, in chunks of _CHUNK_FLOATS, with an
-ok flag per member or no check in place of the error; the public
-functions above are the batch of one.
+The padded inverses take O(2^n n^2) work, the rest O(2^n).  The Schur
+pass and the bordering refuse a pivot that is not positive (a
+nonpositive minor) and take a leading batch axis over matrices,
+(B, n, n) -> (B, 2^n, ...), for the batched fitter and identity suite,
+in chunks of _CHUNK_FLOATS, with an ok flag per member or no check in
+place of the error; the public functions above are the batch of one.
 
 `superset_sums`, the zeta transform in n in-place passes (Yates;
 Bjorklund et al., "Fourier meets Mobius", STOC 2007), gives every
@@ -69,17 +70,10 @@ def check_mask(mask: int, n: int) -> int:
 
 def subset_indices(mask: int) -> np.ndarray:
     """Indices contained in a bitmask, in increasing order."""
-    out = []
-    i = 0
     m = int(mask)
     if m < 0:
         raise ValueError(f"mask must be nonnegative, got {m}")
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return np.asarray(out, dtype=np.intp)
+    return np.array([i for i in range(m.bit_length()) if m >> i & 1], dtype=np.intp)
 
 
 def mask_of(indices) -> int:
@@ -102,12 +96,14 @@ def _select(full: np.ndarray, masks) -> np.ndarray:
 
 
 def _schur_pass(matrices: np.ndarray, directions: np.ndarray | None = None,
-                order: int = 0):
+                order: int = 0, tape: list | None = None):
     """Forward pass of the recursion over B matrices A (B, n, n) in jets
     of A + tH for directions H (B, n, n): (c[d, b, J], the t^d coefficient
     of log det(A_J + tH_J) for d = 0..order, (order+1, B, 2^n) indexed by
     mask; per-member ok flags, False where some pivot is not > 0).  Row 0,
-    the log-determinants, is bitwise the same whatever the order.
+    the log-determinants, is bitwise the same whatever the order.  A
+    `tape` list receives, per step, the order-0 pivot, column and row
+    that `_schur_adjoint` reads, 3 x 2^n floats a member in all.
 
     Members never mix, so each row is the same whatever else is in the
     batch; a member that is not ok carries garbage past its first bad
@@ -137,6 +133,8 @@ def _schur_pass(matrices: np.ndarray, directions: np.ndarray | None = None,
                 log_pivot = np.concatenate([log_pivot[None],
                                             _jet_divide(d * pivot[1:], pivot[:order]) / d])
             np.add(out[:, :, :half], log_pivot, out=out[:, :, half:2 * half])
+            if tape is not None:
+                tape.append((p0.copy(), schur[0, 1:, 0].copy(), schur[0, 0, 1:].copy()))
             if k + 1 < n:
                 rest = schur[:, 1:, 1:]
                 col, row = schur[:, 1:, :1], schur[:, :1, 1:]
@@ -147,6 +145,33 @@ def _schur_pass(matrices: np.ndarray, directions: np.ndarray | None = None,
                     prod[j:] += col[j] * quot[:order + 1 - j]
                 schur = np.concatenate([rest, np.subtract(rest, prod, out=prod)], axis=-1)
     return out, ok
+
+
+def _schur_adjoint(tape: list, weights: np.ndarray) -> np.ndarray:
+    """sum_J weights[b, J] pad(A_J^{-1}), (B, n, n), of the B matrices
+    whose `_schur_pass` wrote `tape`: the transposed gradient of sum_J w_J
+    log det A_J.  Back through step k, rest gets the adjoint G0 + G1 of
+    both children; as the second is rest - c q^T, q = row / p, the column
+    gets -G1 q, the row -G1^T c / p, the pivot (w_{J u {k}} + c^T G1 q) / p.
+    Sums run one index at a time, elementwise, so members never mix."""
+    lbar = np.asarray(weights, dtype=float)     # weights of the masks so far
+    gbar = np.zeros((0, 0) + lbar.shape)        # adjoint of the Schur state
+    for k in reversed(range(len(tape))):
+        half = 2 ** k
+        p, c, row = tape[k]
+        q = row / p
+        a0, a1 = gbar[..., :half], gbar[..., half:]
+        gbar = np.zeros((len(c) + 1,) * 2 + p.shape)
+        gbar[0, 0] = lbar[:, half:]
+        for j in range(len(c)):                 # -G q and -G^T c
+            gbar[1:, 0] -= a1[:, j] * q[j]
+            gbar[0, 1:] -= a1[j] * c[j]
+        for j in range(len(c)):                 # + c^T G q
+            gbar[0, 0] -= gbar[0, 1 + j] * q[j]
+        gbar[0] /= p
+        np.add(a0, a1, out=gbar[1:, 1:])
+        lbar = lbar[:, :half] + lbar[:, half:]
+    return gbar[..., 0].transpose(2, 1, 0)
 
 
 def _jet_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -184,22 +209,16 @@ def _chunks(b: int, floats: int) -> list:
     return [slice(lo, lo + size) for lo in range(0, b, size)]
 
 
-def _bordered_inverses(matrices: np.ndarray, check: bool = False, indices=None,
-                       start: np.ndarray | None = None) -> np.ndarray:
-    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n): the
-    padded inverses `start` (B, M, n, n) of some masks (the empty mask
-    when omitted), then those masks joined to each subset of `indices`
-    (all n); the pivots are checked, for a batch of one, only with
-    `check`."""
+def _bordered_inverses(matrices: np.ndarray, check: bool = False) -> np.ndarray:
+    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n); the
+    pivots are checked, for a batch of one, only with `check`."""
     a = np.asarray(matrices, dtype=float)
     b, n = a.shape[0], a.shape[1]
     check_enum_budget(n)
-    start = np.zeros((b, 1, n, n)) if start is None else start
-    indices = range(n) if indices is None else indices
-    out = np.empty((b, start.shape[1] * 2 ** len(indices), n, n))
-    out[:, :start.shape[1]] = start
-    for step, i in enumerate(indices):
-        half = start.shape[1] * 2 ** step
+    out = np.empty((b, 2 ** n, n, n))
+    out[:, 0] = 0.0
+    for i in range(n):
+        half = 2 ** i
         inv = out[:, :half]
         # bordering A_J by index i: with u = A_J^{-1} A_{J,i} and
         # v = A_{i,J} A_J^{-1} (both padded, so zero at i) and the Schur
@@ -215,34 +234,6 @@ def _bordered_inverses(matrices: np.ndarray, check: bool = False, indices=None,
         new = out[:, half:2 * half]
         np.multiply(u[..., :, None], v[..., None, :] / s[..., None, None], out=new)
         new += inv
-    return out
-
-
-def _weighted_inverse_sums(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_J weights[b, J] pad(A_J^{-1}) of B matrices, (B, n, n), summed
-    in mask order as an einsum over `_bordered_inverses` is.  A member
-    past _CHUNK_FLOATS is split by its top c indices: block S is bordered
-    from block 0 by the indices of S in increasing order, the parents the
-    full recursion uses, so every bit is the same (at up to c/2 times the
-    work).  Blocks keep 16 masks: BLAS sums a gemv of < 4 rows otherwise."""
-    a = np.asarray(matrices, dtype=float)
-    b, n = a.shape[0], a.shape[1]
-    c = 0
-    while c < n - 4 and 2 ** (n - c) * n * n > _CHUNK_FLOATS:
-        c += 1
-    size = 2 ** (n - c)
-    out = np.empty((b, n, n))
-    for at in _chunks(b, size * n * n):
-        low = _bordered_inverses(a[at], indices=range(n - c))
-        out[at] = np.einsum("bj,bjac->bac", weights[at, :size], low)
-        for top in range(1, 2 ** c):
-            block = low
-            for i in subset_indices(top):
-                whole = _bordered_inverses(a[at], indices=[n - c + int(i)], start=block)
-                block = whole[:, size:]
-            whole[:, size - 1] = out[at]        # the sum so far, weighted by 1
-            w = np.insert(weights[at, top * size:(top + 1) * size], 0, 1.0, axis=1)
-            out[at] = np.einsum("bj,bjac->bac", w, whole[:, size - 1:])
     return out
 
 

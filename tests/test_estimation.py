@@ -84,6 +84,21 @@ class TestLikelihoodGradient:
         assert d.likelihood_gradient(freqs, d.Kernel([[1.0]]))[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
+    def test_matches_per_mask_reference(self, rng):
+        # sum_J q_J inv(L_J) - inv(I+L), one inverse per mask, and exactly symmetric
+        for name, a in reference_kernels():
+            n = a.shape[0]
+            raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
+            raw[0] += 1.0
+            freqs = EmpiricalTable(n=n, freqs=raw / raw.sum(), total=1)
+            expect = (np.einsum("m,mij->ij", freqs.freqs, brute_inverses(a))
+                      - np.linalg.inv(np.eye(n) + a))
+            grad = d.likelihood_gradient(freqs, d.Kernel(a))
+            np.testing.assert_array_equal(grad, grad.T)
+            np.testing.assert_allclose(grad, expect, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(expect).max()), err_msg=name)
+
+
 class TestObjective:
     def test_value_is_minus_inf_on_nonpositive_minor(self, rng):
         # the negative minor is mask 7, observed or not; it makes only its

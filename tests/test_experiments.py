@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,17 @@ import pytest
 import dppmle.experiments as ex
 from dppmle.errors import (ConfigError, GroundSetTooLarge, InsufficientPoints,
                            NonpositiveValue)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Runs verify-identities in this process, then prints the process's peak RSS in KiB.
+_MEASURED_VERIFY = """
+import resource, sys
+from dppmle.cli import main
+code = main(["verify-identities", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
 
 
 class TestLogLogSlope:
@@ -234,6 +249,22 @@ class TestVerifyIdentities:
         assert report["passed"]
         assert report["worst_relative_residual"] <= 1e-9
         assert len(report["records"]) == 10
+
+    def test_one_trial_at_n18_stays_under_300_mib(self, tmp_path):
+        # the matrix form comes from the reverse sweep, O(2^n) floats a
+        # trial, so one n = 18 trial fits in a small fresh process
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"trials": 1, "n_values": [18], "seed": 0}))
+        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        child = subprocess.run([sys.executable, "-c", _MEASURED_VERIFY, str(config),
+                                str(tmp_path)], env=env, capture_output=True, text=True,
+                               timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert json.loads((tmp_path / "identities.json").read_text())["passed"] is True
+        peak_mib = int(child.stdout.split()[-1]) / 1024
+        assert peak_mib <= 300, peak_mib
 
     def test_records_are_the_per_trial_residuals_in_trial_order(self):
         # one batch per size gives each trial the residuals of its own

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dppmle import minors
+from dppmle import Kernel, build_table, identity_residuals, minors
 from dppmle.errors import GroundSetTooLarge
 from dppmle import rngs
 
@@ -180,22 +180,71 @@ class TestJets:
         np.testing.assert_array_equal(jets[0, 0], minors.principal_logdets(good))
 
 
-class TestWeightedInverseSums:
-    def test_bitwise_the_einsum_under_any_block_split(self, monkeypatch):
-        # mask blocks bordered from block 0 keep every inverse and the
-        # mask-order sum of the full recursion
+def adjoint(mats, weights, order=0):
+    """sum_J weights[b, J] pad(A_J^{-1}) from the tape of one pass."""
+    tape = []
+    jets, ok = minors._schur_pass(mats, np.ones_like(mats), order, tape)
+    assert ok.all()
+    return minors._schur_adjoint(tape, weights)
+
+
+class TestSchurAdjoint:
+    def test_against_per_mask_inverses(self):
+        # to 1e-12 of the largest entry: one np.linalg.inv per mask, and the
+        # einsum over the bordered padded inverses
         gen = np.random.default_rng(24)
-        for n in range(1, 12):
-            mats = np.array([random_kernel(n, gen).matrix for _ in range(2)])
+        for name, a in reference_kernels():
+            n = a.shape[0]
             weights = gen.random((2, 2 ** n))
-            full = minors._bordered_inverses(mats)
-            expect = [np.einsum("j,jab->ab", w, p) for w, p in zip(weights, full)]
-            for budget in (1, 2 ** 10, 2 ** 17, 2 ** 30):
+            weights[1] -= 0.5                   # signed weights, as q - p
+            got = adjoint(a[None].repeat(2, axis=0), weights)
+            bordered = minors._bordered_inverses(a[None])[0]
+            for w, g in zip(weights, got):
+                for ref in (np.einsum("j,jab->ab", w, brute_inverses(a)),
+                            np.einsum("j,jab->ab", w, bordered)):
+                    np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                               err_msg=name)
+
+    def test_matrix_that_is_not_symmetric(self):
+        # the sum itself, not its transpose, the gradient of sum_J w_J log det A_J
+        gen = np.random.default_rng(25)
+        a = 3.0 * np.eye(5) + 0.3 * gen.normal(size=(5, 5))
+        w = gen.random(32)
+        expect = np.einsum("j,jab->ab", w, brute_inverses(a))
+        np.testing.assert_allclose(adjoint(a[None], w[None])[0], expect,
+                                   rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    def test_member_alone_in_any_batch_and_chunk(self, monkeypatch):
+        # every member bitwise the same alone, in any batch, from a tape of
+        # any jet order, and in identity_residuals at every chunk budget
+        gen = np.random.default_rng(26)
+        for n in (1, 3, 6, 9, 12):
+            kernels = [random_kernel(n, gen) for _ in range(4)]
+            mats = np.array([k.matrix for k in kernels])
+            weights = gen.random((4, 2 ** n))
+            alone = [adjoint(mats[i:i + 1], weights[i:i + 1])[0] for i in range(4)]
+            for order in (0, 4):
+                np.testing.assert_array_equal(adjoint(mats, weights, order), alone)
+                np.testing.assert_array_equal(adjoint(mats[3:0:-1], weights[3:0:-1], order),
+                                              alone[3:0:-1])
+            probs = np.array([build_table(k).probs for k in kernels])
+            expect = [float(np.linalg.norm(adjoint(mats[i:i + 1], probs[i:i + 1])[0]
+                                           - np.linalg.inv(np.eye(n) + mats[i])))
+                      for i in range(4)]
+            for budget in (1, 2 ** 12, 2 ** 17, 2 ** 30):
                 monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
-                got = minors._weighted_inverse_sums(mats, weights)
-                for b in range(2):
-                    np.testing.assert_array_equal(got[b], expect[b],
-                                                  err_msg=f"n={n} budget={budget}")
+                res = identity_residuals(kernels, gen.normal(size=(4, n, n)))
+                assert [r.matrix_form_residual for r in res] == expect, (n, budget)
+
+    def test_nonpositive_minor_names_its_masks(self, monkeypatch, rng):
+        bad = Kernel(np.eye(3))
+        bad.matrix = NEGATIVE_3X3
+        for budget in (1, 2 ** 30):
+            monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"nonpositive principal minor at masks \[7\]"):
+                identity_residuals([random_kernel(3, rng), bad, random_kernel(3, rng)],
+                                   np.ones((3, 3, 3)))
 
 
 class TestStreams:

@@ -31,10 +31,11 @@ def test_one_fit_loop():
     # every fit runs through the lockstep batch: one `range(config.max_iters)`
     # loop, no per-restart fitter or fit chunking beside it, none of the
     # quasi-Newton state or the approximate-Wolfe endgame that the Newton
-    # step replaced, and no adjoint gradient beside the padded inverses;
+    # step replaced, and no fit gradient beside the padded inverses;
     # enumeration has one cap, minors.MAX_ENUM_N; every trace statistic
     # a_{J,k} comes from the one all-minors recursion, carried in jets,
-    # not from padded matrix powers
+    # not from padded matrix powers, and the matrix form from its reverse
+    # sweep, not from weighted sums of the 2^n padded inverses
     loops, banned = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -45,7 +46,8 @@ def test_one_fit_loop():
                      getattr(node, "attr", None)}
             for name in names & {"_fit_single", "_WOLFE_SLACK", "_matrix_from_theta", "h_inv",
                                  "_logdet_adjoint", "weighted_logdet_grad", "_fit_batch",
-                                 "_FIT_CHUNK_MASKS", "MAX_SIGN_ENUM_N", "_stats_upto"}:
+                                 "_FIT_CHUNK_MASKS", "MAX_SIGN_ENUM_N", "_stats_upto",
+                                 "_weighted_inverse_sums"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed machinery in src/dppmle: {banned}"
