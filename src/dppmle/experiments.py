@@ -166,23 +166,29 @@ def parse_kernel_spec(spec, field: str = "kernel") -> Kernel:
         f"{field}: expected one of 'entries', 'tridiagonal', 'blocks'")
 
 
+def _text(render):
+    """A `_write_report` render from a function that returns the whole text."""
+    return lambda file: file.write(render())
+
+
 def _write_report(out: Path | None, name: str, report: dict,
                   renders: dict | None = None) -> dict:
     """Stamp `created_at` on a report and, when `out` is given, write each
     extra file and then `<name>.json` (sorted keys, indent 2, trailing
     newline) there.  Every command writes its files through here.
 
-    `renders` maps a file name to a zero-argument function returning its
-    text.  Each text is built only when its file is written, so a command
-    with several large files (simulate at n = 18) holds one at a time.
+    `renders` maps a file name to a function that writes its text to the
+    open text file it is given.  Each runs only when its file is written,
+    and the large ones (simulate's samples.json and table.csv) write in
+    blocks, so no file's whole text is ever held at once.
     """
     report["created_at"] = datetime.now(timezone.utc).isoformat()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        renders = {**(renders or {}),
-                   f"{name}.json": lambda: json.dumps(report, indent=2, sort_keys=True) + "\n"}
-        for filename, render in renders.items():
-            (out / filename).write_text(render())
+        for filename, render in (renders or {}).items():
+            with open(out / filename, "w") as file:
+                render(file)
+        (out / f"{name}.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -262,8 +268,8 @@ def run_hessian(config: dict, out: Path) -> dict:
         "null_space_dimension": nsb.dimension,
         "null_space_pairs": [[int(i), int(j)] for i, j in nsb.pairs],
         "irreducible": graph.irreducible,
-    }, {"hessian_eigenvalues.csv": form.eigenvalues_csv,
-        "hessian_matrix.csv": form.matrix_csv})
+    }, {"hessian_eigenvalues.csv": _text(form.eigenvalues_csv),
+        "hessian_matrix.csv": _text(form.matrix_csv)})
 
 
 @dataclass
@@ -336,7 +342,7 @@ def run_curvature_scan(config: dict, out: Path | None = None) -> ScanReport:
     and curvatures at or below 1e-12."""
     report = _family_scan(config, "curvature-scan", ("n", "min_curvature", "reducible"),
                           _curvature, lambda c, reducible: not reducible and c > 1e-12)
-    _write_report(out, "curvature", report.to_dict(), {"curvature.csv": report.to_csv})
+    _write_report(out, "curvature", report.to_dict(), {"curvature.csv": _text(report.to_csv)})
     return report
 
 
@@ -346,7 +352,7 @@ def run_variance_growth(config: dict, out: Path | None = None) -> ScanReport:
     report = _family_scan(config, "variance-growth", ("n", "max_eigenvalue", "singular"),
                           _top_covariance_eigenvalue, lambda v, singular: not singular)
     _write_report(out, "variance_growth", report.to_dict(),
-                  {"variance_growth.csv": report.to_csv})
+                  {"variance_growth.csv": _text(report.to_csv)})
     return report
 
 
@@ -438,8 +444,8 @@ def run_rate_study(config: dict, out: Path | None = None,
     }
     report = RateReport(rows=rows, slopes=slopes, config=resolved)
     _write_report(out, "rate_study", report.to_dict(), {
-        "rate_study.csv": report.to_csv,
-        **{f"replicates_{r.sample_size}.csv": r.to_csv for r in risks}})
+        "rate_study.csv": _text(report.to_csv),
+        **{f"replicates_{r.sample_size}.csv": _text(r.to_csv) for r in risks}})
     return report
 
 

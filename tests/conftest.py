@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dppmle import Kernel, block_diagonal_kernel, estimation, minors, symmetrize
+from dppmle import Kernel, block_diagonal_kernel, estimation, minors, rngs, symmetrize
 from dppmle.experiments import random_kernel, random_symmetric
 from dppmle.kernels import sign_vectors
 
@@ -73,6 +73,15 @@ def reference_kernels():
         if n >= 2:
             sizes = [n // 2, n - n // 2]
             yield f"blocks-{n}", random_block_kernel(sizes, gen).matrix
+
+
+def one_shot_draws(table, count, seed, stream_path=()):
+    """Reference: every uniform of the sample stream drawn in one call and
+    searched in one call against the cumulative table."""
+    cdf = np.cumsum(table.probs)
+    cdf[-1] = 1.0
+    u = rngs.stream(seed, rngs.SAMPLE_STREAM, *stream_path).random(count)
+    return np.searchsorted(cdf, u, side="right")
 
 
 def loop_moment_correlation(freqs):
@@ -159,5 +168,5 @@ def matmul_trace_stats(kernel, direction, kmax):
 
 __all__ = ["NEGATIVE_3X3", "brute_inverses", "brute_logdets", "brute_submatrix",
            "loop_loss", "loop_moment_correlation", "loop_sign_corrected_init",
-           "matmul_trace_stats", "random_kernel", "random_symmetric",
+           "matmul_trace_stats", "one_shot_draws", "random_kernel", "random_symmetric",
            "random_block_kernel", "random_null_direction", "reference_kernels", "symmetrize"]

@@ -3,9 +3,10 @@ import warnings
 
 import pytest
 
-from dppmle import experiments
+from dppmle import experiments, model
 from dppmle.cli import main
 from dppmle.minors import MAX_DRAWS
+from dppmle.model import SampleBatch
 
 
 def write_config(tmp_path, name, obj):
@@ -48,6 +49,13 @@ class TestExitCodes:
         ("samples.json", json.dumps({"n": 2, "seed": 1, "count": 2, "draws": [1, 1.7]})),
         ("samples.json", json.dumps({"n": 0, "seed": 1, "count": 1, "draws": [0]})),
         ("samples.json", json.dumps({"n": 2.5, "seed": 1, "count": 1, "draws": [0]})),
+        ("samples.json", json.dumps({"n": 2, "seed": 1, "count": 2, "draws": [True, 2]})),
+        ("samples.json", json.dumps({"n": 2, "seed": 1, "count": True, "draws": [1]})),
+        ("samples.json", json.dumps({"n": 2, "seed": 1, "count": 1.0, "draws": [1]})),
+        ("samples.json", json.dumps({"n": 2, "seed": True, "count": 1, "draws": [1]})),
+        ("samples.json", json.dumps({"n": 2, "seed": -5, "count": 1, "draws": [1]})),
+        ("samples.json", json.dumps({"n": 2, "seed": [1.7], "count": 1, "draws": [1]})),
+        ("samples.json", json.dumps({"n": 2, "seed": "12", "count": 1, "draws": [1]})),
         ("table.csv", "mask,probability\r\n"),
         ("table.csv", "mask,probability\r\n0,0.5\r\n2,0.5\r\n"),
         ("table.csv", "mask,probability\r\n0,0.5\r\n-1,0.5\r\n"),
@@ -68,6 +76,22 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert code == 2, (name, text)
             assert "malformed samples file" in err, (name, text)
+
+    def test_both_samples_readers_refuse_alike(self, monkeypatch):
+        # the numpy reader of to_json's layout and the json.loads reader
+        # raise the same exception class on every malformed samples file
+        def raised(text):
+            try:
+                SampleBatch.from_json(text)
+            except Exception as exc:        # noqa: BLE001 - the class is the result
+                return type(exc)
+            return None
+
+        texts = [text for name, text in self.MALFORMED_SAMPLES if name == "samples.json"]
+        fast = [raised(text) for text in texts]
+        monkeypatch.setattr(model, "_canonical_fields", lambda text: None)
+        assert fast == [raised(text) for text in texts]
+        assert None not in fast
 
     def test_samples_past_enumeration_cap(self, tmp_path, capsys):
         bad = tmp_path / "samples.json"

@@ -13,14 +13,32 @@ from dppmle.errors import (ConfigError, GroundSetTooLarge, InsufficientPoints,
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Runs verify-identities in this process, then prints the process's peak RSS in KiB.
-_MEASURED_VERIFY = """
+#: Runs one CLI command, or with "load" load_frequencies on a file, in
+#: this process, then prints the process's peak RSS in KiB.
+_MEASURED = """
 import resource, sys
+from pathlib import Path
 from dppmle.cli import main
-code = main(["verify-identities", "--config", sys.argv[1], "--out", sys.argv[2]])
+from dppmle.experiments import load_frequencies
+if sys.argv[1] == "load":
+    code = 0 if load_frequencies(Path(sys.argv[2])).total else 1
+else:
+    code = main(sys.argv[1:])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 sys.exit(code)
 """
+
+
+def measured(*args: str) -> float:
+    """Peak RSS in MiB of `_MEASURED` run on the arguments in a fresh
+    process with one BLAS thread; the process must exit 0."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run([sys.executable, "-c", _MEASURED, *args], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout.split()[-1]) / 1024
 
 
 class TestLogLogSlope:
@@ -93,6 +111,19 @@ class TestSimulate:
         rows = (tmp_path / "table.csv").read_text().strip().splitlines()[1:]
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_3e6_draws_at_n18_stay_under_150_mib(self, tmp_path):
+        # samples.json and table.csv are written, and samples.json read,
+        # a block at a time with no Python object per draw: each process
+        # holds the 23 MiB of draws and little else (both took > 200 MiB
+        # when the files were built as one string from per-draw ints)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"kernel": {"tridiagonal": {"a": 2.0, "b": 0.5, "n": 18}},
+                                      "count": 3_000_000, "seed": 1}))
+        peak_mib = measured("simulate", "--config", str(config), "--out", str(tmp_path))
+        assert peak_mib <= 150, peak_mib
+        peak_mib = measured("load", str(tmp_path / "samples.json"))
+        assert peak_mib <= 150, peak_mib
 
     def test_invalid_spec_rejected(self, tmp_path):
         cfg = {"kernel": {"tridiagonal": {"a": 1.0, "b": 2.0, "n": 3}}, "count": 4}
@@ -255,15 +286,8 @@ class TestVerifyIdentities:
         # trial, so one n = 18 trial fits in a small fresh process
         config = tmp_path / "verify.json"
         config.write_text(json.dumps({"trials": 1, "n_values": [18], "seed": 0}))
-        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        child = subprocess.run([sys.executable, "-c", _MEASURED_VERIFY, str(config),
-                                str(tmp_path)], env=env, capture_output=True, text=True,
-                               timeout=300)
-        assert child.returncode == 0, child.stderr
+        peak_mib = measured("verify-identities", "--config", str(config), "--out", str(tmp_path))
         assert json.loads((tmp_path / "identities.json").read_text())["passed"] is True
-        peak_mib = int(child.stdout.split()[-1]) / 1024
         assert peak_mib <= 300, peak_mib
 
     def test_records_are_the_per_trial_residuals_in_trial_order(self):

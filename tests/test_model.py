@@ -11,7 +11,16 @@ from dppmle.errors import EmptyBatch, GroundSetTooLarge, NormalizationMismatch
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable, SampleBatch
 
-from conftest import random_block_kernel, random_kernel
+from conftest import one_shot_draws, random_block_kernel, random_kernel
+
+
+def csv_writer_reference(values):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["mask", "probability"])
+    for m, p in enumerate(values):
+        w.writerow([m, repr(float(p))])
+    return buf.getvalue()
 
 
 def brute_probability(matrix, mask):
@@ -182,19 +191,20 @@ class TestSampling:
 
     def test_draws_are_the_plain_inverse_cdf(self, rng):
         # both sides of the table-size rule: a plain search at n = 3 and a
-        # sorted one at n = 12, each draw searchsorted of its own uniform
+        # sorted one at n = 12, each draw searchsorted of its own uniform,
+        # the blocked stream the same as one call, at counts around blocks
         assert 2 ** 3 < model._SORTED_SEARCH_MIN_TABLE <= 2 ** 12
+        b = model._BLOCK
         for n in (3, 12):
             table = d.build_table(random_kernel(n, rng))
-            cdf = np.cumsum(table.probs)
-            cdf[-1] = 1.0
             for seed, count, path in ((0, 1, ()), (5, 997, ()), (8, 20000, (2,)),
-                                      (13, 100000, (rngs.REPLICATE_STREAM, 4))):
+                                      (13, 100000, (rngs.REPLICATE_STREAM, 4)),
+                                      (3, b - 1, ()), (4, b, (1,)), (6, b + 1, ()),
+                                      (7, 3 * b + 7, (rngs.REPLICATE_STREAM, 2))):
                 batch = d.sample(table, count, seed, stream_path=path)
-                u = rngs.stream(seed, rngs.SAMPLE_STREAM, *path).random(count)
                 assert batch.draws.dtype == np.int64
                 np.testing.assert_array_equal(batch.draws,
-                                              np.searchsorted(cdf, u, side="right"))
+                                              one_shot_draws(table, count, seed, path))
 
 
 class TestEmpiricalTable:
@@ -248,24 +258,109 @@ class TestSerialization:
         np.testing.assert_array_equal(back.counts, batch.counts)
 
     def test_csv_bytes_match_csv_writer(self, rng):
-        def reference(values):
-            buf = io.StringIO()
-            w = csv.writer(buf)
-            w.writerow(["mask", "probability"])
-            for m, p in enumerate(values):
-                w.writerow([m, repr(float(p))])
-            return buf.getvalue()
-
         table = d.build_table(random_kernel(5, rng))
         freqs = d.empirical_table(d.sample(table, 50, seed=4))
-        assert table.to_csv() == reference(table.probs)
-        assert freqs.to_csv() == reference(freqs.freqs)
+        assert table.to_csv() == csv_writer_reference(table.probs)
+        assert freqs.to_csv() == csv_writer_reference(freqs.freqs)
+
+    def test_csv_bytes_at_block_edges(self, rng, monkeypatch):
+        # rows built and written a block at a time, against csv.writer:
+        # tables at n = 1, 3 and 12, and vectors around a 7-row block
+        b = 7
+        monkeypatch.setattr(model, "_BLOCK", b)
+        vectors = [d.build_table(random_kernel(n, rng)).probs for n in (1, 3, 12)]
+        vectors += [rng.random(size) / size for size in (1, b - 1, b, b + 1, 3 * b + 7)]
+        for values in vectors:
+            buf = io.StringIO()
+            model._mask_csv(values, buf)
+            assert model._mask_csv(values) == buf.getvalue() == csv_writer_reference(values)
 
     def test_sample_batch_json_bytes(self, rng):
         batch = d.sample(d.build_table(random_kernel(4, rng)), 200, seed=6)
         assert batch.to_json() == json.dumps({
             "n": batch.n, "seed": batch.seed, "count": batch.size,
             "draws": [int(x) for x in batch.draws]})
+
+    def test_sample_batch_json_bytes_at_block_edges(self):
+        # numpy's digits against json.dumps at counts around the block
+        # size, with masks 0 and 2^n - 1 on the block ends, at n = 1, 3, 18
+        b = model._BLOCK
+        gen = np.random.default_rng(5)
+        for n in (1, 3, 18):
+            for count in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+                draws = gen.integers(0, 2 ** n, count)
+                draws[::b], draws[b - 1::b] = 0, 2 ** n - 1
+                draws[-1:] = 2 ** n - 1
+                batch = SampleBatch(n=n, seed=(3, n), draws=draws,
+                                    counts=np.bincount(draws, minlength=2 ** n))
+                text = json.dumps({"n": n, "seed": [3, n], "count": count,
+                                   "draws": draws.tolist()})
+                buf = io.StringIO()
+                batch.to_json(buf)
+                assert batch.to_json() == buf.getvalue() == text
+                assert model._canonical_fields(text) is not None
+                back = SampleBatch.from_json(text)
+                assert back.n == n and back.seed == (3, n)
+                np.testing.assert_array_equal(back.draws, draws)
+                np.testing.assert_array_equal(back.counts, batch.counts)
+
+    def test_to_json_refuses_draws_that_are_not_masks(self):
+        for draws in ([4], [-1], [0, 2 ** 32]):
+            batch = SampleBatch(n=2, seed=0, draws=np.array(draws), counts=np.zeros(4, int))
+            with pytest.raises(ValueError):
+                batch.to_json()
+
+    def test_numpy_and_json_readers_agree(self, monkeypatch):
+        # to_json's layout goes through numpy, everything else through
+        # json.loads; both give the same batch on valid files (with a
+        # 7-draw block, the numpy reader takes ~56 characters at a time)
+        b = 7
+        monkeypatch.setattr(model, "_BLOCK", b)
+        draws = np.random.default_rng(7).integers(0, 2 ** 12, 5 * b + 3).tolist()
+        fields = {"n": 12, "seed": [4, 1], "count": len(draws)}
+        texts = {
+            json.dumps({**fields, "draws": draws}): True,
+            json.dumps({**fields, "draws": draws}, indent=1): False,
+            json.dumps({"draws": draws, **fields}): False,
+            json.dumps({"n": 12, "draws": draws, "seed": [4, 1], "count": len(draws)}): False,
+            json.dumps({**fields, "draws": draws}, separators=(",", ":")): False,
+            json.dumps({**fields, "note": '"draws": [1, 2]}', "draws": draws}): True,
+            json.dumps({**fields, "note": ', "draws": [', "draws": draws}): True,
+            json.dumps({**fields, "draws": draws}) + "\n": False,
+        }
+        assert [model._canonical_fields(t) is not None for t in texts] == list(texts.values())
+        fast = [SampleBatch.from_json(t) for t in texts]
+        monkeypatch.setattr(model, "_canonical_fields", lambda text: None)
+        for text, batch in zip(texts, fast):
+            ref = SampleBatch.from_json(text)
+            assert (batch.n, batch.seed) == (ref.n, ref.seed) == (12, (4, 1))
+            np.testing.assert_array_equal(batch.draws, draws)
+            np.testing.assert_array_equal(ref.draws, draws)
+
+    def test_readers_agree_on_edited_draws(self, monkeypatch):
+        # one-character edits of a canonical file: whatever the numpy
+        # reader takes, json.loads reads the same, and both refuse alike
+        # (a 2-draw block makes the numpy reader split the list)
+        monkeypatch.setattr(model, "_BLOCK", 2)
+        text = json.dumps({"n": 4, "seed": 2, "count": 6, "draws": [0, 15, 7, 10, 1, 3]})
+        body = text.index("[") + 1
+        gen = np.random.default_rng(8)
+        edits = []
+        for _ in range(400):
+            k = int(gen.integers(body, len(text) - 1))
+            c = "0123456789, -.e]["[int(gen.integers(17))]
+            edits.append(text[:k] + c + text[k + int(gen.integers(2)):])
+
+        def outcome(edited):
+            try:
+                batch = SampleBatch.from_json(edited)
+            except Exception as exc:        # noqa: BLE001 - the class is the result
+                return type(exc)
+            return batch.n, batch.seed, batch.draws.tolist()
+
+        fast = [outcome(t) for t in edits]
+        monkeypatch.setattr(model, "_canonical_fields", lambda text: None)
+        assert fast == [outcome(t) for t in edits]
 
     def test_table_csv(self, rng):
         table = d.build_table(random_kernel(2, rng))
