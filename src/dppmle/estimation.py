@@ -33,11 +33,13 @@ moves L; or on `max_iters`.  `grad_tol`, `converged` and
 of L = C C^T at the returned kernel, and nothing else does.
 
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
-replicates x restarts of one sample size in `estimate_risk`, iterate
-together, each member with its own state, and each objective call is
-one stacked recursion over the members still searching.  No operation
-mixes members, so a member's fit is bitwise the same alone or in any
-batch.
+sizes x replicates x restarts of a rate study in `estimate_risk`,
+iterate together, each member with its own state.  Each objective call,
+derivative and Newton step runs over the members still searching in
+member chunks of `minors._chunks`, so memory does not grow with the
+batch.  No operation mixes members, so a member's fit is bitwise the
+same alone, in any batch and at any chunk budget; one failing fit fails
+the batch, and a rate study then has no row.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
     tape = []
-    _, (_, logdets, log_z, q) = _Objective(freqs.freqs[None]).evaluate(
-        kernel.matrix[None], [0], tape)
+    q = freqs.freqs[None]
+    _, (_, logdets, log_z, _) = _Objective(q).evaluate(kernel.matrix[None], [0], tape)
     # sum_J (q_J - p_J) P_J, from the reverse sweep of the value's pass
     grad = minors._schur_adjoint(tape, q - np.exp(logdets - log_z[:, None]))[0]
     return (grad + grad.T) / 2.0
@@ -149,7 +151,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _Objective:
     """The scaled log-likelihood of a batch of kernels, member i scored
-    against row i of the (B, 2^n) frequencies.
+    against frequency row `tables[i]` (row i when omitted) of (T, 2^n).
 
     The value is one forward pass of the all-minors recursion: sum_J q_J
     log det L_J minus log det(I+L), taken as the logsumexp of the same
@@ -158,23 +160,30 @@ class _Objective:
     gradient is sum_J (q_J - p_J) P_J, p_J = det L_J / det(I+L), and the
     Hessian a Gram of the P_J, so I+L is never factored."""
 
-    def __init__(self, freqs: np.ndarray):
+    def __init__(self, freqs: np.ndarray, tables: np.ndarray | None = None):
         self.freqs = np.asarray(freqs, dtype=float)
+        self.tables = np.arange(len(self.freqs)) if tables is None else np.asarray(tables)
+        self.work = (np.empty(0),)      # `derivatives`' arrays, kept from pass to pass
 
     def evaluate(self, matrices: np.ndarray, members, tape: list | None = None):
         """(values of the kernels of `members`, the point `derivatives`
-        reads); -inf where some principal minor is not positive.  The
-        pass writes `tape` (see `minors._schur_pass`)."""
-        matrices = np.asarray(matrices, dtype=float)
-        jets, ok = minors._schur_pass(matrices, tape=tape)
-        logdets = jets[0]
-        q = self.freqs[members]
-        with np.errstate(all="ignore"):
-            top = logdets.max(axis=1)
-            log_z = top + np.log(np.exp(logdets - top[:, None]).sum(axis=1))
-            values = _rowdot(logdets, q) - log_z
-        values[~(ok & np.isfinite(values))] = -np.inf
-        return values, (matrices, logdets, log_z, q)
+        reads, a tuple of per-member arrays); -inf where some principal
+        minor is not positive.  The pass of a batch of one writes `tape`
+        (see `minors._schur_pass`)."""
+        matrices, members = np.asarray(matrices, dtype=float), np.asarray(members)
+        logdets = np.empty((len(matrices), self.freqs.shape[1]))
+        log_z, values = np.empty(len(matrices)), np.empty(len(matrices))
+        # in member chunks; a member's pass peaks near 4 x 2^n floats
+        for at in minors._chunks(len(matrices), 4 * logdets.shape[1]):
+            jets, ok = minors._schur_pass(matrices[at], tape=tape)
+            logdets[at] = jets[0]
+            with np.errstate(all="ignore"):
+                top = jets[0].max(axis=1)
+                log_z[at] = top + np.log(np.exp(jets[0] - top[:, None]).sum(axis=1))
+                q = self.freqs[self.tables[members[at]]]
+                values[at] = np.where(ok, _rowdot(jets[0], q) - log_z[at], -np.inf)
+        values[~np.isfinite(values)] = -np.inf
+        return values, (matrices, logdets, log_z, members)
 
     def derivatives(self, point):
         """(gradients, Hessians) of every member of a point whose values
@@ -183,19 +192,24 @@ class _Objective:
         `minors._chunks`.  The Hessians are in the coordinates of
         `symmetric_basis` (the form in the module docstring), from the
         Gram of those entries."""
-        matrices, logdets, log_z, q = point
+        matrices, logdets, log_z, members = point
         b, n = matrices.shape[0], matrices.shape[1]
         distinct, first, second, basis, spread = _hessian_layout(n)
         grad = np.empty((b, n, n))
         hess = np.empty((b, len(basis), len(basis)))
         for at in minors._chunks(b, 2 ** n * n * n):
-            x = np.take(minors._bordered_inverses(matrices[at]).reshape(-1, 2 ** n, n * n),
-                        distinct, axis=2)
+            k = len(matrices[at])
+            if len(self.work[0]) < k:       # so no pass maps and faults in fresh pages
+                self.work = (np.empty((k, 2 ** n, n, n)), np.empty((k, 2 ** n, len(distinct))))
+            inv = minors._bordered_inverses(matrices[at], out=self.work[0][:k])
+            x = np.take(inv.reshape(k, 2 ** n, n * n), distinct, axis=2, out=self.work[1][:k],
+                        mode="clip")        # "raise" would buffer `out`
             p = np.exp(logdets[at] - log_z[at, None])
-            d = (x.transpose(0, 2, 1) @ (q[at] - p)[:, :, None])[:, :, 0]
+            q = self.freqs[self.tables[members[at]]]
+            d = (x.transpose(0, 2, 1) @ (q - p)[:, :, None])[:, :, 0]
             grad[at] = d[:, spread].reshape(-1, n, n)
             g = x.transpose(0, 2, 1) @ p[:, :, None]
-            x *= np.sqrt(q[at])[:, :, None]
+            x *= np.sqrt(q)[:, :, None]
             gram = x.transpose(0, 2, 1) @ x - g * g.transpose(0, 2, 1)   # y^T y is a syrk
             hess[at] = -(basis @ gram[:, first, second] @ basis.T)
         return grad, hess
@@ -313,15 +327,38 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
         step[idx] *= 0.5
 
 
+def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float):
+    """(gradient norms by `_theta_norm`, Newton decrements, ascent
+    directions) of a point's members, the last two zero for a member at
+    `grad_tol` or `flat`; in member chunks of about 4 m^2 floats, m =
+    n(n+1)/2, so no Hessian stack spans the batch."""
+    b, n = matrices.shape[0], matrices.shape[1]
+    basis = _hessian_layout(n)[3]
+    gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
+    for at in minors._chunks(b, 4 * len(basis) ** 2):
+        grad, hess = obj.derivatives(tuple(x[at] for x in point))
+        gnorm[at] = _theta_norm(grad, matrices[at])
+        go = np.flatnonzero(~(gnorm[at] <= grad_tol) & ~flat[at])
+        if not go.size:
+            continue
+        # the step solves against -H with its eigenvalues reflected and
+        # floored, so it ascends wherever H is indefinite
+        w, v = np.linalg.eigh(-hess[go])
+        w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
+        z = (grad[go].reshape(go.size, 1, n * n) @ basis.T @ v)[:, 0] / np.sqrt(w)
+        decrement[at.start + go] = _rowdot(z, z)       # lambda^2 = g^T (-H)^{-1} g
+        step = (z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1)   # (-H)^{-1} g, as a row
+        direction[at.start + go] = (step @ basis).reshape(go.size, n, n)
+    return gnorm, decrement, direction
+
+
 def _lockstep(obj, starts: np.ndarray, config: MleConfig):
-    """Damped Newton ascent from each start, member i against the
-    objective's row i, one iteration of every live member per pass;
+    """Damped Newton ascent from each start, member i scored as the
+    objective's member i, one iteration of every live member per pass;
     (kernels, log-likelihoods, iterations, converged, gradient norms,
     stop codes indexing STOP_REASONS).  Each member keeps its own
     kernel, value and stop state, so its result does not depend on the
     rest of the batch."""
-    n = starts.shape[1]
-    basis = _hessian_layout(n)[3]
     matrix = np.array(starts, dtype=float)
     live = np.arange(len(matrix))                   # members still searching
     fval, point = obj.evaluate(matrix, live)
@@ -330,25 +367,17 @@ def _lockstep(obj, starts: np.ndarray, config: MleConfig):
     stop = np.full(len(live), _MAX_ITERS)
     flat = np.zeros(len(live), dtype=bool)          # the last step was below roundoff
     for _ in range(config.max_iters):
-        grad, hess = obj.derivatives(point)
-        gnorm[live] = _theta_norm(grad, matrix[live])
+        gnorm[live], decrement, direction = _newton(obj, point, matrix[live], flat[live],
+                                                    config.grad_tol)
         done = gnorm[live] <= config.grad_tol
         stop[live[done]] = _GRAD_TOL
         stop[live[~done & flat[live]]] = _ROUNDOFF
         keep = np.flatnonzero(~done & ~flat[live])
-        live, grad, hess = live[keep], grad[keep], hess[keep]
+        live, decrement, direction = live[keep], decrement[keep], direction[keep]
         if not live.size:
             break
-        # the step solves against -H with its eigenvalues reflected and
-        # floored, so it ascends wherever H is indefinite
-        w, v = np.linalg.eigh(-hess)
-        w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
-        z = (grad.reshape(live.size, 1, n * n) @ basis.T @ v)[:, 0] / np.sqrt(w)
-        decrement = _rowdot(z, z)           # lambda^2 = g^T (-H)^{-1} g
         # below what f resolves, a member takes the full step once and stops
         flat[live] = decrement / 2.0 <= _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval[live]))
-        step = (z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1)   # (-H)^{-1} g, as a row
-        direction = (step @ basis).reshape(live.size, n, n)
         accepted, matrix_new = _line_search(obj, live, matrix[live], fval[live],
                                             direction, decrement, flat[live], config)
         stop[live[~accepted]] = np.where(flat[live[~accepted]], _ROUNDOFF, _LINE_SEARCH)
@@ -364,7 +393,7 @@ def _lockstep(obj, starts: np.ndarray, config: MleConfig):
         matrix[live], fval[live] = matrix_new, f_new
         iterations[live] += 1
     else:
-        gnorm[live] = _theta_norm(obj.derivatives(point)[0], matrix[live])
+        gnorm[live] = _newton(obj, point, matrix[live], np.ones_like(live, bool), config.grad_tol)[0]
     return matrix, fval, iterations, gnorm <= config.grad_tol, gnorm, stop
 
 
@@ -396,11 +425,11 @@ def _fit_tables(tables: list, config: MleConfig) -> list:
     """The best restart of each table's fit, every restart of every
     table fitted as one batch."""
     r = config.restarts
-    obj = _Objective(np.repeat([t.freqs for t in tables], r, axis=0))
+    obj = _Objective([t.freqs for t in tables], np.repeat(np.arange(len(tables)), r))
     matrices, fvals, iterations, converged, gnorms, stops = _lockstep(
         obj, np.concatenate([_starts(t, config) for t in tables]), config)
     results = []
-    for lo in range(0, len(obj.freqs), r):
+    for lo in range(0, len(matrices), r):
         # the lowest restart within roundoff of the best, not the last-bit largest
         top = fvals[lo:lo + r].max()
         best = lo + int(np.argmax(fvals[lo:lo + r] >= top - 4 * _EPS * max(1.0, abs(top))))
@@ -626,23 +655,30 @@ class RiskEstimate:
         }
 
 
-def estimate_risk(l_star: Kernel, sample_size: int, replicates: int,
+def estimate_risk(l_star: Kernel, sample_size, replicates: int,
                   config: MleConfig, seed: int, *, estimator=None,
-                  table: DppTable | None = None) -> RiskEstimate:
-    """Mean orbit loss over independent replicates.
+                  table: DppTable | None = None):
+    """Mean orbit loss over independent replicates, for one sample size
+    (a RiskEstimate) or for each of a sequence of them (a list, in order).
 
-    Replicate r draws its batch from the stream (seed, r), fits (or
-    applies the injected estimator), and scores against the truth, so
-    the first k replicates do not depend on how many follow.
+    Replicate r of every size draws its batch from the stream (seed, r),
+    fits (or applies the injected estimator), and scores against the
+    truth, so the first k replicates do not depend on how many follow.
+    All sizes x replicates x restarts are fitted as one lockstep batch,
+    its per-member work in member chunks of `minors._chunks`; a failing
+    fit fails the call, and no size gets a result.
     """
+    single = isinstance(sample_size, numbers.Integral)
+    sizes = [sample_size] if single else list(sample_size)
+    if not sizes:
+        raise ValueError("sample_size: need at least one size")
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     if table is None:
         table = build_table(l_star)
     graph = determinantal_graph(l_star)
-    tables = [empirical_table(sample(table, sample_size, seed,
-                                     stream_path=(rngs.REPLICATE_STREAM, r)))
-              for r in range(replicates)]
+    tables = [empirical_table(sample(table, size, seed, stream_path=(rngs.REPLICATE_STREAM, r)))
+              for size in sizes for r in range(replicates)]
     if estimator is None:
         fits = [(res.estimate, res.converged, res.iterations)
                 for res in _fit_tables(tables, config)]
@@ -653,12 +689,15 @@ def estimate_risk(l_star: Kernel, sample_size: int, replicates: int,
         full = sign_orbit_loss(l_hat, l_star)
         diff = l_hat.matrix - conjugate_by_signs(l_star.matrix, full.argmin_signs)
         scores.append((full.value, *_split_by_blocks(diff, graph), conv, iters))
-    losses, within, cross, converged, iterations = (np.array(c) for c in zip(*scores))
-    return RiskEstimate(sample_size=sample_size, replicates=replicates,
-                        mean_loss=float(losses.mean()),
-                        std_error=float(losses.std(ddof=1) / np.sqrt(replicates)),
-                        losses=losses, within=within, cross=cross,
-                        converged=converged, iterations=iterations, seed=seed)
+    losses, within, cross, converged, iterations = (
+        np.array(c).reshape(len(sizes), replicates) for c in zip(*scores))
+    risks = [RiskEstimate(sample_size=size, replicates=replicates,
+                          mean_loss=float(losses[i].mean()),
+                          std_error=float(losses[i].std(ddof=1) / np.sqrt(replicates)),
+                          losses=losses[i], within=within[i], cross=cross[i],
+                          converged=converged[i], iterations=iterations[i], seed=seed)
+             for i, size in enumerate(sizes)]
+    return risks[0] if single else risks
 
 
 def asymptotic_covariance(l_star: Kernel) -> np.ndarray:

@@ -401,6 +401,9 @@ def run_rate_study(config: dict, out: Path | None = None,
     sizes = _int_list(config.get("sample_sizes"), "sample_sizes")
     if sizes != sorted(set(sizes)) or sizes[0] < 1:
         raise ConfigError("sample_sizes: required strictly increasing positive integers")
+    for i, size in enumerate(sizes):
+        if size > MAX_DRAWS:
+            raise ConfigError(f"sample_sizes[{i}]: must be at most {MAX_DRAWS}, got {size}")
     replicates = _typed(config.get("replicates", 50), int, "replicates")
     if replicates < 2:
         raise ConfigError("replicates: must be >= 2")
@@ -420,21 +423,19 @@ def run_rate_study(config: dict, out: Path | None = None,
         "oracle": oracle,
     }
     table = build_table(kernel)
-    risks = []
-    for size in sizes:
-        try:
-            risks.append(estimate_risk(kernel, size, replicates, mle_cfg, seed,
-                                       estimator=estimator, table=table))
-        except Exception as exc:
-            # flush whatever completed, marked, before propagating
-            _write_report(out, "rate_study", {
-                "command": "rate-study",
-                "config": resolved,
-                "rows": [r.to_dict() for r in risks],
-                "failed_at_sample_size": size,
-                "failure": str(exc),
-            })
-            raise
+    try:
+        risks = estimate_risk(kernel, sizes, replicates, mle_cfg, seed,
+                              estimator=estimator, table=table)
+    except Exception as exc:
+        # one batch fits every size, so no size has a row: flush, then raise
+        _write_report(out, "rate_study", {
+            "command": "rate-study",
+            "config": resolved,
+            "rows": [],
+            "failed_at_sample_size": sizes[0],
+            "failure": str(exc),
+        })
+        raise
     rows = [r.to_dict() for r in risks]
     slopes = {
         "total": _safe_loglog([(r["sample_size"], r["mean_loss"]) for r in rows]),

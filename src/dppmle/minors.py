@@ -209,13 +209,13 @@ def _chunks(b: int, floats: int) -> list:
     return [slice(lo, lo + size) for lo in range(0, b, size)]
 
 
-def _bordered_inverses(matrices: np.ndarray, check: bool = False) -> np.ndarray:
-    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n); the
-    pivots are checked, for a batch of one, only with `check`."""
+def _bordered_inverses(matrices: np.ndarray, check: bool = False, out=None) -> np.ndarray:
+    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n), in `out`
+    if given; pivots are checked, for a batch of one, only with `check`."""
     a = np.asarray(matrices, dtype=float)
     b, n = a.shape[0], a.shape[1]
     check_enum_budget(n)
-    out = np.empty((b, 2 ** n, n, n))
+    out = np.empty((b, 2 ** n, n, n)) if out is None else out
     out[:, 0] = 0.0
     for i in range(n):
         half = 2 ** i

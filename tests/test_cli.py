@@ -234,6 +234,20 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: count: must be in 1..{MAX_DRAWS}"), err
 
+    @pytest.mark.parametrize("sizes, index", [([1000, MAX_DRAWS + 1], 1), ([1e10], 0)])
+    def test_sample_size_cap_refuses_before_any_allocation(self, tmp_path, capsys,
+                                                           monkeypatch, sizes, index):
+        def banned(*args, **kwargs):
+            raise AssertionError("a refused sample size reached the table or the fit")
+        monkeypatch.setattr(experiments, "build_table", banned)
+        monkeypatch.setattr(experiments, "estimate_risk", banned)
+        cfg = write_config(tmp_path, "top.json", {**self.RATE, "sample_sizes": sizes})
+        assert main(["rate-study", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sample_sizes[{index}]: must be at most "
+                              f"{MAX_DRAWS}"), err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_floats_read_as_integers(self, tmp_path):
         cfg = write_config(tmp_path, "top.json", {**self.SIM, "count": 1e2, "seed": 3.0})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -189,10 +189,11 @@ def fit_one(obj, start, config):
     return tuple(column[0] for column in estimation._lockstep(obj, start[None], config))
 
 
-def unit_hessian(point):
-    """-I in symmetric coordinates of 2 x 2 kernels, for each member of a
-    point that holds the kernels: the Hessian of -||L - T||^2 / 2."""
-    return np.repeat(-np.eye(3)[None], len(point), axis=0)
+def unit_hessian(kernels):
+    """-I in symmetric coordinates of 2 x 2 kernels, for each kernel: the
+    Hessian of -||L - T||^2 / 2.  The fakes below keep a point as the
+    1-tuple (kernels,), since the fitter slices a point field by field."""
+    return np.repeat(-np.eye(3)[None], len(kernels), axis=0)
 
 
 class TestLineSearch:
@@ -209,10 +210,11 @@ class TestLineSearch:
                 if self.peak is None:
                     self.peak = matrices[0].copy()
                 self.calls += len(matrices)
-                return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2)), matrices
+                return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2)), (matrices,)
 
             def derivatives(self, point):
-                return np.repeat(1e-6 * np.eye(2)[None], len(point), axis=0), unit_hessian(point)
+                (kernels,) = point
+                return np.repeat(1e-6 * np.eye(2)[None], len(kernels), axis=0), unit_hessian(kernels)
 
         obj = Peaked()
         cfg = MleConfig()
@@ -233,10 +235,11 @@ class TestLineSearch:
 
             def evaluate(self, matrices, members):
                 self.calls += 1
-                return 1e6 - 0.5 * ((matrices - target) ** 2).sum(axis=(1, 2)), matrices
+                return 1e6 - 0.5 * ((matrices - target) ** 2).sum(axis=(1, 2)), (matrices,)
 
             def derivatives(self, point):
-                return target - point, 2.0 * unit_hessian(point)
+                (kernels,) = point
+                return target - kernels, 2.0 * unit_hessian(kernels)
 
         obj = Quadratic()
         cfg = MleConfig()
@@ -413,10 +416,11 @@ class TestFitMle:
 
             def evaluate(self, matrices, members):
                 self.calls += 1
-                return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), matrices
+                return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), (matrices,)
 
             def derivatives(self, point):
-                return np.repeat(5.0 * np.eye(2)[None], len(point), axis=0), unit_hessian(point)
+                (kernels,) = point
+                return np.repeat(5.0 * np.eye(2)[None], len(kernels), axis=0), unit_hessian(kernels)
 
         with pytest.raises(LikelihoodDecrease):
             fit_one(Decreasing(), np.eye(2), MleConfig())
@@ -689,11 +693,62 @@ class TestEstimateRisk:
     def test_median_risk_nonincreasing(self, rng):
         star = d.tridiagonal_kernel(3, 2.0, 0.5)
         cfg = MleConfig(seed=11, restarts=3)
-        medians = []
-        for size in (1000, 10000, 100000):
-            risk = d.estimate_risk(star, size, 50, cfg, seed=17)
-            medians.append(risk.median_loss)
+        medians = [risk.median_loss
+                   for risk in d.estimate_risk(star, (1000, 10000, 100000), 50, cfg, seed=17)]
         assert medians[0] >= medians[1] >= medians[2]
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "block", "oracle"])
+    def test_sequence_is_the_per_size_calls(self, kind):
+        # one joint batch over the sizes, each size's fields bitwise those
+        # of its own call
+        star = (d.tridiagonal_kernel(3, 2.0, 0.5) if kind == "tridiagonal" else
+                d.block_diagonal_kernel([d.tridiagonal_kernel(2, 2.0, 0.5).matrix, [[3.0]]]))
+        estimator = (lambda freqs: star) if kind == "oracle" else None
+        cfg = MleConfig(seed=11, restarts=3)
+        sizes = [300, 1000, 3000]
+        joint = d.estimate_risk(star, sizes, 4, cfg, seed=17, estimator=estimator)
+        assert [r.sample_size for r in joint] == sizes
+        for size, risk in zip(sizes, joint):
+            alone = d.estimate_risk(star, size, 4, cfg, seed=17, estimator=estimator)
+            assert risk.to_dict() == alone.to_dict()
+            for field in ("losses", "within", "cross", "converged", "iterations"):
+                np.testing.assert_array_equal(getattr(risk, field), getattr(alone, field),
+                                              err_msg=f"{kind} {size} {field}")
+
+    def test_empty_sequence_raises(self, rng):
+        with pytest.raises(ValueError, match="sample_size"):
+            d.estimate_risk(random_kernel(2, rng), [], 3, MleConfig(), seed=0)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_fits_do_not_depend_on_the_chunk_budget(self, monkeypatch, n):
+        # the objective, derivatives and Newton steps run in member chunks;
+        # one member a chunk and the whole batch in one give the same fits
+        tables = replicate_tables(n, 3, 400, seed=8)
+        cfg = MleConfig(seed=2, restarts=3, max_iters=30)
+        fits = []
+        for budget in (1, 2 ** 12, 2 ** 17, 2 ** 30):
+            monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
+            fits.append(estimation._fit_tables(tables, cfg))
+        assert max(r.iterations for r in fits[0]) > 1
+        for budget, other in zip((2 ** 12, 2 ** 17, 2 ** 30), fits[1:]):
+            for a, b in zip(fits[0], other):
+                np.testing.assert_array_equal(a.estimate.matrix, b.estimate.matrix)
+                assert a.to_json() == b.to_json(), (n, budget)
+
+    def test_rate_study_runs_one_lockstep(self, monkeypatch):
+        from dppmle import experiments
+        calls = []
+        lockstep = estimation._lockstep
+
+        def spy(obj, starts, config):
+            calls.append(len(starts))
+            return lockstep(obj, starts, config)
+
+        monkeypatch.setattr(estimation, "_lockstep", spy)
+        experiments.run_rate_study({"kernel": {"tridiagonal": {"a": 2.0, "b": 0.5, "n": 3}},
+                                    "sample_sizes": [100, 1000, 10000], "replicates": 2,
+                                    "seed": 3, "mle": {"restarts": 2}})
+        assert calls == [3 * 2 * 2]
 
     def test_standard_error(self, rng):
         star = random_kernel(2, rng)

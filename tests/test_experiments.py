@@ -14,9 +14,12 @@ from dppmle.errors import (ConfigError, GroundSetTooLarge, InsufficientPoints,
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Runs one CLI command, or with "load" load_frequencies on a file, in
-#: this process, then prints the process's peak RSS in KiB.
+#: this process, then prints the process's peak RSS in KiB.  Linux keeps
+#: ru_maxrss across exec, so a child spawned by a larger test process
+#: reads that process's peak there; VmHWM is the peak of the child's own
+#: memory map, and ru_maxrss is the fallback where /proc is missing.
 _MEASURED = """
-import resource, sys
+import re, resource, sys
 from pathlib import Path
 from dppmle.cli import main
 from dppmle.experiments import load_frequencies
@@ -24,7 +27,10 @@ if sys.argv[1] == "load":
     code = 0 if load_frequencies(Path(sys.argv[2])).total else 1
 else:
     code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text()).group(1))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 sys.exit(code)
 """
 
@@ -242,24 +248,38 @@ class TestRateStudy:
             ex.run_rate_study(cfg)
 
     def test_partial_flush_on_failure(self, tmp_path, monkeypatch):
-        import dppmle.experiments as mod
-        real = mod.estimate_risk
+        # every size goes to one estimate_risk call, so a failure leaves no
+        # row, and the marker names the first size, the first without one
         calls = []
 
-        def failing(kernel, size, *args, **kwargs):
-            if len(calls) == 1:
-                raise RuntimeError("boom")
-            calls.append(size)
-            return real(kernel, size, *args, **kwargs)
+        def failing(kernel, sizes, *args, **kwargs):
+            calls.append(list(sizes))
+            raise RuntimeError("boom")
 
-        monkeypatch.setattr(mod, "estimate_risk", failing)
+        monkeypatch.setattr(ex, "estimate_risk", failing)
         cfg = {"kernel": {"n": 1, "entries": [1.0]}, "sample_sizes": [50, 100, 200],
                "replicates": 2, "seed": 1, "oracle": True}
         with pytest.raises(RuntimeError):
             ex.run_rate_study(cfg, tmp_path)
+        assert calls == [[50, 100, 200]]
         payload = json.loads((tmp_path / "rate_study.json").read_text())
-        assert payload["failed_at_sample_size"] == 100
-        assert len(payload["rows"]) == 1
+        assert payload["failed_at_sample_size"] == 50
+        assert payload["rows"] == []
+        assert payload["failure"] == "boom"
+        assert payload["config"]["sample_sizes"] == [50, 100, 200]
+
+    def test_joint_batch_at_n10_stays_under_62_mib(self, tmp_path):
+        # three sizes x 20 replicates x 6 restarts fit as one batch of 360
+        # members, m = 55 Newton coordinates: the Hessians and steps run in
+        # member chunks (~50 MiB; ~73 MiB with one stack over the batch)
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps({
+            "kernel": {"tridiagonal": {"a": 2.0, "b": 0.5, "n": 10}},
+            "sample_sizes": [1000, 10000, 100000], "replicates": 20, "seed": 7,
+            "mle": {"seed": 1, "max_iters": 1}}))
+        peak_mib = measured("rate-study", "--config", str(config), "--out", str(tmp_path))
+        assert len(json.loads((tmp_path / "rate_study.json").read_text())["rows"]) == 3
+        assert peak_mib <= 62, peak_mib
 
 
 class TestHessianCommand:
