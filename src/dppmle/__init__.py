@@ -26,8 +26,7 @@ from .estimation import (BlockwiseLoss, LossValue, MleConfig, MleResult,
                          RiskEstimate, asymptotic_covariance, blockwise_loss,
                          empirical_log_likelihood, estimate_risk, fit_mle,
                          likelihood_gradient, moment_init, sign_orbit_loss)
-from .experiments import (RateReport, ScanReport, SlopeFit, fit_loglog_slope,
-                          fit_semilog_slope, parse_kernel_spec,
-                          random_kernel, random_symmetric)
+from .experiments import (SlopeFit, fit_loglog_slope, fit_semilog_slope,
+                          parse_kernel_spec, random_kernel, random_symmetric)
 
 __version__ = "0.1.0"

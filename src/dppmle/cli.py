@@ -56,23 +56,23 @@ def _print_hessian(report, out):
 
 
 def _print_scan(report, out):
-    _, value_key, flag_key = report.columns
-    for n, v, flag in report.rows:
+    for row in report["rows"]:
+        (_, n), (value_key, v), (flag_key, flag) = row.items()
         if v is None:
             print(f"n={n} {value_key}={flag_key}")
         else:
             print(f"n={n} {value_key}={v:.6e}{f' ({flag_key})' if flag else ''}")
-    if report.fit:
-        print(f"fit: slope={report.fit.slope:.4f} r2={report.fit.r2:.4f}")
+    if report["fit"]:
+        print(f"fit: slope={report['fit']['slope']:.4f} r2={report['fit']['r2']:.4f}")
 
 
 def _print_rate_study(report, out):
-    for row in report.rows:
+    for row in report["rows"]:
         print(f"size={row['sample_size']} mean_loss={row['mean_loss']:.6g} "
               f"within={row['mean_within']:.6g} cross_median={row['median_cross']:.6g}")
-    for name, fit in report.slopes.items():
+    for name, fit in report["slopes"].items():
         if fit:
-            print(f"slope[{name}]={fit.slope:.4f} (r2={fit.r2:.4f})")
+            print(f"slope[{name}]={fit['slope']:.4f} (r2={fit['r2']:.4f})")
 
 
 def _print_verify_identities(report, out):

@@ -44,9 +44,7 @@ the batch, and a rate study then has no row.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import numbers
@@ -59,7 +57,7 @@ from .errors import LikelihoodDecrease, SingularInformation
 from .geometry import hessian_matrix
 from .kernels import (DeterminantalGraph, Kernel, conjugate_by_signs,
                       determinantal_graph, k_to_l, symmetric_basis, symmetrize)
-from .model import DppTable, EmpiricalTable, build_table, empirical_table, sample
+from .model import EmpiricalTable, build_table, csv_text, empirical_table, sample
 
 #: Why a fit member stopped (see the module docstring).
 STOP_REASONS = ("grad_tol", "roundoff", "line_search", "max_iters")
@@ -586,28 +584,24 @@ def sign_orbit_loss(l_hat: Kernel, l_star: Kernel) -> LossValue:
 
 @dataclass
 class BlockwiseLoss:
-    """Frobenius loss split by block structure, both restrictions taken
-    at the single sign vector minimizing the full loss."""
+    """The orbit loss `total`, and the Frobenius loss split by block
+    structure, both restrictions taken at the single sign vector
+    minimizing the full loss."""
 
+    total: float
     within: float
     cross: float
     signs: np.ndarray
 
 
-def _split_by_blocks(diff: np.ndarray, graph: DeterminantalGraph):
-    same = graph.same_component()
-    within = float(np.sqrt((diff[same] ** 2).sum()))
-    cross = float(np.sqrt((diff[~same] ** 2).sum()))
-    return within, cross
-
-
 def blockwise_loss(l_hat: Kernel, l_star: Kernel,
                    graph: DeterminantalGraph) -> BlockwiseLoss:
     full = sign_orbit_loss(l_hat, l_star)
-    s = full.argmin_signs
-    diff = l_hat.matrix - conjugate_by_signs(l_star.matrix, s)
-    within, cross = _split_by_blocks(diff, graph)
-    return BlockwiseLoss(within=within, cross=cross, signs=s)
+    diff = l_hat.matrix - conjugate_by_signs(l_star.matrix, full.argmin_signs)
+    same = graph.same_component()
+    return BlockwiseLoss(total=full.value, within=float(np.sqrt((diff[same] ** 2).sum())),
+                         cross=float(np.sqrt((diff[~same] ** 2).sum())),
+                         signs=full.argmin_signs)
 
 
 # --- Monte Carlo risk ------------------------------------------------------
@@ -632,14 +626,10 @@ class RiskEstimate:
         return float(np.median(self.losses))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["replicate", "loss", "within", "cross", "converged", "iterations"])
-        for r in range(self.replicates):
-            w.writerow([r, repr(float(self.losses[r])), repr(float(self.within[r])),
-                        repr(float(self.cross[r])), int(self.converged[r]),
-                        int(self.iterations[r])])
-        return buf.getvalue()
+        return csv_text(["replicate", "loss", "within", "cross", "converged", "iterations"],
+                        ([r, repr(float(self.losses[r])), repr(float(self.within[r])),
+                          repr(float(self.cross[r])), int(self.converged[r]),
+                          int(self.iterations[r])] for r in range(self.replicates)))
 
     def to_dict(self) -> dict:
         return {
@@ -656,14 +646,14 @@ class RiskEstimate:
 
 
 def estimate_risk(l_star: Kernel, sample_size, replicates: int,
-                  config: MleConfig, seed: int, *, estimator=None,
-                  table: DppTable | None = None):
+                  config: MleConfig, seed: int, *, estimator=None):
     """Mean orbit loss over independent replicates, for one sample size
     (a RiskEstimate) or for each of a sequence of them (a list, in order).
 
-    Replicate r of every size draws its batch from the stream (seed, r),
-    fits (or applies the injected estimator), and scores against the
-    truth, so the first k replicates do not depend on how many follow.
+    Replicate r of every size draws its batch from the stream (seed, r)
+    of the truth's table, built here, fits (or applies the injected
+    estimator), and scores with `blockwise_loss` against the truth, so
+    the first k replicates do not depend on how many follow.
     All sizes x replicates x restarts are fitted as one lockstep batch,
     its per-member work in member chunks of `minors._chunks`; a failing
     fit fails the call, and no size gets a result.
@@ -674,8 +664,7 @@ def estimate_risk(l_star: Kernel, sample_size, replicates: int,
         raise ValueError("sample_size: need at least one size")
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    if table is None:
-        table = build_table(l_star)
+    table = build_table(l_star)
     graph = determinantal_graph(l_star)
     tables = [empirical_table(sample(table, size, seed, stream_path=(rngs.REPLICATE_STREAM, r)))
               for size in sizes for r in range(replicates)]
@@ -686,9 +675,8 @@ def estimate_risk(l_star: Kernel, sample_size, replicates: int,
         fits = [(estimator(freqs), True, 0) for freqs in tables]
     scores = []
     for l_hat, conv, iters in fits:
-        full = sign_orbit_loss(l_hat, l_star)
-        diff = l_hat.matrix - conjugate_by_signs(l_star.matrix, full.argmin_signs)
-        scores.append((full.value, *_split_by_blocks(diff, graph), conv, iters))
+        loss = blockwise_loss(l_hat, l_star, graph)
+        scores.append((loss.total, loss.within, loss.cross, conv, iters))
     losses, within, cross, converged, iterations = (
         np.array(c).reshape(len(sizes), replicates) for c in zip(*scores))
     risks = [RiskEstimate(sample_size=size, replicates=replicates,

@@ -1,6 +1,7 @@
 """Experiment harness: curvature decay, convergence-rate studies,
 variance growth, and identity verification, with reproducible configs
-and machine-readable reports (JSON + CSV)."""
+and machine-readable reports (JSON + CSV).  Every `run_*` command
+returns the report dict it writes as `<name>.json`."""
 
 from __future__ import annotations
 
@@ -15,17 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import rngs
-from .minors import MAX_DRAWS
+from .minors import MAX_DRAWS, check_enum_budget
 from .errors import (ConfigError, GroundSetTooLarge, InsufficientPoints,
                      NonpositiveValue, SingularInformation)
 from .estimation import (MleConfig, asymptotic_covariance, estimate_risk,
-                         fit_mle, blockwise_loss, sign_orbit_loss)
+                         blockwise_loss, fit_mle)
 from .geometry import (hessian_matrix, identity_residuals, min_curvature,
                        null_space_basis)
 from .kernels import (Kernel, block_diagonal_kernel, determinantal_graph,
                       kernel_from_json, kernel_to_json, symmetrize,
                       tridiagonal_kernel)
-from .model import (EmpiricalTable, SampleBatch, build_table,
+from .model import (EmpiricalTable, SampleBatch, build_table, csv_text,
                     empirical_table, sample)
 
 #: Hessian assembly budget for scans (coordinate matrix is m x m, m = N(N+1)/2).
@@ -56,8 +57,20 @@ class SlopeFit:
         return {"slope": self.slope, "intercept": self.intercept, "r2": self.r2}
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> SlopeFit:
-    a = np.stack([x, np.ones_like(x)], axis=1)
+def _fit_slope(points, log_x: bool) -> SlopeFit:
+    """Ordinary least squares of log y on x, or on log x with `log_x`;
+    needs >= 3 points, positive wherever a log is taken."""
+    kind = "log-log" if log_x else "semilog"
+    pts = list(points)
+    if len(pts) < 3:
+        raise InsufficientPoints(f"{kind} fit needs >= 3 points, got {len(pts)}")
+    x = np.array([p[0] for p in pts], dtype=float)
+    y = np.array([p[1] for p in pts], dtype=float)
+    if (log_x and np.any(x <= 0)) or np.any(y <= 0):
+        raise NonpositiveValue(f"{kind} fit requires strictly positive "
+                               + ("coordinates" if log_x else "values"))
+    a = np.stack([np.log(x) if log_x else x, np.ones_like(x)], axis=1)
+    y = np.log(y)
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
     sst = float(((y - y.mean()) ** 2).sum())
@@ -67,26 +80,12 @@ def _ols(x: np.ndarray, y: np.ndarray) -> SlopeFit:
 
 def fit_loglog_slope(points) -> SlopeFit:
     """Ordinary least squares on (log x, log y); needs >= 3 positive points."""
-    pts = list(points)
-    if len(pts) < 3:
-        raise InsufficientPoints(f"log-log fit needs >= 3 points, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise NonpositiveValue("log-log fit requires strictly positive coordinates")
-    return _ols(np.log(x), np.log(y))
+    return _fit_slope(points, log_x=True)
 
 
 def fit_semilog_slope(points) -> SlopeFit:
     """Ordinary least squares on (x, log y); needs >= 3 positive-y points."""
-    pts = list(points)
-    if len(pts) < 3:
-        raise InsufficientPoints(f"semilog fit needs >= 3 points, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.any(y <= 0):
-        raise NonpositiveValue("semilog fit requires strictly positive values")
-    return _ols(x, np.log(y))
+    return _fit_slope(points, log_x=False)
 
 
 # --- config fields ----------------------------------------------------------
@@ -111,6 +110,13 @@ def _int_list(value, field: str) -> list:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{field}: required nonempty list of integers")
     return [_typed(v, int, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def _increasing(value, field: str) -> list:
+    values = _int_list(value, field)
+    if values != sorted(set(values)) or values[0] < 1:
+        raise ConfigError(f"{field}: required strictly increasing positive integers")
+    return values
 
 
 def _seed(config: dict, seed_override: int | None) -> int:
@@ -142,10 +148,13 @@ def _tridiagonal_ab(tri, field: str):
 def parse_kernel_spec(spec, field: str = "kernel") -> Kernel:
     """Kernel from a config fragment: a literal matrix {"n", "entries"},
     a {"tridiagonal": {"a", "b", "n"}} family member, or
-    {"blocks": [spec, ...]} assembled block-diagonally."""
+    {"blocks": [spec, ...]} assembled block-diagonally.  Each ground-set
+    size, a running sum over blocks, is checked against the enumeration
+    cap before anything of that size is built."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{field}: expected an object, got {type(spec).__name__}")
     if "entries" in spec:
+        check_enum_budget(_typed(spec.get("n"), int, f"{field}.n"))
         try:
             return kernel_from_json(spec)
         except (KeyError, ValueError) as exc:
@@ -153,6 +162,7 @@ def parse_kernel_spec(spec, field: str = "kernel") -> Kernel:
     if "tridiagonal" in spec:
         a, b = _tridiagonal_ab(spec["tridiagonal"], f"{field}.tridiagonal")
         n = _typed(spec["tridiagonal"].get("n"), int, f"{field}.tridiagonal.n")
+        check_enum_budget(n)
         try:
             return tridiagonal_kernel(n, a, b)
         except ValueError as exc:
@@ -160,8 +170,11 @@ def parse_kernel_spec(spec, field: str = "kernel") -> Kernel:
     if "blocks" in spec:
         if not isinstance(spec["blocks"], (list, tuple)) or not spec["blocks"]:
             raise ConfigError(f"{field}.blocks: required nonempty list of kernel specs")
-        return block_diagonal_kernel([parse_kernel_spec(s, field=f"{field}.blocks[{i}]").matrix
-                                      for i, s in enumerate(spec["blocks"])])
+        blocks = []
+        for i, s in enumerate(spec["blocks"]):
+            blocks.append(parse_kernel_spec(s, field=f"{field}.blocks[{i}]").matrix)
+            check_enum_budget(sum(len(m) for m in blocks))
+        return block_diagonal_kernel(blocks)
     raise ConfigError(
         f"{field}: expected one of 'entries', 'tridiagonal', 'blocks'")
 
@@ -248,11 +261,10 @@ def run_estimate(config: dict, samples_path: Path, out: Path,
         truth = parse_kernel_spec(config["truth"], field="truth")
         if truth.n != freqs.n:
             raise ConfigError(f"truth: ground-set size {truth.n} != samples size {freqs.n}")
-        loss = sign_orbit_loss(result.estimate, truth)
-        bw = blockwise_loss(result.estimate, truth, determinantal_graph(truth))
-        report["loss"] = loss.value
-        report["loss_within"] = bw.within
-        report["loss_cross"] = bw.cross
+        loss = blockwise_loss(result.estimate, truth, determinantal_graph(truth))
+        report["loss"] = loss.total
+        report["loss_within"] = loss.within
+        report["loss_cross"] = loss.cross
     return _write_report(out, "estimate", report)
 
 
@@ -272,47 +284,19 @@ def run_hessian(config: dict, out: Path) -> dict:
         "hessian_matrix.csv": _text(form.matrix_csv)})
 
 
-@dataclass
-class ScanReport:
-    """One row (n, value, flag) per ground-set size of a tridiagonal
-    family, with an exponential-decay or -growth fit over the rows the
-    command keeps.  `columns` names the three row fields."""
-
-    command: str
-    columns: tuple
-    rows: list            # (n, value or None, flag)
-    fit: SlopeFit | None
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "rows": [dict(zip(self.columns, row)) for row in self.rows],
-            "fit": self.fit.to_dict() if self.fit else None,
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(self.columns)
-        for n, v, flag in self.rows:
-            w.writerow([n, "" if v is None else repr(float(v)), int(flag)])
-        return buf.getvalue()
-
-
-def _family_scan(config: dict, command: str, columns: tuple, measure, keep) -> ScanReport:
+def _family_scan(config: dict, command: str, columns: tuple, measure, keep) -> dict:
     """`measure(kernel) -> (value, flag)` over the family
-    {"tridiagonal": {"a", "b"}, "n_values", "max_n"}, and a semilog fit
-    over the rows with `keep(value, flag)` once there are three."""
+    {"tridiagonal": {"a", "b"}, "n_values", "max_n"}: the report with one
+    row {columns[0]: n, columns[1]: value or None, columns[2]: flag} per
+    n, and a semilog fit over the rows with `keep(value, flag)` once
+    there are three."""
     a, b = _tridiagonal_ab(config.get("tridiagonal"), "tridiagonal")
-    n_values = _int_list(config.get("n_values"), "n_values")
-    if list(config["n_values"]) != sorted(set(n_values)) or n_values[0] < 1:
-        raise ConfigError("n_values: required strictly increasing positive integers")
+    n_values = _increasing(config.get("n_values"), "n_values")
     budget = _typed(config.get("max_n", DEFAULT_SCAN_BUDGET), int, "max_n")
     if n_values[-1] > budget:
         raise GroundSetTooLarge(
             f"{command} budget is n <= {budget}, requested {n_values[-1]}")
+    check_enum_budget(n_values[-1])
     rows = []
     for n in n_values:
         try:
@@ -322,8 +306,18 @@ def _family_scan(config: dict, command: str, columns: tuple, measure, keep) -> S
         rows.append((n, *measure(kernel)))
     kept = [(n, v) for n, v, flag in rows if keep(v, flag)]
     fit = fit_semilog_slope(kept) if len(kept) >= 3 else None
-    resolved = {"tridiagonal": {"a": a, "b": b}, "n_values": n_values, "max_n": budget}
-    return ScanReport(command=command, columns=columns, rows=rows, fit=fit, config=resolved)
+    return {
+        "command": command,
+        "config": {"tridiagonal": {"a": a, "b": b}, "n_values": n_values, "max_n": budget},
+        "rows": [dict(zip(columns, row)) for row in rows],
+        "fit": fit.to_dict() if fit else None,
+    }
+
+
+def _scan_csv(report: dict) -> str:
+    return csv_text(report["rows"][0].keys(), (
+        [n, "" if v is None else repr(float(v)), int(flag)]
+        for n, v, flag in (row.values() for row in report["rows"])))
 
 
 def _curvature(kernel: Kernel):
@@ -337,70 +331,40 @@ def _top_covariance_eigenvalue(kernel: Kernel):
         return None, True
 
 
-def run_curvature_scan(config: dict, out: Path | None = None) -> ScanReport:
+def run_curvature_scan(config: dict, out: Path | None = None) -> dict:
     """Minimal Hessian curvature per n; the fit skips reducible kernels
     and curvatures at or below 1e-12."""
     report = _family_scan(config, "curvature-scan", ("n", "min_curvature", "reducible"),
                           _curvature, lambda c, reducible: not reducible and c > 1e-12)
-    _write_report(out, "curvature", report.to_dict(), {"curvature.csv": _text(report.to_csv)})
-    return report
+    return _write_report(out, "curvature", report,
+                         {"curvature.csv": _text(lambda: _scan_csv(report))})
 
 
-def run_variance_growth(config: dict, out: Path | None = None) -> ScanReport:
+def run_variance_growth(config: dict, out: Path | None = None) -> dict:
     """Top eigenvalue of the asymptotic covariance per n; kernels with a
     singular information form are flagged and left out of the fit."""
     report = _family_scan(config, "variance-growth", ("n", "max_eigenvalue", "singular"),
                           _top_covariance_eigenvalue, lambda v, singular: not singular)
-    _write_report(out, "variance_growth", report.to_dict(),
-                  {"variance_growth.csv": _text(report.to_csv)})
-    return report
+    return _write_report(out, "variance_growth", report,
+                         {"variance_growth.csv": _text(lambda: _scan_csv(report))})
 
 
-@dataclass
-class RateReport:
-    """Monte Carlo risk against sample size with log-log slope fits.
-
-    The cross-block slope is fitted on median replicate losses (heavy
-    tails from optimizer restarts); mean-based fits are also recorded.
-    """
-
-    rows: list            # per-size dicts
-    slopes: dict          # name -> SlopeFit or None
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": "rate-study",
-            "config": self.config,
-            "rows": self.rows,
-            "slopes": {k: (v.to_dict() if v else None) for k, v in self.slopes.items()},
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["sample_size", "mean_loss", "std_error", "median_loss",
-                    "mean_within", "mean_cross", "median_cross"])
-        for r in self.rows:
-            w.writerow([r["sample_size"], repr(r["mean_loss"]), repr(r["std_error"]),
-                        repr(r["median_loss"]), repr(r["mean_within"]),
-                        repr(r["mean_cross"]), repr(r["median_cross"])])
-        return buf.getvalue()
-
-
-def _safe_loglog(points) -> SlopeFit | None:
+def _loglog_or_none(points) -> dict | None:
     try:
-        return fit_loglog_slope(points)
+        return fit_loglog_slope(points).to_dict()
     except (InsufficientPoints, NonpositiveValue):
         return None
 
 
 def run_rate_study(config: dict, out: Path | None = None,
-                   seed_override: int | None = None) -> RateReport:
+                   seed_override: int | None = None) -> dict:
+    """Monte Carlo risk against sample size with log-log slope fits.
+    The cross-block slope is fitted on median replicate losses (heavy
+    tails from optimizer restarts); mean-based fits are also recorded.
+    If the table or a fit fails, the report has no rows and names the
+    failure, and the error is raised once it is written."""
     kernel = parse_kernel_spec(config.get("kernel", {}))
-    sizes = _int_list(config.get("sample_sizes"), "sample_sizes")
-    if sizes != sorted(set(sizes)) or sizes[0] < 1:
-        raise ConfigError("sample_sizes: required strictly increasing positive integers")
+    sizes = _increasing(config.get("sample_sizes"), "sample_sizes")
     for i, size in enumerate(sizes):
         if size > MAX_DRAWS:
             raise ConfigError(f"sample_sizes[{i}]: must be at most {MAX_DRAWS}, got {size}")
@@ -414,40 +378,36 @@ def run_rate_study(config: dict, out: Path | None = None,
         raise ConfigError(f"oracle: expected true or false, got {oracle!r}")
     estimator = (lambda freqs: kernel) if oracle else None
 
-    resolved = {
-        "kernel": kernel_to_json(kernel),
-        "sample_sizes": sizes,
-        "replicates": replicates,
-        "seed": seed,
-        "mle": mle_cfg.to_dict(),
-        "oracle": oracle,
+    report = {
+        "command": "rate-study",
+        "config": {
+            "kernel": kernel_to_json(kernel),
+            "sample_sizes": sizes,
+            "replicates": replicates,
+            "seed": seed,
+            "mle": mle_cfg.to_dict(),
+            "oracle": oracle,
+        },
+        "rows": [],
     }
-    table = build_table(kernel)
     try:
-        risks = estimate_risk(kernel, sizes, replicates, mle_cfg, seed,
-                              estimator=estimator, table=table)
+        risks = estimate_risk(kernel, sizes, replicates, mle_cfg, seed, estimator=estimator)
     except Exception as exc:
         # one batch fits every size, so no size has a row: flush, then raise
-        _write_report(out, "rate_study", {
-            "command": "rate-study",
-            "config": resolved,
-            "rows": [],
-            "failed_at_sample_size": sizes[0],
-            "failure": str(exc),
-        })
+        _write_report(out, "rate_study", {**report, "failed_at_sample_size": sizes[0],
+                                          "failure": str(exc)})
         raise
-    rows = [r.to_dict() for r in risks]
-    slopes = {
-        "total": _safe_loglog([(r["sample_size"], r["mean_loss"]) for r in rows]),
-        "within": _safe_loglog([(r["sample_size"], r["mean_within"]) for r in rows]),
-        "cross": _safe_loglog([(r["sample_size"], r["median_cross"]) for r in rows]),
-        "cross_mean": _safe_loglog([(r["sample_size"], r["mean_cross"]) for r in rows]),
-    }
-    report = RateReport(rows=rows, slopes=slopes, config=resolved)
-    _write_report(out, "rate_study", report.to_dict(), {
-        "rate_study.csv": _text(report.to_csv),
+    rows = report["rows"] = [r.to_dict() for r in risks]
+    report["slopes"] = {
+        name: _loglog_or_none([(r["sample_size"], r[column]) for r in rows])
+        for name, column in (("total", "mean_loss"), ("within", "mean_within"),
+                             ("cross", "median_cross"), ("cross_mean", "mean_cross"))}
+    columns = ("sample_size", "mean_loss", "std_error", "median_loss",
+               "mean_within", "mean_cross", "median_cross")
+    return _write_report(out, "rate_study", report, {
+        "rate_study.csv": _text(lambda: csv_text(columns, (
+            [r["sample_size"], *(repr(r[c]) for c in columns[1:])] for r in rows))),
         **{f"replicates_{r.sample_size}.csv": _text(r.to_csv) for r in risks}})
-    return report
 
 
 def run_verify_identities(config: dict, out: Path | None = None,
@@ -458,6 +418,7 @@ def run_verify_identities(config: dict, out: Path | None = None,
     n_values = _int_list(config.get("n_values", list(range(2, 9))), "n_values")
     if min(n_values) < 1:
         raise ConfigError("n_values: required positive integers")
+    check_enum_budget(max(n_values))
     seed = _seed(config, seed_override)
     tol = _typed(config.get("tolerance", 1e-9), float, "tolerance")
     if tol <= 0:

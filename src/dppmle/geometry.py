@@ -53,7 +53,6 @@ class TraceCache:
     __slots__ = ("padded_inv",)
 
     def __init__(self, kernel: Kernel):
-        minors.check_enum_budget(kernel.n)
         self.padded_inv = minors.padded_inverses(kernel.matrix)
 
 

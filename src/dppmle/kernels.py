@@ -10,6 +10,7 @@ kernels are identified only up to their sign orbit.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -23,9 +24,21 @@ SPD_TOL = 1e-12
 
 
 def _as_matrix(obj) -> np.ndarray:
-    if isinstance(obj, Kernel) or isinstance(obj, CorrelationKernel):
+    if isinstance(obj, (Kernel, CorrelationKernel)):
         return obj.matrix
     return np.asarray(obj, dtype=float)
+
+
+def _symmetric_spectrum(matrix, noun: str, repair: str = ""):
+    """(the matrix as floats, its ascending eigenvalues): the validation
+    both kernel types construct through; ValueError naming `noun` unless
+    the matrix is square, nonempty and exactly symmetric."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"{noun} must be square and nonempty, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise ValueError(f"{noun} must be exactly symmetric{repair}")
+    return a, np.linalg.eigvalsh(a)
 
 
 class Kernel:
@@ -39,21 +52,13 @@ class Kernel:
     __slots__ = ("matrix", "n", "eigenvalues")
 
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"kernel must be square and nonempty, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ValueError("kernel must be exactly symmetric; "
-                             "use symmetrize() or kernel_from_json() to repair input")
-        w = np.linalg.eigvalsh(a)
-        scale = max(abs(w[0]), abs(w[-1]), 1.0)
-        if w[0] <= SPD_TOL * scale:
+        a, w = _symmetric_spectrum(matrix, "kernel", "; use symmetrize() or "
+                                   "kernel_from_json() to repair input")
+        if w[0] <= SPD_TOL * max(abs(w[0]), abs(w[-1]), 1.0):
             raise ValueError(
                 f"kernel is not positive definite: min eigenvalue {w[0]:.3e} "
                 f"(largest {w[-1]:.3e})")
-        self.matrix = a
-        self.n = a.shape[0]
-        self.eigenvalues = w
+        self.matrix, self.n, self.eigenvalues = a, a.shape[0], w
 
     @property
     def spd_margin(self) -> float:
@@ -70,19 +75,12 @@ class CorrelationKernel:
     __slots__ = ("matrix", "n", "eigenvalues")
 
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"correlation kernel must be square, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ValueError("correlation kernel must be exactly symmetric")
-        w = np.linalg.eigvalsh(a)
+        a, w = _symmetric_spectrum(matrix, "correlation kernel")
         if w[0] <= SPD_TOL or w[-1] >= 1.0 - SPD_TOL:
             raise ValueError(
                 f"correlation kernel needs eigenvalues strictly inside (0,1), "
                 f"got range [{w[0]:.3e}, {w[-1]:.6f}]")
-        self.matrix = a
-        self.n = a.shape[0]
-        self.eigenvalues = w
+        self.matrix, self.n, self.eigenvalues = a, a.shape[0], w
 
     def __repr__(self):
         return f"CorrelationKernel(n={self.n})"
@@ -228,6 +226,21 @@ def symmetric_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
+def _coordinate_layout(n: int):
+    """Read-only (rows, cols, scales) of the symmetric coordinates:
+    coordinate k of H is scales[k] H[rows[k], cols[k]], the diagonal
+    first (scale 1), then the entries i < j in row-major order (scale
+    sqrt(2))."""
+    upper = np.triu_indices(n, k=1)
+    diag = np.arange(n)
+    layout = (np.concatenate([diag, upper[0]]), np.concatenate([diag, upper[1]]),
+              np.concatenate([np.ones(n), np.full(upper[0].size, np.sqrt(2.0))]))
+    for x in layout:
+        x.flags.writeable = False
+    return layout
+
+
 def symmetric_basis(n: int) -> list[np.ndarray]:
     """E_ii for i = 0..n-1 first, then (E_ij + E_ji)/sqrt(2) for i < j
     in row-major order.  Orthonormal under the trace inner product, so a
@@ -235,31 +248,16 @@ def symmetric_basis(n: int) -> list[np.ndarray]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    basis = []
-    for i in range(n):
-        b = np.zeros((n, n))
-        b[i, i] = 1.0
-        basis.append(b)
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = np.zeros((n, n))
-            b[i, j] = b[j, i] = r
-            basis.append(b)
-    return basis
-
-
-def _offdiag_rows_cols(n: int):
-    iu = np.triu_indices(n, k=1)
-    return iu
+    rows, cols, scales = _coordinate_layout(n)
+    basis = np.zeros((rows.size, n, n))
+    k = np.arange(rows.size)
+    basis[k, rows, cols] = basis[k, cols, rows] = 1.0 / scales
+    return list(basis)
 
 
 def sym_to_coords(h: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in symmetric_basis order."""
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    rows, cols = _offdiag_rows_cols(n)
-    return np.concatenate([np.diag(h), np.sqrt(2.0) * h[rows, cols]])
+    return stack_to_coords(np.asarray(h, dtype=float)[None])[0]
 
 
 def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
@@ -267,23 +265,17 @@ def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(coords, dtype=float)
     if v.shape != (symmetric_dim(n),):
         raise ValueError(f"expected {symmetric_dim(n)} coordinates for n={n}")
+    rows, cols, scales = _coordinate_layout(n)
     h = np.zeros((n, n))
-    np.fill_diagonal(h, v[:n])
-    rows, cols = _offdiag_rows_cols(n)
-    off = v[n:] / np.sqrt(2.0)
-    h[rows, cols] = off
-    h[cols, rows] = off
+    h[rows, cols] = h[cols, rows] = v / scales
     return h
 
 
 def stack_to_coords(stack: np.ndarray) -> np.ndarray:
     """sym_to_coords applied along the first axis of a (k, n, n) stack."""
     s = np.asarray(stack, dtype=float)
-    n = s.shape[-1]
-    rows, cols = _offdiag_rows_cols(n)
-    diag = s[:, np.arange(n), np.arange(n)]
-    off = np.sqrt(2.0) * s[:, rows, cols]
-    return np.concatenate([diag, off], axis=1)
+    rows, cols, scales = _coordinate_layout(s.shape[-1])
+    return scales * s[:, rows, cols]
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,10 @@ MAX_DRAWS = 10 ** 7
 _CHUNK_FLOATS = 2 ** 17
 
 
-def check_enum_budget(n: int, cap: int = MAX_ENUM_N) -> None:
-    if n > cap:
+def check_enum_budget(n: int) -> None:
+    if n > MAX_ENUM_N:
         raise GroundSetTooLarge(
-            f"ground set of size {n} exceeds the enumeration cap of {cap}")
+            f"ground set of size {n} exceeds the enumeration cap of {MAX_ENUM_N}")
 
 
 def check_mask(mask: int, n: int) -> int:
@@ -82,17 +82,6 @@ def mask_of(indices) -> int:
     for i in indices:
         m |= 1 << int(i)
     return m
-
-
-def _select(full: np.ndarray, masks) -> np.ndarray:
-    """Rows of a full per-mask result for the requested masks (any order,
-    repeats allowed)."""
-    if masks is None:
-        return full
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.size and (masks.min() < 0 or masks.max() >= full.shape[0]):
-        raise ValueError(f"masks must lie in [0, {full.shape[0]})")
-    return full[masks]
 
 
 def _schur_pass(matrices: np.ndarray, directions: np.ndarray | None = None,
@@ -185,13 +174,10 @@ def _jet_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return q
 
 
-def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
-    """log det of every principal submatrix A_J.
-
-    Result is aligned with `masks` (all 2^n masks when omitted, indexed
-    by mask value).  Raises LinAlgError, naming the masks, when a
-    principal minor is not positive.
-    """
+def principal_logdets(matrix: np.ndarray) -> np.ndarray:
+    """log det of every principal submatrix A_J, indexed by mask value.
+    Raises LinAlgError, naming the masks, when a principal minor is not
+    positive."""
     jets, ok = _schur_pass(np.asarray(matrix, dtype=float)[None])
     if not ok[0]:
         # the first bad step k leaves its bad masks, and only those, in
@@ -199,7 +185,7 @@ def principal_logdets(matrix: np.ndarray, masks: np.ndarray | None = None) -> np
         bad = np.flatnonzero(~np.isfinite(jets[0, 0]))
         bad = bad[bad < 2 * 2 ** (int(bad[0]).bit_length() - 1)]
         raise np.linalg.LinAlgError(f"nonpositive principal minor at masks {bad[:4].tolist()}")
-    return _select(jets[0, 0], masks)
+    return jets[0, 0]
 
 
 def _chunks(b: int, floats: int) -> list:
@@ -237,15 +223,14 @@ def _bordered_inverses(matrices: np.ndarray, check: bool = False, out=None) -> n
     return out
 
 
-def padded_inverses(matrix: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
+def padded_inverses(matrix: np.ndarray) -> np.ndarray:
     """Inverses of all principal submatrices, zero-padded to n x n.
 
-    Entry k is the n x n matrix whose J x J block is (A_J)^{-1} for the
-    k-th mask and which vanishes elsewhere.  Raises LinAlgError, naming
+    Entry J is the n x n matrix whose J x J block is (A_J)^{-1} and
+    which vanishes elsewhere.  Raises LinAlgError, naming
     the masks, when a principal minor is not positive.
     """
-    return _select(_bordered_inverses(np.asarray(matrix, dtype=float)[None], check=True)[0],
-                   masks)
+    return _bordered_inverses(np.asarray(matrix, dtype=float)[None], check=True)[0]
 
 
 def superset_sums(values: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ the population quantities the likelihood geometry is built on.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -45,6 +47,16 @@ def _mask_csv(values: np.ndarray, file=None):
     return _emit(chain(["mask,probability\r\n"], (
         "".join(f"{m},{p!r}\r\n" for m, p in enumerate(values[s:s + _BLOCK].tolist(), s))
         for s in range(0, values.size, _BLOCK))), file)
+
+
+def csv_text(header, rows) -> str:
+    """The header and rows as CSV text in csv.writer's default dialect,
+    each value as given (floats written by the caller, as repr)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _decimal_list(values: np.ndarray) -> str:
@@ -125,9 +137,9 @@ def normalized(log_dets: np.ndarray, matrix: np.ndarray):
     return np.exp(log_dets - lse), log_z, float(residual)
 
 
-def build_table(kernel: Kernel, cap: int = minors.MAX_ENUM_N) -> DppTable:
-    """Enumerate all 2^n subset probabilities of the kernel."""
-    minors.check_enum_budget(kernel.n, cap)
+def build_table(kernel: Kernel) -> DppTable:
+    """Enumerate all 2^n subset probabilities of the kernel;
+    GroundSetTooLarge past minors.MAX_ENUM_N."""
     log_dets = minors.principal_logdets(kernel.matrix)
     probs, log_z, residual = normalized(log_dets, kernel.matrix)
     return DppTable(kernel=kernel, probs=probs, normalizer=float(np.exp(log_z)),

@@ -164,12 +164,12 @@ def test_criterion_05_curvature_decay():
     positive, strictly decreasing, log-linear fit R^2 >= 0.95."""
     cfg = {"tridiagonal": {"a": 2.0, "b": 0.9}, "n_values": list(range(3, 10))}
     rep = ex.run_curvature_scan(cfg)
-    values = [c for _, c, _ in rep.rows]
+    values = [r["min_curvature"] for r in rep["rows"]]
     ok = (all(v > 0 for v in values)
           and all(values[i + 1] < values[i] for i in range(len(values) - 1))
-          and rep.fit is not None and rep.fit.slope < 0 and rep.fit.r2 >= 0.95)
+          and rep["fit"] is not None and rep["fit"]["slope"] < 0 and rep["fit"]["r2"] >= 0.95)
     line = report(5, ok, f"curvatures {values[0]:.3e}..{values[-1]:.3e}, "
-                         f"slope {rep.fit.slope:.4f}, r2 {rep.fit.r2:.5f}")
+                         f"slope {rep['fit']['slope']:.4f}, r2 {rep['fit']['r2']:.5f}")
     assert ok, line
 
 
@@ -188,9 +188,9 @@ def test_criterion_06_parametric_rate():
         "mle": {"seed": 11},
     }
     rep = ex.run_rate_study(cfg)
-    slope = rep.slopes["total"].slope
+    slope = rep["slopes"]["total"]["slope"]
     ok = -0.65 <= slope <= -0.35
-    means = [row["mean_loss"] for row in rep.rows]
+    means = [row["mean_loss"] for row in rep["rows"]]
     line = report(6, ok, f"mean losses {means[0]:.4f}/{means[1]:.4f}/{means[2]:.4f}, "
                          f"slope {slope:.4f}, window [-0.65, -0.35]")
     assert ok, (
@@ -218,8 +218,8 @@ def test_criterion_07_cross_block_rate_separation():
         "mle": {"seed": 11},
     }
     rep = ex.run_rate_study(cfg)
-    within = rep.slopes["within"].slope
-    cross = rep.slopes["cross"].slope
+    within = rep["slopes"]["within"]["slope"]
+    cross = rep["slopes"]["cross"]["slope"]
     ok = (-0.65 <= within <= -0.35) and (-0.35 <= cross <= -0.05) and cross > within
     line = report(7, ok, f"within slope {within:.4f} (window [-0.65, -0.35]), "
                          f"cross median slope {cross:.4f} (window [-0.35, -0.05])")
@@ -231,12 +231,12 @@ def test_criterion_08_curse_of_dimensionality():
     eigenvalue strictly increasing, log-linear slope > 0, R^2 >= 0.9."""
     cfg = {"tridiagonal": {"a": 2.0, "b": 0.9}, "n_values": list(range(3, 9))}
     rep = ex.run_variance_growth(cfg)
-    values = [v for _, v, s in rep.rows if not s]
+    values = [r["max_eigenvalue"] for r in rep["rows"] if not r["singular"]]
     ok = (len(values) == 6
           and all(values[i + 1] > values[i] for i in range(5))
-          and rep.fit is not None and rep.fit.slope > 0 and rep.fit.r2 >= 0.9)
+          and rep["fit"] is not None and rep["fit"]["slope"] > 0 and rep["fit"]["r2"] >= 0.9)
     line = report(8, ok, f"top eigenvalues {values[0]:.3e}..{values[-1]:.3e}, "
-                         f"slope {rep.fit.slope:.4f}, r2 {rep.fit.r2:.5f}")
+                         f"slope {rep['fit']['slope']:.4f}, r2 {rep['fit']['r2']:.5f}")
     assert ok, line
 
 

@@ -214,6 +214,8 @@ class TestMalformedConfig:
         ("rate-study", {**RATE, "mle": {"init_jitter": False}}, "mle"),
         ("verify-identities", {**VERIFY, "tolerance": -1}, "tolerance"),
         ("verify-identities", {**VERIFY, "tolerance": 0}, "tolerance"),
+        ("simulate", {**SIM, "kernel": {"n": True, "entries": [1.0]}}, "kernel.n"),
+        ("simulate", {**SIM, "kernel": {"n": 1.7, "entries": [1.0]}}, "kernel.n"),
     ])
     def test_exits_config_error_naming_field(self, tmp_path, capsys, command, config, field):
         # json.dumps writes NaN and Infinity, which json.loads reads back
@@ -247,6 +249,29 @@ class TestMalformedConfig:
         assert err.startswith(f"config error: sample_sizes[{index}]: must be at most "
                               f"{MAX_DRAWS}"), err
         assert not (tmp_path / "out").exists()
+
+    BIG = 10 ** 9
+
+    @pytest.mark.parametrize("command, config, builder", [
+        ("hessian", {"kernel": {"tridiagonal": {"a": 2.0, "b": 0.5, "n": BIG}}},
+         "tridiagonal_kernel"),
+        ("rate-study", {**RATE, "kernel": {"n": 3000, "entries": [1.0]}}, "kernel_from_json"),
+        ("simulate", {**SIM, "kernel": {"blocks": [SIM["kernel"]] * 21}},
+         "block_diagonal_kernel"),
+        ("verify-identities", {**VERIFY, "n_values": [2, BIG]}, "random_kernel"),
+        ("curvature-scan", {**SCAN, "n_values": [3, BIG], "max_n": BIG}, "tridiagonal_kernel"),
+        ("variance-growth", {**SCAN, "n_values": [3, 3000], "max_n": BIG},
+         "tridiagonal_kernel"),
+    ])
+    def test_ground_set_cap_refuses_before_any_allocation(self, tmp_path, capsys, monkeypatch,
+                                                          command, config, builder):
+        def banned(*args, **kwargs):
+            raise AssertionError("a ground set past the cap reached a kernel builder")
+        monkeypatch.setattr(experiments, builder, banned)
+        cfg = write_config(tmp_path, "top.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ground set of size"), err
 
     def test_integral_floats_read_as_integers(self, tmp_path):
         cfg = write_config(tmp_path, "top.json", {**self.SIM, "count": 1e2, "seed": 3.0})

@@ -178,18 +178,18 @@ class TestCurvatureScan:
     def test_irreducible_family(self, tmp_path):
         cfg = {"tridiagonal": {"a": 2.0, "b": 0.9}, "n_values": [3, 4, 5, 6]}
         report = ex.run_curvature_scan(cfg, tmp_path)
-        values = [c for _, c, _ in report.rows]
+        values = [r["min_curvature"] for r in report["rows"]]
         assert all(v > 0 for v in values)
         assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
-        assert report.fit.slope < 0
-        assert report.fit.r2 >= 0.95
+        assert report["fit"]["slope"] < 0
+        assert report["fit"]["r2"] >= 0.95
         assert (tmp_path / "curvature.csv").exists()
 
     def test_reducible_rows_flagged_and_excluded(self):
         cfg = {"tridiagonal": {"a": 2.0, "b": 0.0}, "n_values": [2, 3, 4]}
         report = ex.run_curvature_scan(cfg)
-        assert all(flag for _, _, flag in report.rows)
-        assert report.fit is None
+        assert all(r["reducible"] for r in report["rows"])
+        assert report["fit"] is None
 
     def test_budget(self):
         cfg = {"tridiagonal": {"a": 2.0, "b": 0.9}, "n_values": [3, 11]}
@@ -201,17 +201,17 @@ class TestVarianceGrowth:
     def test_growth_and_fit(self, tmp_path):
         cfg = {"tridiagonal": {"a": 2.0, "b": 0.9}, "n_values": [3, 4, 5, 6]}
         report = ex.run_variance_growth(cfg, tmp_path)
-        vals = [v for _, v, s in report.rows if not s]
+        vals = [r["max_eigenvalue"] for r in report["rows"] if not r["singular"]]
         assert len(vals) == 4
         assert all(vals[i + 1] > vals[i] for i in range(3))
-        assert report.fit.slope > 0
-        assert report.fit.r2 >= 0.9
+        assert report["fit"]["slope"] > 0
+        assert report["fit"]["r2"] >= 0.9
 
     def test_reducible_rows_flagged(self):
         cfg = {"tridiagonal": {"a": 2.0, "b": 0.0}, "n_values": [2, 3, 4]}
         report = ex.run_variance_growth(cfg)
-        assert all(s for _, _, s in report.rows)
-        assert report.fit is None
+        assert all(r["singular"] for r in report["rows"])
+        assert report["fit"] is None
 
 
 class TestRateStudy:
@@ -224,8 +224,8 @@ class TestRateStudy:
             "oracle": True,
         }
         report = ex.run_rate_study(cfg, tmp_path)
-        assert all(row["mean_loss"] == 0.0 for row in report.rows)
-        assert all(fit is None for fit in report.slopes.values())
+        assert all(row["mean_loss"] == 0.0 for row in report["rows"])
+        assert all(fit is None for fit in report["slopes"].values())
         payload = json.loads((tmp_path / "rate_study.json").read_text())
         assert payload["slopes"]["total"] is None
 
@@ -238,9 +238,9 @@ class TestRateStudy:
             "mle": {"restarts": 2, "seed": 1},
         }
         report = ex.run_rate_study(cfg, tmp_path)
-        assert report.slopes["total"] is not None
+        assert report["slopes"]["total"] is not None
         assert (tmp_path / "replicates_400.csv").exists()
-        assert report.config["replicates"] == 4  # resolved config echoed
+        assert report["config"]["replicates"] == 4  # resolved config echoed
 
     def test_rejects_unsorted_sizes(self):
         cfg = {"kernel": {"n": 1, "entries": [1.0]}, "sample_sizes": [100, 50]}

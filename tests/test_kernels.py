@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dppmle as d
+from dppmle import kernels
 from dppmle.minors import mask_of
 
 from conftest import random_kernel, random_symmetric
@@ -24,6 +25,16 @@ class TestKernelConstruction:
         with pytest.raises(ValueError, match="inside"):
             d.CorrelationKernel(np.diag([0.5, 1.0]))
         d.CorrelationKernel(np.diag([0.5, 0.9]))  # valid
+
+    @pytest.mark.parametrize("cls", [d.Kernel, d.CorrelationKernel])
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_both_kinds_refuse_empty_or_nonsquare(self, cls, shape):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            cls(np.zeros(shape))
+
+    def test_correlation_kernel_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            d.CorrelationKernel([[0.5, 0.1], [0.2, 0.5]])
 
 
 class TestPrincipalSubmatrix:
@@ -147,7 +158,54 @@ class TestDeterminantalGraph:
         assert not d.determinantal_graph(d.Kernel(m), zero_tol=1e-9).irreducible
 
 
+def loop_basis(n):
+    """Reference layout: E_ii, then (E_ij + E_ji)/sqrt(2) for i < j, one
+    matrix at a time."""
+    basis = []
+    for i in range(n):
+        b = np.zeros((n, n))
+        b[i, i] = 1.0
+        basis.append(b)
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = np.zeros((n, n))
+            b[i, j] = b[j, i] = r
+            basis.append(b)
+    return basis
+
+
+def loop_to_coords(h):
+    rows, cols = np.triu_indices(h.shape[0], k=1)
+    return np.concatenate([np.diag(h), np.sqrt(2.0) * h[rows, cols]])
+
+
+def loop_to_sym(v, n):
+    h = np.zeros((n, n))
+    np.fill_diagonal(h, v[:n])
+    rows, cols = np.triu_indices(n, k=1)
+    off = v[n:] / np.sqrt(2.0)
+    h[rows, cols] = off
+    h[cols, rows] = off
+    return h
+
+
 class TestSymmetricBasis:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_layout_is_bitwise_the_loop_layout(self, n, rng):
+        # hessian_matrix.csv is written in this order, so pin it exactly,
+        # not only up to a round trip
+        basis = d.symmetric_basis(n)
+        assert len(basis) == d.symmetric_dim(n)
+        for got, want in zip(basis, loop_basis(n)):
+            np.testing.assert_array_equal(got, want)
+        stack = np.array([random_symmetric(n, rng) for _ in range(3)])
+        coords = kernels.stack_to_coords(stack)
+        for h, c in zip(stack, coords):
+            np.testing.assert_array_equal(c, loop_to_coords(h))
+            np.testing.assert_array_equal(d.sym_to_coords(h), loop_to_coords(h))
+            np.testing.assert_array_equal(d.coords_to_sym(c, n), loop_to_sym(c, n))
+
     def test_n1(self):
         basis = d.symmetric_basis(1)
         assert len(basis) == 1

@@ -100,7 +100,7 @@ class TestBuildTable:
 
     def test_ground_set_cap(self):
         with pytest.raises(GroundSetTooLarge):
-            d.build_table(d.Kernel(np.eye(3)), cap=2)
+            d.build_table(d.Kernel(np.eye(21)))
 
     def test_breakdown_detection(self, rng, monkeypatch):
         ker = random_kernel(3, rng)

@@ -27,6 +27,16 @@ def test_one_report_writer():
     assert len(calls) == 1, f"write_text calls in src/dppmle: {calls}"
 
 
+def test_one_csv_writer():
+    # every report CSV is written through model.csv_text
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "csv.writer":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert len(calls) == 1, f"csv.writer calls in src/dppmle: {calls}"
+
+
 def test_one_fit_loop():
     # every fit runs through the lockstep batch: one `range(config.max_iters)`
     # loop, no per-restart fitter or fit chunking beside it, none of the
@@ -35,7 +45,9 @@ def test_one_fit_loop():
     # enumeration has one cap, minors.MAX_ENUM_N; every trace statistic
     # a_{J,k} comes from the one all-minors recursion, carried in jets,
     # not from padded matrix powers, and the matrix form from its reverse
-    # sweep, not from weighted sums of the 2^n padded inverses
+    # sweep, not from weighted sums of the 2^n padded inverses; commands
+    # return their report dicts, with no report classes beside them, and
+    # the minors, coordinates and block losses each have one copy
     loops, banned = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -47,7 +59,8 @@ def test_one_fit_loop():
             for name in names & {"_fit_single", "_WOLFE_SLACK", "_matrix_from_theta", "h_inv",
                                  "_logdet_adjoint", "weighted_logdet_grad", "_fit_batch",
                                  "_FIT_CHUNK_MASKS", "MAX_SIGN_ENUM_N", "_stats_upto",
-                                 "_weighted_inverse_sums"}:
+                                 "_weighted_inverse_sums", "_select", "_offdiag_rows_cols",
+                                 "_split_by_blocks", "ScanReport", "RateReport"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed machinery in src/dppmle: {banned}"
