@@ -17,14 +17,16 @@ directly, so its value and signs are those of the direct scan.
 The fit is damped Newton in the orthonormal symmetric coordinates of L
 on the exact observed information, the form (H, K) ->
 -sum_J q_J Tr(P_J H P_J K) + Tr(G H G K) with P_J = pad(L_J^{-1}) from
-the bordering recursion in `minors` and G = (I+L)^{-1} = sum_J p_J P_J.
-The likelihood is not concave (Brunel, Moitra, Rigollet & Urschel,
-arXiv:1701.06501), so the eigenvalues of -H are reflected and floored at
-1e-13 of the largest, and Armijo backtracking from step 1 makes every
-step a rise (Nocedal & Wright, ch. 3.4).  A nonpositive minor makes the
-value -inf, so iterates stay positive definite; a candidate the spectral
-box [alpha, beta] of the correlation kernel moves is taken only if it
-rises.  A member stops on `grad_tol`; on `roundoff`, when half the
+the bordering recursion in `minors` and G = (I+L)^{-1} = sum_J p_J P_J:
+`geometry.likelihood_derivatives`, at q = p* the population Hessian,
+formed only for a member that steps.  The likelihood is not concave
+(Brunel, Moitra, Rigollet & Urschel, arXiv:1701.06501), so the
+eigenvalues of -H are reflected and floored at 1e-13 of the largest,
+and Armijo backtracking from step 1 makes every step a rise (Nocedal &
+Wright, ch. 3.4).  A nonpositive minor makes the value -inf, so
+iterates stay positive definite; a candidate the spectral box [alpha,
+beta] of the correlation kernel moves is taken only if it rises.  A
+member stops on `grad_tol`; on `roundoff`, when half the
 Newton decrement g^T (-H)^{-1} g is at most 8 eps max(1, |f|), below
 what f resolves (Boyd & Vandenberghe, 9.5.1), after one full step
 taken unless f falls by more than that; on `line_search`, when no step
@@ -54,9 +56,9 @@ import numpy as np
 
 from . import minors, rngs
 from .errors import LikelihoodDecrease, SingularInformation
-from .geometry import hessian_matrix
+from .geometry import _gram_layout, hessian_matrix, likelihood_derivatives
 from .kernels import (DeterminantalGraph, Kernel, conjugate_by_signs,
-                      determinantal_graph, k_to_l, symmetric_basis, symmetrize)
+                      determinantal_graph, k_to_l, symmetrize)
 from .model import EmpiricalTable, build_table, csv_text, empirical_table, sample
 
 #: Why a fit member stopped (see the module docstring).
@@ -154,9 +156,9 @@ class _Objective:
     The value is one forward pass of the all-minors recursion: sum_J q_J
     log det L_J minus log det(I+L), taken as the logsumexp of the same
     log-determinants since det(I+L) = sum_J det L_J.  Both derivatives
-    come from the padded inverses P_J of one bordering recursion: the
-    gradient is sum_J (q_J - p_J) P_J, p_J = det L_J / det(I+L), and the
-    Hessian a Gram of the P_J, so I+L is never factored."""
+    are `geometry.likelihood_derivatives` of the padded inverses P_J of
+    one bordering recursion, with p_J = det L_J / det(I+L), so I+L is
+    never factored."""
 
     def __init__(self, freqs: np.ndarray, tables: np.ndarray | None = None):
         self.freqs = np.asarray(freqs, dtype=float)
@@ -184,33 +186,19 @@ class _Objective:
         return values, (matrices, logdets, log_z, members)
 
     def derivatives(self, point):
-        """(gradients, Hessians) of every member of a point whose values
-        are finite, both from the distinct entries of the P_J of one
-        bordering recursion per member, in member chunks of
-        `minors._chunks`.  The Hessians are in the coordinates of
-        `symmetric_basis` (the form in the module docstring), from the
-        Gram of those entries."""
+        """(slice, gradients, Hessian function) of `likelihood_derivatives`
+        per member chunk of `minors._chunks` of a point whose values are
+        finite, from the P_J of one bordering recursion per member."""
         matrices, logdets, log_z, members = point
         b, n = matrices.shape[0], matrices.shape[1]
-        distinct, first, second, basis, spread = _hessian_layout(n)
-        grad = np.empty((b, n, n))
-        hess = np.empty((b, len(basis), len(basis)))
         for at in minors._chunks(b, 2 ** n * n * n):
             k = len(matrices[at])
             if len(self.work[0]) < k:       # so no pass maps and faults in fresh pages
-                self.work = (np.empty((k, 2 ** n, n, n)), np.empty((k, 2 ** n, len(distinct))))
+                self.work = (np.empty((k, 2 ** n, n, n)), np.empty((k, 2 ** n, n * (n + 1) // 2)))
             inv = minors._bordered_inverses(matrices[at], out=self.work[0][:k])
-            x = np.take(inv.reshape(k, 2 ** n, n * n), distinct, axis=2, out=self.work[1][:k],
-                        mode="clip")        # "raise" would buffer `out`
-            p = np.exp(logdets[at] - log_z[at, None])
-            q = self.freqs[self.tables[members[at]]]
-            d = (x.transpose(0, 2, 1) @ (q - p)[:, :, None])[:, :, 0]
-            grad[at] = d[:, spread].reshape(-1, n, n)
-            g = x.transpose(0, 2, 1) @ p[:, :, None]
-            x *= np.sqrt(q)[:, :, None]
-            gram = x.transpose(0, 2, 1) @ x - g * g.transpose(0, 2, 1)   # y^T y is a syrk
-            hess[at] = -(basis @ gram[:, first, second] @ basis.T)
-        return grad, hess
+            yield (at, *likelihood_derivatives(inv, self.freqs[self.tables[members[at]]],
+                                               np.exp(logdets[at] - log_z[at, None]),
+                                               out=self.work[1][:k]))
 
 
 # --- Newton step -----------------------------------------------------------
@@ -224,34 +212,15 @@ def _strict_lower(n: int):
     return rows, cols
 
 
-def _theta_norm(grad_l: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+def _theta_norm(grad_l: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Norms of the gradients in the log-Cholesky parameters theta of
-    L = C C^T (log of diag C, then the strict lower triangle), the
-    measure `grad_tol` and `converged` are stated in."""
-    c = np.linalg.cholesky(matrices)
+    L = C C^T, given the factors c (log of diag C, then the strict lower
+    triangle), the measure `grad_tol` and `converged` are stated in."""
     gc = 2.0 * grad_l @ c
     diag = np.arange(c.shape[1])
     g = np.concatenate([gc[:, diag, diag] * c[:, diag, diag],
                         gc[(slice(None), *_strict_lower(c.shape[1]))]], axis=1)
     return np.sqrt(_rowdot(g, g))
-
-
-@functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
-def _hessian_layout(n: int):
-    """Read-only (flat indices of the entries i <= j of an n x n matrix;
-    the row and column indices that read entry [(b, c), (d, a)] of
-    sum_J q_J P_J (x) P_J from the Gram of those entries of the P_J;
-    `symmetric_basis(n)` as rows; the index among those entries of each
-    entry of the flat n x n matrix)."""
-    rows, cols = np.triu_indices(n)
-    u = np.empty((n, n), dtype=np.intp)
-    u[rows, cols] = u[cols, rows] = np.arange(rows.size)
-    b, c, d, a = np.indices((n,) * 4).reshape(4, n * n, n * n)
-    layout = (rows * n + cols, u[a, b], u[c, d], np.reshape(symmetric_basis(n), (-1, n * n)),
-              u.ravel())
-    for x in layout:
-        x.flags.writeable = False
-    return layout
 
 
 def _project_box(matrices: np.ndarray, box: tuple):
@@ -327,21 +296,24 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
 
 def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float):
     """(gradient norms by `_theta_norm`, Newton decrements, ascent
-    directions) of a point's members, the last two zero for a member at
-    `grad_tol` or `flat`; in member chunks of about 4 m^2 floats, m =
-    n(n+1)/2, so no Hessian stack spans the batch."""
+    directions) of a point's members, the last two zero, and no Hessian
+    formed, for a member at `grad_tol` or `flat`; in member chunks of
+    about 4 m^2 floats, m = n(n+1)/2, so no Hessian stack spans the batch."""
     b, n = matrices.shape[0], matrices.shape[1]
-    basis = _hessian_layout(n)[3]
+    basis = _gram_layout(n)[4]
     gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
     for at in minors._chunks(b, 4 * len(basis) ** 2):
-        grad, hess = obj.derivatives(tuple(x[at] for x in point))
-        gnorm[at] = _theta_norm(grad, matrices[at])
+        c = np.linalg.cholesky(matrices[at])
+        grad, hess = np.empty((len(c), n, n)), []
+        for sub, g, hessians in obj.derivatives(tuple(x[at] for x in point)):
+            grad[sub], gnorm[at][sub] = g, _theta_norm(g, c[sub])
+            hess.append(hessians(~(gnorm[at][sub] <= grad_tol) & ~flat[at][sub]))
         go = np.flatnonzero(~(gnorm[at] <= grad_tol) & ~flat[at])
         if not go.size:
             continue
         # the step solves against -H with its eigenvalues reflected and
         # floored, so it ascends wherever H is indefinite
-        w, v = np.linalg.eigh(-hess[go])
+        w, v = np.linalg.eigh(-np.concatenate(hess))
         w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
         z = (grad[go].reshape(go.size, 1, n * n) @ basis.T @ v)[:, 0] / np.sqrt(w)
         decrement[at.start + go] = _rowdot(z, z)       # lambda^2 = g^T (-H)^{-1} g

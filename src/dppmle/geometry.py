@@ -11,10 +11,11 @@ counterpart a_k = Tr(((I+L)^{-1} H)^k):
 
     d^k Phi(H,..,H) = (-1)^(k-1) (k-1)! (sum_J p*_J a_{J,k} - a_k).
 
-At L = L* the gradient vanishes and the Hessian is minus the variance
-of the linear statistic Tr((L*_Z)^{-1} H_Z), hence negative
-semidefinite; its null space consists of the symmetric directions
-supported on cross-block index pairs of L*.  Along those directions the
+At L = L* the gradient vanishes and the Hessian is the likelihood
+Hessian at q = p* (`likelihood_derivatives`), which by the identity
+differentiated twice is minus the variance of Tr((L*_Z)^{-1} H_Z), hence
+negative semidefinite; its null space consists of the symmetric
+directions on cross-block index pairs of L*.  Along those directions the
 third derivative vanishes and the fourth is minus three times the
 variance of the quadratic trace statistic, strictly negative for any
 nonzero null direction.
@@ -29,6 +30,7 @@ formed.  The identity suite takes kernels of one size at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,8 +39,8 @@ import numpy as np
 
 from . import minors
 from .errors import NotNullDirection
-from .kernels import (DeterminantalGraph, Kernel, stack_to_coords,
-                      symmetric_dim)
+from .kernels import (DeterminantalGraph, Kernel, _coordinate_layout, coords_to_sym,
+                      symmetric_basis)
 from .model import DppTable, build_table, normalized
 
 #: Relative eigenvalue threshold used to identify the numerical null space.
@@ -46,9 +48,8 @@ NULL_EIG_TOL = 1e-9
 
 
 class TraceCache:
-    """Per-subset inverse minors of a kernel, zero-padded: what the
-    Hessian Gram reads.  `hessian_matrix` builds one and drops it on
-    return."""
+    """Per-subset inverse minors of a kernel, zero-padded, for the Hessian
+    at q = p; `hessian_matrix` builds one and drops it on return."""
 
     __slots__ = ("padded_inv",)
 
@@ -92,6 +93,8 @@ def _traces(matrices: np.ndarray, directions: np.ndarray, order: int,
 
 def _stats(kernel: Kernel, direction, order: int):
     """(a_{J,k}, (order, 2^n); a_k, (order,)) of one kernel and direction."""
+    if order < 1:
+        raise ValueError("order k must be >= 1")
     h = np.asarray(direction, dtype=float)
     if h.shape != kernel.matrix.shape:
         raise ValueError(f"direction of shape {h.shape} for a kernel of size {kernel.n}")
@@ -100,8 +103,6 @@ def _stats(kernel: Kernel, direction, order: int):
 
 
 def trace_statistics(kernel: Kernel, direction: np.ndarray, k: int) -> TraceStatistics:
-    if k < 1:
-        raise ValueError("order k must be >= 1")
     per, glob = _stats(kernel, direction, k)
     return TraceStatistics(kernel=kernel, direction=np.asarray(direction, dtype=float),
                            order=k, per_subset=per[k - 1], global_value=float(glob[k - 1]))
@@ -120,8 +121,6 @@ def expected_log_likelihood(table_star: DppTable, kernel: Kernel) -> float:
 def directional_derivative(table_star: DppTable, kernel: Kernel,
                            direction: np.ndarray, k: int) -> float:
     """k-th derivative of t -> Phi(L + tH) at t = 0, in closed form."""
-    if not 1 <= k:
-        raise ValueError("order k must be >= 1")
     per, glob = _stats(kernel, direction, k)
     diff = float(table_star.probs @ per[k - 1] - glob[k - 1])
     return (-1.0) ** (k - 1) * math.factorial(k - 1) * diff
@@ -137,13 +136,51 @@ def hessian_quadratic_form(table_star: DppTable, direction: np.ndarray) -> float
     return -_variance(table_star.probs, _stats(table_star.kernel, direction, 1)[0][0])
 
 
+@functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
+def _gram_layout(n: int):
+    """Read-only (flat indices of the entries i <= j, in `np.triu_indices`
+    order; the index among them of each flat entry; the indices that read
+    their Gram at [(a, b), (c, d)] into [(b, c), (d, a)]; the basis rows)."""
+    rows, cols = np.triu_indices(n)
+    u = np.empty((n, n), dtype=np.intp)
+    u[rows, cols] = u[cols, rows] = np.arange(rows.size)
+    b, c, d, a = np.indices((n,) * 4).reshape(4, n * n, n * n)
+    layout = (rows * n + cols, u.ravel(), u[a, b], u[c, d],
+              np.reshape(symmetric_basis(n), (-1, n * n)))
+    for x in layout:
+        x.flags.writeable = False
+    return layout
+
+
+def likelihood_derivatives(inv: np.ndarray, q: np.ndarray, p: np.ndarray, out=None):
+    """(gradients sum_J (q_J - p_J) P_J, a function forming once the Hessians
+    of the members a mask selects, all by default) of sum_J q_J log det L_J
+    - log det(I+L) for k kernels from P_J = pad(L_J^{-1}), (k, 2^n, n, n),
+    q and p_J = det L_J / det(I+L).  A Hessian, -sum_J q_J Tr(P_J H P_J K) +
+    Tr(G H G K) in `symmetric_basis` coordinates, G = (I+L)^{-1}, is a Gram
+    of the distinct entries of the P_J, kept in `out` if given."""
+    k, n = inv.shape[0], inv.shape[-1]
+    distinct, spread, first, second, basis = _gram_layout(n)
+    x = np.take(inv.reshape(k, 2 ** n, n * n), distinct, axis=2, out=out,
+                mode="clip")        # "raise" would buffer `out`
+    d = (x.transpose(0, 2, 1) @ (q - p)[:, :, None])[:, :, 0]
+
+    def hessians(members=None):
+        at = slice(None) if members is None or members.all() else members
+        y = x[at]                   # x itself, unless some member is left out
+        g = y.transpose(0, 2, 1) @ p[at, :, None]
+        y *= np.sqrt(q[at])[:, :, None]
+        gram = y.transpose(0, 2, 1) @ y - g * g.transpose(0, 2, 1)   # y^T y is a syrk
+        return -(basis @ gram[:, first, second] @ basis.T)
+
+    return d[:, spread].reshape(k, n, n), hessians
+
+
 @dataclass
 class HessianForm:
-    """Hessian of Phi at the reference kernel, in symmetric coordinates.
-
-    matrix[p, q] is the polarized form -Cov(T_p, T_q) of the subset
-    trace statistics of the p-th and q-th orthonormal basis directions.
-    """
+    """Hessian of Phi at the reference kernel in symmetric coordinates: the
+    likelihood Hessian at q = p, symmetrized, with entries -Cov(T_p, T_q)
+    of the subset trace statistics T of the basis directions."""
 
     kernel: Kernel
     matrix: np.ndarray
@@ -170,12 +207,10 @@ class HessianForm:
 
 
 def hessian_matrix(table_star: DppTable) -> HessianForm:
-    cache = trace_cache(table_star)
-    t = stack_to_coords(cache.padded_inv)          # (2^n, m)
-    p = table_star.probs
-    mean = p @ t
-    cov = (t * p[:, None]).T @ t - np.outer(mean, mean)
-    mat = -(cov + cov.T) / 2.0
+    """`likelihood_derivatives`' Hessian at q = p = the table's probabilities."""
+    p = table_star.probs[None]
+    hess = likelihood_derivatives(trace_cache(table_star).padded_inv[None], p, p)[1]()[0]
+    mat = (hess + hess.T) / 2.0
     w, v = np.linalg.eigh(mat)
     return HessianForm(kernel=table_star.kernel, matrix=mat, eigenvalues=w, eigenvectors=v)
 
@@ -195,22 +230,18 @@ class NullSpaceBasis:
         return len(self.basis)
 
     def coordinate_matrix(self) -> np.ndarray:
-        """Basis directions as columns in symmetric coordinates."""
-        if not self.basis:
-            return np.zeros((symmetric_dim(self.n), 0))
-        return stack_to_coords(np.stack(self.basis)).T
+        """Basis directions as columns in symmetric coordinates: the unit
+        vectors of their pairs."""
+        rows, cols, _ = _coordinate_layout(self.n)
+        flat = [i * self.n + j for i, j in self.pairs]
+        return np.eye(rows.size)[:, np.isin(rows * self.n + cols, flat)]
 
 
 def null_space_basis(graph: DeterminantalGraph, kernel: Kernel | None = None) -> NullSpaceBasis:
-    n = graph.n
-    pairs = graph.cross_pairs()
-    r = 1.0 / np.sqrt(2.0)
-    basis = []
-    for i, j in pairs:
-        b = np.zeros((n, n))
-        b[i, j] = b[j, i] = r
-        basis.append(b)
-    return NullSpaceBasis(n=n, pairs=pairs, basis=basis, kernel=kernel)
+    """One `symmetric_basis` direction (E_ij + E_ji)/sqrt(2) per cross pair."""
+    nsb = NullSpaceBasis(n=graph.n, pairs=graph.cross_pairs(), basis=[], kernel=kernel)
+    nsb.basis = [coords_to_sym(c, graph.n) for c in nsb.coordinate_matrix().T]
+    return nsb
 
 
 def fourth_order_form(table_star: DppTable, direction: np.ndarray,
@@ -245,20 +276,12 @@ def decompose_null_direction(direction: np.ndarray, graph: DeterminantalGraph):
         raise ValueError(f"direction must be {n}x{n}")
     if np.any(h[graph.same_component()] != 0.0):
         raise NotNullDirection("direction has support inside a component")
-    pieces = []
-    k = len(graph.components)
-    for a in range(k):
-        chi_a = np.zeros(n)
-        chi_a[list(graph.components[a])] = 1.0
-        for b in range(a + 1, k):
-            chi_b = np.zeros(n)
-            chi_b[list(graph.components[b])] = 1.0
-            piece = np.outer(chi_a, chi_b) * h + np.outer(chi_b, chi_a) * h
-            if not piece.any():
-                continue
-            signs = 2.0 * chi_a - 1.0
-            pieces.append((piece, signs))
-    return pieces
+    chi = np.zeros((len(graph.components), n))       # component indicators
+    for a, comp in enumerate(graph.components):
+        chi[a, list(comp)] = 1.0
+    pieces = [(np.outer(chi[a], chi[b]) * h + np.outer(chi[b], chi[a]) * h, 2.0 * chi[a] - 1.0)
+              for a in range(len(chi)) for b in range(a + 1, len(chi))]
+    return [(piece, signs) for piece, signs in pieces if piece.any()]
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -314,12 +315,14 @@ def kernel_from_json(obj) -> Kernel:
     """Load {"n": int, "entries": row-major n*n reals}.
 
     Symmetry is enforced by averaging with the transpose; asymmetry
-    beyond 1e-9 triggers a warning.
+    beyond 1e-9 triggers a warning; a non-integer n raises ValueError.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
-    entries = np.asarray(obj["entries"], dtype=float).reshape(n, n)
+    n = obj["n"]
+    if isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer():
+        raise ValueError(f"kernel n must be an integer, got {n!r}")
+    entries = np.asarray(obj["entries"], dtype=float).reshape(int(n), int(n))
     if not np.isfinite(entries).all():
         raise ValueError("kernel entries must be finite")
     skew = np.abs(entries - entries.T).max() if n else 0.0

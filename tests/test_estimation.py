@@ -124,7 +124,7 @@ class TestObjective:
             obj = estimation._Objective(q[None])
             values, point = obj.evaluate(a[None], [0])
             assert values[0] == pytest.approx(value, rel=1e-12, abs=1e-12), name
-            np.testing.assert_allclose(obj.derivatives(point)[0][0], grad,
+            np.testing.assert_allclose(next(obj.derivatives(point))[1][0], grad,
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_hessian_matches_per_mask_reference(self, rng):
@@ -141,7 +141,7 @@ class TestObjective:
                                 for mq, gq in per] for mp, gp in per])
             obj = estimation._Objective(q[None])
             _, point = obj.evaluate(a[None], [0])
-            np.testing.assert_allclose(obj.derivatives(point)[1][0], expect,
+            np.testing.assert_allclose(next(obj.derivatives(point))[2]()[0], expect,
                                        rtol=0, atol=1e-10, err_msg=name)
 
     def test_hessian_matches_gradient_differences(self, rng):
@@ -152,7 +152,7 @@ class TestObjective:
         cand = random_kernel(4, rng)
         obj = estimation._Objective(freqs.freqs[None])
         _, point = obj.evaluate(cand.matrix[None], [0])
-        hess = obj.derivatives(point)[1][0]
+        hess = next(obj.derivatives(point))[2]()[0]
         basis = d.symmetric_basis(4)
         step = 1e-5
         for p, ep in enumerate(basis):
@@ -189,11 +189,12 @@ def fit_one(obj, start, config):
     return tuple(column[0] for column in estimation._lockstep(obj, start[None], config))
 
 
-def unit_hessian(kernels):
-    """-I in symmetric coordinates of 2 x 2 kernels, for each kernel: the
-    Hessian of -||L - T||^2 / 2.  The fakes below keep a point as the
-    1-tuple (kernels,), since the fitter slices a point field by field."""
-    return np.repeat(-np.eye(3)[None], len(kernels), axis=0)
+def fake_derivatives(grads, curvature=1.0):
+    """What `_Objective.derivatives` yields for 2 x 2 kernels with these
+    gradients and the Hessian -curvature I in symmetric coordinates, that
+    of -curvature ||L - T||^2 / 2: one chunk of every member.  The fakes
+    below keep a point as the 1-tuple (kernels,)."""
+    yield slice(None), grads, lambda go: np.repeat(-curvature * np.eye(3)[None], go.sum(), axis=0)
 
 
 class TestLineSearch:
@@ -214,7 +215,7 @@ class TestLineSearch:
 
             def derivatives(self, point):
                 (kernels,) = point
-                return np.repeat(1e-6 * np.eye(2)[None], len(kernels), axis=0), unit_hessian(kernels)
+                return fake_derivatives(np.repeat(1e-6 * np.eye(2)[None], len(kernels), axis=0))
 
         obj = Peaked()
         cfg = MleConfig()
@@ -239,7 +240,7 @@ class TestLineSearch:
 
             def derivatives(self, point):
                 (kernels,) = point
-                return target - kernels, 2.0 * unit_hessian(kernels)
+                return fake_derivatives(target - kernels, 2.0)
 
         obj = Quadratic()
         cfg = MleConfig()
@@ -262,6 +263,53 @@ def batch_of(tables, config):
     freqs = np.repeat([t.freqs for t in tables], config.restarts, axis=0)
     starts = np.concatenate([estimation._starts(t, config) for t in tables])
     return estimation._Objective(freqs), starts
+
+
+def count_hessians(monkeypatch):
+    """The list of Hessian counts the fitter forms, one entry a chunk."""
+    formed = []
+    real = estimation.likelihood_derivatives
+
+    def counting(*args, **kwargs):
+        grads, hessians = real(*args, **kwargs)
+
+        def counted(members=None):
+            hess = hessians(members)
+            formed.append(len(hess))
+            return hess
+
+        return grads, counted
+
+    monkeypatch.setattr(estimation, "likelihood_derivatives", counting)
+    return formed
+
+
+class TestHessiansFormed:
+    def test_one_hessian_a_step_at_max_iters(self, monkeypatch):
+        # six restarts take one step each; the closing gradient pass forms none
+        freqs = d.empirical_table(d.sample(d.build_table(d.tridiagonal_kernel(6, 2.0, 0.5)),
+                                           2000, seed=3))
+        formed = count_hessians(monkeypatch)
+        result = d.fit_mle(freqs, MleConfig(seed=1, max_iters=1))
+        assert result.stop_reason == "max_iters" and result.iterations == 1
+        assert sum(formed) == 6
+
+    def test_one_hessian_a_step_to_convergence(self, monkeypatch):
+        # every member stops on grad_tol, and no member at grad_tol forms one
+        cfg = MleConfig(seed=2, restarts=3)
+        obj, starts = batch_of(replicate_tables(4, 2, 2000), cfg)
+        searched = []
+        line_search = estimation._line_search
+
+        def spy(obj, members, *args):
+            searched.append(len(members))
+            return line_search(obj, members, *args)
+
+        monkeypatch.setattr(estimation, "_line_search", spy)
+        formed = count_hessians(monkeypatch)
+        _, _, iterations, converged, _, _ = estimation._lockstep(obj, starts, cfg)
+        assert converged.all()
+        assert sum(formed) == sum(searched) == iterations.sum()
 
 
 class TestLockstepBatch:
@@ -420,7 +468,7 @@ class TestFitMle:
 
             def derivatives(self, point):
                 (kernels,) = point
-                return np.repeat(5.0 * np.eye(2)[None], len(kernels), axis=0), unit_hessian(kernels)
+                return fake_derivatives(np.repeat(5.0 * np.eye(2)[None], len(kernels), axis=0))
 
         with pytest.raises(LikelihoodDecrease):
             fit_one(Decreasing(), np.eye(2), MleConfig())

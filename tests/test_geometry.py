@@ -5,9 +5,9 @@ import dppmle as d
 from dppmle.errors import NotNullDirection
 from dppmle.kernels import sign_vectors
 
-from dppmle import geometry, minors, model
-from conftest import (NEGATIVE_3X3, matmul_trace_stats, random_block_kernel, random_kernel,
-                      random_null_direction, random_symmetric)
+from dppmle import estimation, geometry, minors, model
+from conftest import (NEGATIVE_3X3, brute_inverses, matmul_trace_stats, random_block_kernel,
+                      random_kernel, random_null_direction, random_symmetric, reference_kernels)
 
 
 def close(got, ref, tol=1e-12):
@@ -210,6 +210,30 @@ class TestHessianMatrix:
                 else random_kernel(n, rng)
             form = d.hessian_matrix(d.build_table(ker))
             assert form.eigenvalues.max() <= 1e-9 * max(1.0, np.abs(form.eigenvalues).max())
+
+    def test_matches_the_per_mask_covariance(self):
+        # minus the covariance under p of the coordinates of one inverse per
+        # mask, centered, to 1e-12 of the spectral scale
+        for name, a in reference_kernels():
+            table = d.build_table(d.Kernel(a))
+            t = np.array([d.sym_to_coords(m) for m in brute_inverses(a)])
+            centered = t - table.probs @ t
+            expect = -(centered * table.probs[:, None]).T @ centered
+            form = d.hessian_matrix(table)
+            np.testing.assert_allclose(form.matrix, expect, rtol=0,
+                                       atol=1e-12 * np.abs(form.eigenvalues).max(), err_msg=name)
+
+    def test_is_the_fitter_hessian_at_the_truth(self, rng):
+        # the Newton step's Hessian at (L*, q = p*), symmetrized, with p* as
+        # the table normalizes it, is the population Hessian exactly
+        for n in (1, 3, 6):
+            star = random_kernel(n, rng)
+            table = d.build_table(star)
+            lse = np.logaddexp.reduce(np.sort(table.log_dets))
+            point = (star.matrix[None], table.log_dets[None], np.array([lse]), np.array([0]))
+            _, _, hessians = next(estimation._Objective(table.probs[None]).derivatives(point))
+            hess = hessians()[0]
+            np.testing.assert_array_equal(d.hessian_matrix(table).matrix, (hess + hess.T) / 2)
 
     def test_csv_exports(self, rng):
         form = d.hessian_matrix(d.build_table(random_kernel(3, rng)))

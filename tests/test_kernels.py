@@ -251,3 +251,11 @@ class TestConstructionHelpers:
         with pytest.warns(UserWarning, match="asymmetric"):
             ker = d.kernel_from_json(obj)
         assert ker.matrix[0, 1] == ker.matrix[1, 0]
+
+    @pytest.mark.parametrize("n", [True, False, 1.7, "1", None, float("nan"), float("inf"), [1]])
+    def test_json_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="kernel n must be an integer"):
+            d.kernel_from_json({"n": n, "entries": [2.0]})
+
+    def test_json_takes_an_integral_float_n(self):
+        assert d.kernel_from_json({"n": 1.0, "entries": [2.0]}).n == 1

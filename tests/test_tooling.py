@@ -46,8 +46,10 @@ def test_one_fit_loop():
     # a_{J,k} comes from the one all-minors recursion, carried in jets,
     # not from padded matrix powers, and the matrix form from its reverse
     # sweep, not from weighted sums of the 2^n padded inverses; commands
-    # return their report dicts, with no report classes beside them, and
-    # the minors, coordinates and block losses each have one copy
+    # return their report dicts, with no report classes beside them; the
+    # minors, coordinates and block losses each have one copy, and so has
+    # the likelihood Hessian (`test_one_likelihood_hessian`), with no
+    # layout of its own in the fitter
     loops, banned = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -60,7 +62,41 @@ def test_one_fit_loop():
                                  "_logdet_adjoint", "weighted_logdet_grad", "_fit_batch",
                                  "_FIT_CHUNK_MASKS", "MAX_SIGN_ENUM_N", "_stats_upto",
                                  "_weighted_inverse_sums", "_select", "_offdiag_rows_cols",
-                                 "_split_by_blocks", "ScanReport", "RateReport"}:
+                                 "_split_by_blocks", "ScanReport", "RateReport",
+                                 "_hessian_layout"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed machinery in src/dppmle: {banned}"
+
+
+def _is_gram(node) -> bool:
+    """A matrix product X^T @ Y whose operands share an array name, such
+    as y.transpose(0, 2, 1) @ y or (t * p[:, None]).T @ t."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+        return False
+    left = node.left
+    if isinstance(left, ast.Call):
+        left = left.func
+    if not (isinstance(left, ast.Attribute) and left.attr in ("T", "transpose")):
+        return False
+
+    def names(tree):
+        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+    return bool(names(left.value) & names(node.right))
+
+
+def test_one_likelihood_hessian():
+    # the Newton step, hessian_matrix, min_curvature and asymptotic_covariance
+    # read one Hessian: a Gram of the distinct padded-inverse entries is
+    # formed in one function, geometry.likelihood_derivatives, and nowhere else
+    grams = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        grams += [f"{path.stem}.{name}" for name, fn in defs
+                  if any(_is_gram(node) for node in ast.walk(fn))]
+    assert grams == ["geometry.likelihood_derivatives"], f"Gram products in src/dppmle: {grams}"
