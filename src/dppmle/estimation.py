@@ -19,7 +19,8 @@ on the exact observed information, the form (H, K) ->
 -sum_J q_J Tr(P_J H P_J K) + Tr(G H G K) with P_J = pad(L_J^{-1}) from
 the bordering recursion in `minors` and G = (I+L)^{-1} = sum_J p_J P_J:
 `geometry.likelihood_derivatives`, at q = p* the population Hessian,
-formed only for a member that steps.  The likelihood is not concave
+read by two gathers from a Gram in the one coordinate layout of
+`kernels` and formed only for a member that steps.  The likelihood is not concave
 (Brunel, Moitra, Rigollet & Urschel, arXiv:1701.06501), so the
 eigenvalues of -H are reflected and floored at 1e-13 of the largest,
 and Armijo backtracking from step 1 makes every step a rise (Nocedal &
@@ -46,7 +47,6 @@ the batch, and a rate study then has no row.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -56,9 +56,10 @@ import numpy as np
 
 from . import minors, rngs
 from .errors import LikelihoodDecrease, SingularInformation
-from .geometry import _gram_layout, hessian_matrix, likelihood_derivatives
-from .kernels import (DeterminantalGraph, Kernel, conjugate_by_signs,
-                      determinantal_graph, k_to_l, symmetrize)
+from .geometry import hessian_matrix, likelihood_derivatives
+from .kernels import (DeterminantalGraph, Kernel, _coordinate_layout, conjugate_by_signs,
+                      coords_to_sym, determinantal_graph, k_to_l, sym_to_coords,
+                      symmetric_dim, symmetrize)
 from .model import EmpiricalTable, build_table, csv_text, empirical_table, sample
 
 #: Why a fit member stopped (see the module docstring).
@@ -194,7 +195,7 @@ class _Objective:
         for at in minors._chunks(b, 2 ** n * n * n):
             k = len(matrices[at])
             if len(self.work[0]) < k:       # so no pass maps and faults in fresh pages
-                self.work = (np.empty((k, 2 ** n, n, n)), np.empty((k, 2 ** n, n * (n + 1) // 2)))
+                self.work = (np.empty((k, 2 ** n, n, n)), np.empty((k, 2 ** n, symmetric_dim(n))))
             inv = minors._bordered_inverses(matrices[at], out=self.work[0][:k])
             yield (at, *likelihood_derivatives(inv, self.freqs[self.tables[members[at]]],
                                                np.exp(logdets[at] - log_z[at, None]),
@@ -203,23 +204,14 @@ class _Objective:
 
 # --- Newton step -----------------------------------------------------------
 
-@functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
-def _strict_lower(n: int):
-    """np.tril_indices(n, -1), built once per n and read-only, since
-    every caller gets the same arrays."""
-    rows, cols = np.tril_indices(n, k=-1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def _theta_norm(grad_l: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Norms of the gradients in the log-Cholesky parameters theta of
     L = C C^T, given the factors c (log of diag C, then the strict lower
     triangle), the measure `grad_tol` and `converged` are stated in."""
-    gc = 2.0 * grad_l @ c
-    diag = np.arange(c.shape[1])
-    g = np.concatenate([gc[:, diag, diag] * c[:, diag, diag],
-                        gc[(slice(None), *_strict_lower(c.shape[1]))]], axis=1)
+    rows, cols, _ = _coordinate_layout(c.shape[1])
+    # the diagonal, then the strict lower triangle as the transposed upper
+    g = 2.0 * (grad_l @ c)[:, cols, rows]
+    g[:, :c.shape[1]] *= np.diagonal(c, axis1=1, axis2=2)
     return np.sqrt(_rowdot(g, g))
 
 
@@ -249,8 +241,8 @@ class MleResult:
     gradient_norm: float
     stop_reason: str
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "n": self.estimate.n,
             "estimate": [float(x) for x in self.estimate.matrix.ravel()],
             "log_likelihood": self.log_likelihood,
@@ -259,7 +251,7 @@ class MleResult:
             "restart_index": self.restart_index,
             "gradient_norm": self.gradient_norm,
             "stop_reason": self.stop_reason,
-        })
+        }
 
 
 def _line_search(obj, members, matrix, fval, direction, slope, flat, config: MleConfig):
@@ -300,9 +292,8 @@ def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float)
     formed, for a member at `grad_tol` or `flat`; in member chunks of
     about 4 m^2 floats, m = n(n+1)/2, so no Hessian stack spans the batch."""
     b, n = matrices.shape[0], matrices.shape[1]
-    basis = _gram_layout(n)[4]
     gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
-    for at in minors._chunks(b, 4 * len(basis) ** 2):
+    for at in minors._chunks(b, 4 * symmetric_dim(n) ** 2):
         c = np.linalg.cholesky(matrices[at])
         grad, hess = np.empty((len(c), n, n)), []
         for sub, g, hessians in obj.derivatives(tuple(x[at] for x in point)):
@@ -315,10 +306,10 @@ def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float)
         # floored, so it ascends wherever H is indefinite
         w, v = np.linalg.eigh(-np.concatenate(hess))
         w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
-        z = (grad[go].reshape(go.size, 1, n * n) @ basis.T @ v)[:, 0] / np.sqrt(w)
+        z = (sym_to_coords(grad[go])[:, None, :] @ v)[:, 0] / np.sqrt(w)
         decrement[at.start + go] = _rowdot(z, z)       # lambda^2 = g^T (-H)^{-1} g
         step = (z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1)   # (-H)^{-1} g, as a row
-        direction[at.start + go] = (step @ basis).reshape(go.size, n, n)
+        direction[at.start + go] = coords_to_sym(step[:, 0], n)
     return gnorm, decrement, direction
 
 

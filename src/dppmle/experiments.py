@@ -255,7 +255,7 @@ def run_estimate(config: dict, samples_path: Path, out: Path,
     report = {
         "command": "estimate",
         "config": {"mle": mle_cfg.to_dict(), "samples": str(samples_path)},
-        "result": json.loads(result.to_json()),
+        "result": result.to_dict(),
     }
     if "truth" in config:
         truth = parse_kernel_spec(config["truth"], field="truth")
@@ -437,8 +437,7 @@ def run_verify_identities(config: dict, out: Path | None = None,
         res = results[t]
         rel = max(res.max_relative(), res.matrix_form_residual)
         worst = max(worst, rel)
-        records.append({"trial": t, "n": sizes[t], "r1": res.r1, "r2": res.r2, "r3": res.r3,
-                        "r4": res.r4, "matrix_form_residual": res.matrix_form_residual,
+        records.append({"trial": t, "n": sizes[t], **res.to_dict(),
                         "max_relative": res.max_relative()})
     return _write_report(out, "identities", {
         "command": "verify-identities",

@@ -12,7 +12,9 @@ counterpart a_k = Tr(((I+L)^{-1} H)^k):
     d^k Phi(H,..,H) = (-1)^(k-1) (k-1)! (sum_J p*_J a_{J,k} - a_k).
 
 At L = L* the gradient vanishes and the Hessian is the likelihood
-Hessian at q = p* (`likelihood_derivatives`), which by the identity
+Hessian at q = p* (`likelihood_derivatives`: two gathers from the Gram
+of the distinct entries of the padded inverses, in the one coordinate
+layout that `kernels` owns), which by the identity
 differentiated twice is minus the variance of Tr((L*_Z)^{-1} H_Z), hence
 negative semidefinite; its null space consists of the symmetric
 directions on cross-block index pairs of L*.  Along those directions the
@@ -31,7 +33,6 @@ formed.  The identity suite takes kernels of one size at once.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,7 @@ import numpy as np
 
 from . import minors
 from .errors import NotNullDirection
-from .kernels import (DeterminantalGraph, Kernel, _coordinate_layout, coords_to_sym,
-                      symmetric_basis)
+from .kernels import DeterminantalGraph, Kernel, _coordinate_layout, coords_to_sym
 from .model import DppTable, build_table, normalized
 
 #: Relative eigenvalue threshold used to identify the numerical null space.
@@ -137,16 +137,20 @@ def hessian_quadratic_form(table_star: DppTable, direction: np.ndarray) -> float
 
 
 @functools.lru_cache(maxsize=minors.MAX_ENUM_N + 1)
-def _gram_layout(n: int):
-    """Read-only (flat indices of the entries i <= j, in `np.triu_indices`
-    order; the index among them of each flat entry; the indices that read
-    their Gram at [(a, b), (c, d)] into [(b, c), (d, a)]; the basis rows)."""
-    rows, cols = np.triu_indices(n)
-    u = np.empty((n, n), dtype=np.intp)
-    u[rows, cols] = u[cols, rows] = np.arange(rows.size)
-    b, c, d, a = np.indices((n,) * 4).reshape(4, n * n, n * n)
-    layout = (rows * n + cols, u.ravel(), u[a, b], u[c, d],
-              np.reshape(symmetric_basis(n), (-1, n * n)))
+def _gram_pairs(n: int):
+    """Read-only (flat indices of the distinct entries x, in the `kernels`
+    coordinate order; the n x n index of each entry among them; (2, m, m)
+    flat indices into the m x m Gram of x; the (m, m) weights).  Summed
+    and weighted, the two gathers are the Hessian: at coordinates a =
+    (i, j) and b = (k, l) they read the Gram at [(j, k), (i, l)] and
+    [(j, l), (i, k)], and the weight is -2 c_a c_b for the basis matrix
+    c_a (E_ij + E_ji)."""
+    rows, cols, _ = _coordinate_layout(n)
+    m, u = rows.size, np.empty((n, n), dtype=np.intp)
+    u[rows, cols] = u[cols, rows] = np.arange(m)
+    i, j, k, l = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+    layout = (rows * n + cols, u, np.array([u[j, k] * m + u[i, l], u[j, l] * m + u[i, k]]),
+              np.array([-1.0, -np.sqrt(0.5), -0.5])[(i == j).astype(int) + (k == l)])
     for x in layout:
         x.flags.writeable = False
     return layout
@@ -157,10 +161,11 @@ def likelihood_derivatives(inv: np.ndarray, q: np.ndarray, p: np.ndarray, out=No
     of the members a mask selects, all by default) of sum_J q_J log det L_J
     - log det(I+L) for k kernels from P_J = pad(L_J^{-1}), (k, 2^n, n, n),
     q and p_J = det L_J / det(I+L).  A Hessian, -sum_J q_J Tr(P_J H P_J K) +
-    Tr(G H G K) in `symmetric_basis` coordinates, G = (I+L)^{-1}, is a Gram
-    of the distinct entries of the P_J, kept in `out` if given."""
+    Tr(G H G K) in `symmetric_basis` coordinates, G = (I+L)^{-1}, is read
+    by two gathers from the Gram sum_J q_J x_J x_J^T - g g^T, g = sum_J p_J
+    x_J, of the distinct entries x_J of the P_J, kept in `out` if given."""
     k, n = inv.shape[0], inv.shape[-1]
-    distinct, spread, first, second, basis = _gram_layout(n)
+    distinct, spread, pairs, weights = _gram_pairs(n)
     x = np.take(inv.reshape(k, 2 ** n, n * n), distinct, axis=2, out=out,
                 mode="clip")        # "raise" would buffer `out`
     d = (x.transpose(0, 2, 1) @ (q - p)[:, :, None])[:, :, 0]
@@ -171,9 +176,10 @@ def likelihood_derivatives(inv: np.ndarray, q: np.ndarray, p: np.ndarray, out=No
         g = y.transpose(0, 2, 1) @ p[at, :, None]
         y *= np.sqrt(q[at])[:, :, None]
         gram = y.transpose(0, 2, 1) @ y - g * g.transpose(0, 2, 1)   # y^T y is a syrk
-        return -(basis @ gram[:, first, second] @ basis.T)
+        gram = gram.reshape(len(y), weights.size)
+        return (np.take(gram, pairs[0], axis=1) + np.take(gram, pairs[1], axis=1)) * weights
 
-    return d[:, spread].reshape(k, n, n), hessians
+    return d[:, spread], hessians
 
 
 @dataclass
@@ -308,11 +314,9 @@ class IdentityResiduals:
                zip((self.r1, self.r2, self.r3, self.r4), self.scales)]
         return max(rel)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4,
-            "matrix_form_residual": self.matrix_form_residual,
-        })
+    def to_dict(self) -> dict:
+        return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4,
+                "matrix_form_residual": self.matrix_form_residual}
 
 
 def identity_residuals(kernels, directions):

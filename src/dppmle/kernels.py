@@ -257,26 +257,23 @@ def symmetric_basis(n: int) -> list[np.ndarray]:
 
 
 def sym_to_coords(h: np.ndarray) -> np.ndarray:
-    """Coordinates of a symmetric matrix in symmetric_basis order."""
-    return stack_to_coords(np.asarray(h, dtype=float)[None])[0]
+    """Coordinates in symmetric_basis order of a symmetric matrix, or of
+    each matrix of a (..., n, n) stack, as a C-ordered (..., m) array."""
+    s = np.asarray(h, dtype=float)
+    rows, cols, scales = _coordinate_layout(s.shape[-1])
+    # a stack's gather is F-ordered, and products with it would sum otherwise
+    return np.ascontiguousarray(scales * s[..., rows, cols])
 
 
 def coords_to_sym(coords: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of sym_to_coords."""
+    """Inverse of sym_to_coords, for one coordinate vector or a stack."""
     v = np.asarray(coords, dtype=float)
-    if v.shape != (symmetric_dim(n),):
+    if v.shape[-1:] != (symmetric_dim(n),):
         raise ValueError(f"expected {symmetric_dim(n)} coordinates for n={n}")
     rows, cols, scales = _coordinate_layout(n)
-    h = np.zeros((n, n))
-    h[rows, cols] = h[cols, rows] = v / scales
+    h = np.zeros(v.shape[:-1] + (n, n))
+    h[..., rows, cols] = h[..., cols, rows] = v / scales
     return h
-
-
-def stack_to_coords(stack: np.ndarray) -> np.ndarray:
-    """sym_to_coords applied along the first axis of a (k, n, n) stack."""
-    s = np.asarray(stack, dtype=float)
-    rows, cols, scales = _coordinate_layout(s.shape[-1])
-    return scales * s[:, rows, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +312,24 @@ def kernel_from_json(obj) -> Kernel:
     """Load {"n": int, "entries": row-major n*n reals}.
 
     Symmetry is enforced by averaging with the transpose; asymmetry
-    beyond 1e-9 triggers a warning; a non-integer n raises ValueError.
+    beyond 1e-9 triggers a warning; an n that is not a positive integer,
+    or entries not a flat list of n*n numbers (booleans and strings are
+    not), raise ValueError.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
     n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer():
-        raise ValueError(f"kernel n must be an integer, got {n!r}")
-    entries = np.asarray(obj["entries"], dtype=float).reshape(int(n), int(n))
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer()
+            or n < 1):
+        raise ValueError(f"kernel n must be an integer >= 1, got {n!r}")
+    n, raw = int(n), obj["entries"]
+    if (not isinstance(raw, (list, tuple)) or len(raw) != n * n
+            or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in raw)):
+        raise ValueError(f"kernel entries must be a flat list of n*n = {n * n} numbers")
+    entries = np.array(raw, dtype=float).reshape(n, n)
     if not np.isfinite(entries).all():
         raise ValueError("kernel entries must be finite")
-    skew = np.abs(entries - entries.T).max() if n else 0.0
+    skew = np.abs(entries - entries.T).max()
     if skew > 1e-9:
         warnings.warn(f"kernel entries asymmetric by {skew:.3e}; symmetrizing")
     return Kernel(symmetrize(entries))

@@ -216,6 +216,7 @@ class TestMalformedConfig:
         ("verify-identities", {**VERIFY, "tolerance": 0}, "tolerance"),
         ("simulate", {**SIM, "kernel": {"n": True, "entries": [1.0]}}, "kernel.n"),
         ("simulate", {**SIM, "kernel": {"n": 1.7, "entries": [1.0]}}, "kernel.n"),
+        ("simulate", {**SIM, "kernel": {"n": 1, "entries": [True]}}, "kernel: kernel entries"),
     ])
     def test_exits_config_error_naming_field(self, tmp_path, capsys, command, config, field):
         # json.dumps writes NaN and Infinity, which json.loads reads back

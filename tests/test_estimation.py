@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dppmle as d
-from dppmle import estimation, minors
+from dppmle import estimation, geometry, minors
 from dppmle.errors import GroundSetTooLarge, LikelihoodDecrease, SingularInformation
 from dppmle.estimation import MleConfig
 from dppmle.kernels import sign_vectors
@@ -174,14 +174,31 @@ class TestObjective:
         result = d.fit_mle(freqs, MleConfig(seed=2, restarts=3))
         assert np.isfinite(result.log_likelihood)
 
-    def test_strict_lower_is_cached_and_read_only(self):
-        rows, cols = estimation._strict_lower(5)
-        expect = np.tril_indices(5, k=-1)
-        np.testing.assert_array_equal(rows, expect[0])
-        np.testing.assert_array_equal(cols, expect[1])
-        assert estimation._strict_lower(5)[0] is rows
-        with pytest.raises(ValueError):
-            rows[0] = 1
+    def test_gram_pairs_are_cached_and_read_only(self):
+        # the Hessian's m x m pair map, against a loop over the coordinate
+        # pairs of the kernels layout
+        n = 5
+        coords = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = len(coords)
+        index = {}
+        for at, (i, j) in enumerate(coords):
+            index[i, j] = index[j, i] = at
+        pairs = np.empty((2, m, m), dtype=int)
+        weights = np.empty((m, m))
+        for a, (i, j) in enumerate(coords):
+            for b, (k, l) in enumerate(coords):
+                pairs[:, a, b] = index[j, k] * m + index[i, l], index[j, l] * m + index[i, k]
+                c = [0.5 if x == y else np.sqrt(0.5) for x, y in ((i, j), (k, l))]
+                weights[a, b] = -2.0 * c[0] * c[1]
+        layout = geometry._gram_pairs(n)
+        np.testing.assert_array_equal(layout[0], [i * n + j for i, j in coords])
+        np.testing.assert_array_equal(layout[1], [[index[i, j] for j in range(n)] for i in range(n)])
+        np.testing.assert_array_equal(layout[2], pairs)
+        np.testing.assert_allclose(layout[3], weights, rtol=1e-15)
+        assert geometry._gram_pairs(n)[2] is layout[2]
+        for x in layout:
+            with pytest.raises(ValueError):
+                x[(0,) * x.ndim] = 1
 
 
 def fit_one(obj, start, config):
@@ -781,7 +798,7 @@ class TestEstimateRisk:
         for budget, other in zip((2 ** 12, 2 ** 17, 2 ** 30), fits[1:]):
             for a, b in zip(fits[0], other):
                 np.testing.assert_array_equal(a.estimate.matrix, b.estimate.matrix)
-                assert a.to_json() == b.to_json(), (n, budget)
+                assert a.to_dict() == b.to_dict(), (n, budget)
 
     def test_rate_study_runs_one_lockstep(self, monkeypatch):
         from dppmle import experiments
@@ -845,8 +862,7 @@ class TestMleResultSerialization:
     def test_json_fields(self, rng):
         star = random_kernel(2, rng)
         result = d.fit_mle(exact_frequencies(star), MleConfig(seed=0))
-        import json
-        obj = json.loads(result.to_json())
+        obj = result.to_dict()
         assert obj["converged"] is True and obj["stop_reason"] == "grad_tol"
         assert len(obj["estimate"]) == 4
 

@@ -312,7 +312,7 @@ class TestVerifyIdentities:
 
     def test_records_are_the_per_trial_residuals_in_trial_order(self):
         # one batch per size gives each trial the residuals of its own
-        # kernel and direction, and the record the fields of to_json
+        # kernel and direction, and the record the fields of to_dict
         config = {"trials": 9, "n_values": [3, 2, 3, 5], "seed": 4}
         report = ex.run_verify_identities(config)
         for t, record in enumerate(report["records"]):
@@ -321,5 +321,5 @@ class TestVerifyIdentities:
             res = ex.identity_residuals(ex.random_kernel(n, gen), ex.random_symmetric(n, gen))
             assert list(record) == ["trial", "n", "r1", "r2", "r3", "r4",
                                     "matrix_form_residual", "max_relative"]
-            assert record == {"trial": t, "n": n, **json.loads(res.to_json()),
+            assert record == {"trial": t, "n": n, **res.to_dict(),
                               "max_relative": res.max_relative()}

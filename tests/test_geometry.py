@@ -6,8 +6,9 @@ from dppmle.errors import NotNullDirection
 from dppmle.kernels import sign_vectors
 
 from dppmle import estimation, geometry, minors, model
-from conftest import (NEGATIVE_3X3, brute_inverses, matmul_trace_stats, random_block_kernel,
-                      random_kernel, random_null_direction, random_symmetric, reference_kernels)
+from conftest import (NEGATIVE_3X3, brute_inverses, dense_basis_hessian, matmul_trace_stats,
+                      random_block_kernel, random_kernel, random_null_direction, random_symmetric,
+                      reference_kernels)
 
 
 def close(got, ref, tol=1e-12):
@@ -235,6 +236,22 @@ class TestHessianMatrix:
             hess = hessians()[0]
             np.testing.assert_array_equal(d.hessian_matrix(table).matrix, (hess + hess.T) / 2)
 
+    def test_matches_the_dense_basis_projection(self, rng):
+        # the two gathers from the Gram of the distinct entries are the
+        # projection of the n^2 x n^2 form onto the dense basis, to 1e-13
+        # of the largest entry, for q away from p
+        for n in range(1, 11):
+            a = random_kernel(n, rng).matrix
+            inv = minors.padded_inverses(a)[None]
+            raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
+            raw[0] += 1.0
+            q = (raw / raw.sum())[None]
+            p = d.build_table(d.Kernel(a)).probs[None]
+            expect = dense_basis_hessian(inv, q, p)
+            got = geometry.likelihood_derivatives(inv, q, p)[1]()
+            np.testing.assert_allclose(got, expect, rtol=0,
+                                       atol=1e-13 * np.abs(expect).max(), err_msg=f"n={n}")
+
     def test_csv_exports(self, rng):
         form = d.hessian_matrix(d.build_table(random_kernel(3, rng)))
         lines = form.eigenvalues_csv().strip().splitlines()
@@ -418,9 +435,8 @@ class TestIdentityResiduals:
             assert res.matrix_form_residual <= 1e-9
 
     def test_json_record(self, rng):
-        import json
         res = d.identity_residuals(random_kernel(2, rng), random_symmetric(2, rng))
-        record = json.loads(res.to_json())
+        record = res.to_dict()
         assert set(record) == {"r1", "r2", "r3", "r4", "matrix_form_residual"}
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import dppmle as d
-from dppmle import kernels
 from dppmle.minors import mask_of
 
 from conftest import random_kernel, random_symmetric
@@ -199,12 +198,16 @@ class TestSymmetricBasis:
         assert len(basis) == d.symmetric_dim(n)
         for got, want in zip(basis, loop_basis(n)):
             np.testing.assert_array_equal(got, want)
+        # a stack's coordinates are C-ordered, so products with them sum as
+        # with one matrix's, and row for row bitwise the single-matrix map
         stack = np.array([random_symmetric(n, rng) for _ in range(3)])
-        coords = kernels.stack_to_coords(stack)
-        for h, c in zip(stack, coords):
+        coords = d.sym_to_coords(stack)
+        assert coords.flags.c_contiguous
+        for h, c, back in zip(stack, coords, d.coords_to_sym(coords, n)):
             np.testing.assert_array_equal(c, loop_to_coords(h))
-            np.testing.assert_array_equal(d.sym_to_coords(h), loop_to_coords(h))
-            np.testing.assert_array_equal(d.coords_to_sym(c, n), loop_to_sym(c, n))
+            np.testing.assert_array_equal(d.sym_to_coords(h), c)
+            np.testing.assert_array_equal(back, loop_to_sym(c, n))
+            np.testing.assert_array_equal(d.coords_to_sym(c, n), back)
 
     def test_n1(self):
         basis = d.symmetric_basis(1)
@@ -252,10 +255,16 @@ class TestConstructionHelpers:
             ker = d.kernel_from_json(obj)
         assert ker.matrix[0, 1] == ker.matrix[1, 0]
 
-    @pytest.mark.parametrize("n", [True, False, 1.7, "1", None, float("nan"), float("inf"), [1]])
+    @pytest.mark.parametrize("n", [True, False, 1.7, "1", None, float("nan"), float("inf"), [1],
+                                   0, -1])
     def test_json_rejects_a_non_integer_n(self, n):
         with pytest.raises(ValueError, match="kernel n must be an integer"):
             d.kernel_from_json({"n": n, "entries": [2.0]})
+
+    @pytest.mark.parametrize("entries", [[True], ["2.5"], 2.0, [[[3.0]]], [2.0, 1.0], []])
+    def test_json_rejects_entries_that_are_not_n_squared_numbers(self, entries):
+        with pytest.raises(ValueError, match=r"a flat list of n\*n = 1 numbers"):
+            d.kernel_from_json({"n": 1, "entries": entries})
 
     def test_json_takes_an_integral_float_n(self):
         assert d.kernel_from_json({"n": 1.0, "entries": [2.0]}).n == 1

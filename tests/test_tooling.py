@@ -49,7 +49,8 @@ def test_one_fit_loop():
     # return their report dicts, with no report classes beside them; the
     # minors, coordinates and block losses each have one copy, and so has
     # the likelihood Hessian (`test_one_likelihood_hessian`), with no
-    # layout of its own in the fitter
+    # layout of its own in the fitter or the geometry
+    # (`test_one_coordinate_layout`)
     loops, banned = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -63,7 +64,8 @@ def test_one_fit_loop():
                                  "_FIT_CHUNK_MASKS", "MAX_SIGN_ENUM_N", "_stats_upto",
                                  "_weighted_inverse_sums", "_select", "_offdiag_rows_cols",
                                  "_split_by_blocks", "ScanReport", "RateReport",
-                                 "_hessian_layout"}:
+                                 "_hessian_layout", "_gram_layout", "_strict_lower",
+                                 "stack_to_coords"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed machinery in src/dppmle: {banned}"
@@ -100,3 +102,21 @@ def test_one_likelihood_hessian():
         grams += [f"{path.stem}.{name}" for name, fn in defs
                   if any(_is_gram(node) for node in ast.walk(fn))]
     assert grams == ["geometry.likelihood_derivatives"], f"Gram products in src/dppmle: {grams}"
+
+
+def test_one_coordinate_layout():
+    # kernels._coordinate_layout is the one order of the symmetric
+    # coordinates: no other module builds triangle or index grids, or the
+    # dense basis matrices
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if (name in ("np.triu_indices", "np.tril_indices", "np.indices")
+                    or name.split(".")[-1] == "symmetric_basis"):
+                calls.append(f"{name} at {path.name}:{node.lineno}")
+    assert not calls, f"coordinate layouts outside kernels.py: {calls}"
