@@ -16,24 +16,27 @@ directly, so its value and signs are those of the direct scan.
 
 The fit is damped Newton in the orthonormal symmetric coordinates of L
 on the exact observed information, the form (H, K) ->
--sum_J q_J Tr(P_J H P_J K) + Tr(G H G K) with P_J = pad(L_J^{-1}) from
-the bordering recursion in `minors` and G = (I+L)^{-1} = sum_J p_J P_J:
-`geometry.likelihood_derivatives`, at q = p* the population Hessian,
-read by two gathers from a Gram in the one coordinate layout of
-`kernels` and formed only for a member that steps.  The likelihood is not concave
-(Brunel, Moitra, Rigollet & Urschel, arXiv:1701.06501), so the
-eigenvalues of -H are reflected and floored at 1e-13 of the largest,
-and Armijo backtracking from step 1 makes every step a rise (Nocedal &
-Wright, ch. 3.4).  A nonpositive minor makes the value -inf, so
-iterates stay positive definite; a candidate the spectral box [alpha,
-beta] of the correlation kernel moves is taken only if it rises.  A
-member stops on `grad_tol`; on `roundoff`, when half the
-Newton decrement g^T (-H)^{-1} g is at most 8 eps max(1, |f|), below
-what f resolves (Boyd & Vandenberghe, 9.5.1), after one full step
-taken unless f falls by more than that; on `line_search`, when no step
-moves L; or on `max_iters`.  `grad_tol`, `converged` and
-`gradient_norm` use the gradient norm in the log-Cholesky parameters
-of L = C C^T at the returned kernel, and nothing else does.
+-sum_J q_J Tr(P_J H P_J K) + Tr(G H G K) with P_J = pad(L_J^{-1}) and
+G = (I+L)^{-1} = sum_J p_J P_J: `geometry.likelihood_derivatives`, at
+q = p* the population Hessian, summed over the blocks of masks that the
+bordering in `minors` streams, of the distinct entries of the P_J only,
+so no 2^n n^2 array is formed.  It is read by two gathers from a Gram
+in the one coordinate layout of `kernels`, which a member sums unless
+its last step was below roundoff, and formed only for a member that
+then steps.  The likelihood is not concave (Brunel, Moitra, Rigollet &
+Urschel, arXiv:1701.06501), so the eigenvalues of -H are reflected and
+floored at 1e-13 of the largest, and Armijo backtracking from step 1
+makes every step a rise (Nocedal & Wright, ch. 3.4).  A nonpositive
+minor makes the value -inf, so iterates stay positive definite; a
+candidate the spectral box [alpha, beta] of the correlation kernel
+moves is taken only if it rises.  A member stops on `grad_tol`; on
+`roundoff`, when half the Newton decrement g^T (-H)^{-1} g is at most
+8 eps max(1, |f|), below what f resolves (Boyd & Vandenberghe, 9.5.1),
+after one full step taken unless f falls by more than that; on
+`line_search`, when no step moves L; or on `max_iters`.  `grad_tol`,
+`converged` and `gradient_norm` use the gradient norm in the
+log-Cholesky parameters of L = C C^T at the returned kernel, and
+nothing else does.
 
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 sizes x replicates x restarts of a rate study in `estimate_risk`,
@@ -157,14 +160,14 @@ class _Objective:
     The value is one forward pass of the all-minors recursion: sum_J q_J
     log det L_J minus log det(I+L), taken as the logsumexp of the same
     log-determinants since det(I+L) = sum_J det L_J.  Both derivatives
-    are `geometry.likelihood_derivatives` of the padded inverses P_J of
-    one bordering recursion, with p_J = det L_J / det(I+L), so I+L is
-    never factored."""
+    are `geometry.likelihood_derivatives` of the P_J = pad(L_J^{-1}) that
+    one streamed bordering pass gives, with p_J = det L_J / det(I+L), so
+    I+L is never factored."""
 
     def __init__(self, freqs: np.ndarray, tables: np.ndarray | None = None):
         self.freqs = np.asarray(freqs, dtype=float)
         self.tables = np.arange(len(self.freqs)) if tables is None else np.asarray(tables)
-        self.work = (np.empty(0),)      # `derivatives`' arrays, kept from pass to pass
+        self.work = np.empty(0)     # `derivatives`' stream work, kept so no pass faults in pages
 
     def evaluate(self, matrices: np.ndarray, members, tape: list | None = None):
         """(values of the kernels of `members`, the point `derivatives`
@@ -186,20 +189,22 @@ class _Objective:
         values[~np.isfinite(values)] = -np.inf
         return values, (matrices, logdets, log_z, members)
 
-    def derivatives(self, point):
+    def derivatives(self, point, gram=None):
         """(slice, gradients, Hessian function) of `likelihood_derivatives`
         per member chunk of `minors._chunks` of a point whose values are
-        finite, from the P_J of one bordering recursion per member."""
+        finite, from one streamed bordering pass per member; only the
+        members `gram` selects (all by default) sum a Gram."""
         matrices, logdets, log_z, members = point
         b, n = matrices.shape[0], matrices.shape[1]
-        for at in minors._chunks(b, 2 ** n * n * n):
-            k = len(matrices[at])
-            if len(self.work[0]) < k:       # so no pass maps and faults in fresh pages
-                self.work = (np.empty((k, 2 ** n, n, n)), np.empty((k, 2 ** n, symmetric_dim(n))))
-            inv = minors._bordered_inverses(matrices[at], out=self.work[0][:k])
-            yield (at, *likelihood_derivatives(inv, self.freqs[self.tables[members[at]]],
+        rows, cols, _ = _coordinate_layout(n)
+        floats = minors._pass_floats(n)
+        for at in minors._chunks(b, floats):
+            if self.work.size < len(matrices[at]) * floats:
+                self.work = np.empty(len(matrices[at]) * floats)
+            blocks = minors._inverse_blocks(matrices[at], rows, cols, work=self.work)
+            yield (at, *likelihood_derivatives(blocks, self.freqs[self.tables[members[at]]],
                                                np.exp(logdets[at] - log_z[at, None]),
-                                               out=self.work[1][:k]))
+                                               None if gram is None else gram[at]))
 
 
 # --- Newton step -----------------------------------------------------------
@@ -289,14 +294,15 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
 def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float):
     """(gradient norms by `_theta_norm`, Newton decrements, ascent
     directions) of a point's members, the last two zero, and no Hessian
-    formed, for a member at `grad_tol` or `flat`; in member chunks of
-    about 4 m^2 floats, m = n(n+1)/2, so no Hessian stack spans the batch."""
+    formed, for a member at `grad_tol` or `flat`, and no Gram summed for a
+    `flat` one; in member chunks of about 4 m^2 floats, m = n(n+1)/2, so
+    no Hessian stack spans the batch."""
     b, n = matrices.shape[0], matrices.shape[1]
     gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
     for at in minors._chunks(b, 4 * symmetric_dim(n) ** 2):
         c = np.linalg.cholesky(matrices[at])
         grad, hess = np.empty((len(c), n, n)), []
-        for sub, g, hessians in obj.derivatives(tuple(x[at] for x in point)):
+        for sub, g, hessians in obj.derivatives(tuple(x[at] for x in point), ~flat[at]):
             grad[sub], gnorm[at][sub] = g, _theta_norm(g, c[sub])
             hess.append(hessians(~(gnorm[at][sub] <= grad_tol) & ~flat[at][sub]))
         go = np.flatnonzero(~(gnorm[at] <= grad_tol) & ~flat[at])

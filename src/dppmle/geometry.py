@@ -14,7 +14,8 @@ counterpart a_k = Tr(((I+L)^{-1} H)^k):
 At L = L* the gradient vanishes and the Hessian is the likelihood
 Hessian at q = p* (`likelihood_derivatives`: two gathers from the Gram
 of the distinct entries of the padded inverses, in the one coordinate
-layout that `kernels` owns), which by the identity
+layout that `kernels` owns, summed over the blocks of masks of the
+fitter's bordering pass), which by the identity
 differentiated twice is minus the variance of Tr((L*_Z)^{-1} H_Z), hence
 negative semidefinite; its null space consists of the symmetric
 directions on cross-block index pairs of L*.  Along those directions the
@@ -156,30 +157,42 @@ def _gram_pairs(n: int):
     return layout
 
 
-def likelihood_derivatives(inv: np.ndarray, q: np.ndarray, p: np.ndarray, out=None):
+def likelihood_derivatives(blocks, q: np.ndarray, p: np.ndarray, gram=None):
     """(gradients sum_J (q_J - p_J) P_J, a function forming once the Hessians
     of the members a mask selects, all by default) of sum_J q_J log det L_J
-    - log det(I+L) for k kernels from P_J = pad(L_J^{-1}), (k, 2^n, n, n),
-    q and p_J = det L_J / det(I+L).  A Hessian, -sum_J q_J Tr(P_J H P_J K) +
+    - log det(I+L) for k kernels from the distinct entries x_J of P_J =
+    pad(L_J^{-1}), a stream of (k, m, w) blocks over the masks in order
+    (`minors._inverse_blocks`), each read once and then scaled in place, q
+    and p_J = det L_J / det(I+L).  A Hessian, -sum_J q_J Tr(P_J H P_J K) +
     Tr(G H G K) in `symmetric_basis` coordinates, G = (I+L)^{-1}, is read
     by two gathers from the Gram sum_J q_J x_J x_J^T - g g^T, g = sum_J p_J
-    x_J, of the distinct entries x_J of the P_J, kept in `out` if given."""
-    k, n = inv.shape[0], inv.shape[-1]
+    x_J, summed block by block in block order by the members `gram`
+    selects (all by default), and by no other."""
+    k, n = q.shape[0], q.shape[1].bit_length() - 1
     distinct, spread, pairs, weights = _gram_pairs(n)
-    x = np.take(inv.reshape(k, 2 ** n, n * n), distinct, axis=2, out=out,
-                mode="clip")        # "raise" would buffer `out`
-    d = (x.transpose(0, 2, 1) @ (q - p)[:, :, None])[:, :, 0]
+    gram = np.ones(k, dtype=bool) if gram is None else np.asarray(gram)
+    some = slice(None) if gram.all() else gram
+    sums = np.zeros((k, distinct.size, 2))        # sum_J (q_J - p_J) x_J and g
+    grams = np.zeros((int(gram.sum()), distinct.size, distinct.size))
+    qp, root, lo = np.stack([q - p, p], axis=2), np.sqrt(q[some]), 0
+    for x in blocks:
+        at = slice(lo, lo + x.shape[2])
+        lo = at.stop
+        sums += x @ qp[:, at]
+        y = x[some]                               # x itself if every member sums one
+        y *= root[:, None, at]
+        grams += y @ y.transpose(0, 2, 1)         # a syrk
+    g = sums[some, :, 1]
+    grams -= g[:, :, None] * g[:, None, :]
 
     def hessians(members=None):
-        at = slice(None) if members is None or members.all() else members
-        y = x[at]                   # x itself, unless some member is left out
-        g = y.transpose(0, 2, 1) @ p[at, :, None]
-        y *= np.sqrt(q[at])[:, :, None]
-        gram = y.transpose(0, 2, 1) @ y - g * g.transpose(0, 2, 1)   # y^T y is a syrk
-        gram = gram.reshape(len(y), weights.size)
-        return (np.take(gram, pairs[0], axis=1) + np.take(gram, pairs[1], axis=1)) * weights
+        pick = gram if members is None else np.asarray(members)
+        if (pick & ~gram).any():
+            raise ValueError("a Hessian of a member that summed no Gram")
+        chosen = (grams if pick[gram].all() else grams[pick[gram]]).reshape(-1, weights.size)
+        return (np.take(chosen, pairs[0], axis=1) + np.take(chosen, pairs[1], axis=1)) * weights
 
-    return d[:, spread], hessians
+    return sums[:, :, 0][:, spread], hessians
 
 
 @dataclass
@@ -213,9 +226,13 @@ class HessianForm:
 
 
 def hessian_matrix(table_star: DppTable) -> HessianForm:
-    """`likelihood_derivatives`' Hessian at q = p = the table's probabilities."""
-    p = table_star.probs[None]
-    hess = likelihood_derivatives(trace_cache(table_star).padded_inv[None], p, p)[1]()[0]
+    """`likelihood_derivatives`' Hessian at q = p = the table's probabilities,
+    from the padded inverses gathered into the blocks of the fitter's pass."""
+    p, n = table_star.probs[None], table_star.n
+    x = trace_cache(table_star).padded_inv.transpose(1, 2, 0).reshape(n * n, -1)[_gram_pairs(n)[0]]
+    blocks = (np.ascontiguousarray(x[None, :, lo:lo + minors._block_width(n)])
+              for lo in range(0, 2 ** n, minors._block_width(n)))
+    hess = likelihood_derivatives(blocks, p, p)[1]()[0]
     mat = (hess + hess.T) / 2.0
     w, v = np.linalg.eigh(mat)
     return HessianForm(kernel=table_star.kernel, matrix=mat, eigenvalues=w, eigenvectors=v)

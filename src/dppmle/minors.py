@@ -15,7 +15,10 @@ stacked numpy operations over all masks at once:
   the block of the remaining indices.  Its leading entry is the pivot
   det(A_{J u {k}}) / det(A_J); its complement after eliminating k is the
   state of J u {k}.
-- `padded_inverses` borders (A_J)^{-1} by index k with the same pivot.
+- `_inverse_blocks` borders (A_J)^{-1} of a symmetric A by index k with
+  the same pivot, only its m = n(n+1)/2 distinct entries, masks last, in
+  blocks of the masks that share their top bits; `padded_inverses`
+  writes them out in full.
 - `_schur_adjoint` runs the pass backwards (Griewank & Walther,
   "Evaluating Derivatives", 2nd ed., ch. 3): sum_J w_J pad(A_J^{-1}),
   the gradient of sum_J w_J log det A_J, with no inverse formed.
@@ -24,10 +27,11 @@ The Schur pass can carry Taylor jets of A + tH (ibid., ch. 13): the t^k
 coefficient of log det(A_J + tH_J) is (-1)^(k-1) Tr((A_J^{-1} H_J)^k) / k,
 so one pass gives every trace statistic of `geometry` in O(k^2 2^n) work.
 
-The padded inverses take O(2^n n^2) work, the rest O(2^n).  The Schur
-pass and the bordering refuse a pivot that is not positive (a
+The bordering takes O(2^n n^3) flops, as products over long rows, and
+holds m 2^_BLOCK_BITS floats a member whatever n; the rest take O(2^n).
+The Schur pass and the bordering refuse a pivot that is not positive (a
 nonpositive minor) and take a leading batch axis over matrices,
-(B, n, n) -> (B, 2^n, ...), for the batched fitter and identity suite,
+(B, n, n) -> (B, ..., 2^n), for the batched fitter and identity suite,
 in chunks of _CHUNK_FLOATS, with an ok flag per member or no check in
 place of the error; the public functions above are the batch of one.
 
@@ -37,6 +41,8 @@ inclusion moment of a probability table at once.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,6 +58,11 @@ MAX_DRAWS = 10 ** 7
 
 #: Floats a chunk of a batched consumer holds (1 MiB), `_chunks`.
 _CHUNK_FLOATS = 2 ** 17
+
+#: Low indices that `_inverse_blocks` borders within a block: the pass
+#: over n <= 12 indices is one block, and a block holds m 2^12 floats a
+#: member, m = n(n+1)/2.  Fixed, so no result depends on _CHUNK_FLOATS.
+_BLOCK_BITS = 12
 
 
 def check_enum_budget(n: int) -> None:
@@ -195,42 +206,104 @@ def _chunks(b: int, floats: int) -> list:
     return [slice(lo, lo + size) for lo in range(0, b, size)]
 
 
-def _bordered_inverses(matrices: np.ndarray, check: bool = False, out=None) -> np.ndarray:
-    """`padded_inverses` of a batch of B matrices, (B, 2^n, n, n), in `out`
-    if given; pivots are checked, for a batch of one, only with `check`."""
+def _block_width(n: int) -> int:
+    """Masks in a block of `_inverse_blocks` at ground-set size n."""
+    return 2 ** min(n, _BLOCK_BITS)
+
+
+def _pass_floats(n: int) -> int:
+    """Floats of a member's `_inverse_blocks` work: its block, m w, and a
+    step's scratch, u and the two gathers, (n + 1 + 2m) h for the most
+    masks h a step adds, w / 2 (or half the seeds, when more)."""
+    m, width = n * (n + 1) // 2, _block_width(n)
+    return m * width + (n + 1 + 2 * m) * max(width, 2 ** n // width) // 2
+
+
+def _inverse_blocks(matrices: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    check: bool = False, work=None):
+    """The distinct entries x_J = P_J[rows, cols] of P_J = pad(A_J^{-1}) of
+    B symmetric matrices (B, n, n), streamed as (B, m, w) blocks, masks
+    last, of the w = `_block_width(n)` masks [t w, (t+1) w) in order, in
+    one buffer refilled per block, which the reader may overwrite.  Block
+    t starts from the seed pad(A_S^{-1}) of its top-bit set S and borders
+    the low indices; the seeds come from bordering the top indices first.
+    The block and the steps' scratch live in `work`, B `_pass_floats(n)`
+    floats, if given, so that no step maps fresh pages.  Pivots are
+    checked, for a batch of one, only with `check`."""
     a = np.asarray(matrices, dtype=float)
-    b, n = a.shape[0], a.shape[1]
+    b, n, m = a.shape[0], a.shape[1], rows.size
     check_enum_budget(n)
-    out = np.empty((b, 2 ** n, n, n)) if out is None else out
-    out[:, 0] = 0.0
-    for i in range(n):
-        half = 2 ** i
-        inv = out[:, :half]
-        # bordering A_J by index i: with u = A_J^{-1} A_{J,i} and
-        # v = A_{i,J} A_J^{-1} (both padded, so zero at i) and the Schur
-        # pivot s, the padded inverse of A_{J u {i}} is
-        # inv_J + (u - e_i)(v - e_i)^T / s
-        u = (inv @ a[:, None, :, i, None])[..., 0]
-        v = (a[:, None, None, i] @ inv)[:, :, 0]
-        s = a[:, i, i, None] - (u @ a[:, i, :, None])[..., 0]
-        if check and not (s > 0).all():          # False at NaN too
-            bad = np.flatnonzero(~(s > 0))[:4] + half
-            raise np.linalg.LinAlgError(f"nonpositive principal minor at masks {bad.tolist()}")
-        u[:, :, i] = v[:, :, i] = -1.0
-        new = out[:, half:2 * half]
-        np.multiply(u[..., :, None], v[..., None, :] / s[..., None, None], out=new)
-        new += inv
-    return out
+    low = min(n, _BLOCK_BITS)
+    width = 2 ** low
+    most = max(width, 2 ** (n - low)) // 2          # the most masks a step adds
+    work = np.empty(b * _pass_floats(n)) if work is None else work
+    block = work[:b * m * width].reshape(b, m, width)
+    ends = list(accumulate([b * m * width, b * most * (n + 1), b * most * m, b * most * m]))
+    scratch = [work[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    # bordering A_J by index i: with u = P_J A[:, i] (zero at i) and the
+    # Schur pivot s = A_ii - A[i] u, P_{J u {i}} = P_J + (u - e_i)(u - e_i)^T
+    # / s.  lift[:, i] @ x is u, then A[i] u: lift[i, r, e] = A[c, i] where
+    # entry e is (r, c) or (c, r), 0 (the padding row n) where row r holds
+    # no entry e, and lift[i, n] = A[i] lift[i, :n]
+    partner = np.full((n, m), n)
+    partner[rows, np.arange(m)], partner[cols, np.arange(m)] = cols, rows
+    lift = np.concatenate([a, np.zeros((b, 1, n))], axis=1)[:, partner].transpose(0, 3, 1, 2)
+    lift = np.concatenate([lift, a[:, :, None] @ lift], axis=2)
+    diagonal = np.diagonal(a, axis1=1, axis2=2)[..., None]
+
+    def border(x, indices, first, stride):
+        # x[..., 0] holds a seed; each step doubles the masks held, the new
+        # ones, J u {i}, after the old; column j is mask first + stride j
+        half = 1
+        for i in indices:
+            old, new = x[..., :half], x[..., half:2 * half]
+            u, step, other = [buf[:buf.size // most * half].reshape(b, -1, half)
+                              for buf in scratch]
+            np.matmul(lift[:, i], old, out=u)
+            s = diagonal[:, i] - u[:, n]
+            if check and not (s > 0).all():          # False at NaN too
+                bad = first + stride * (half + np.flatnonzero(~(s > 0))[:4])
+                raise np.linalg.LinAlgError(
+                    f"nonpositive principal minor at masks {bad.tolist()}")
+            u = u[:, :n]
+            u[:, i] = -1.0
+            np.take(u, rows, axis=1, out=step, mode="clip")    # "raise" would buffer `out`
+            u /= s[:, None]
+            np.take(u, cols, axis=1, out=other, mode="clip")
+            step *= other
+            np.add(step, old, out=new)      # `new += old` would copy `old` first
+            half *= 2
+
+    seeds = np.zeros((b, m, 2 ** (n - low)))
+    border(seeds, range(low, n), 0, width)
+    for t in range(seeds.shape[2]):
+        block[..., 0] = seeds[..., t]
+        border(block, range(low), t * width, 1)
+        yield block
 
 
 def padded_inverses(matrix: np.ndarray) -> np.ndarray:
     """Inverses of all principal submatrices, zero-padded to n x n.
 
     Entry J is the n x n matrix whose J x J block is (A_J)^{-1} and
-    which vanishes elsewhere.  Raises LinAlgError, naming
-    the masks, when a principal minor is not positive.
+    which vanishes elsewhere: `_inverse_blocks` of a symmetric A, each
+    entry written to both of its places, masks last in memory.  Raises
+    LinAlgError, naming the masks, when a principal minor is not positive.
     """
-    return _bordered_inverses(np.asarray(matrix, dtype=float)[None], check=True)[0]
+    from .kernels import _coordinate_layout     # kernels imports this module
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    check_enum_budget(n)
+    rows, cols, _ = _coordinate_layout(n)
+    place = np.empty((n, n), dtype=np.intp)
+    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    # the result and the work share one allocation, which the result keeps:
+    # with two, malloc hands the pages back and faults them in on each call
+    work = np.empty(n * n * 2 ** n + _pass_floats(n))
+    out = work[:n * n * 2 ** n].reshape(n, n, 2 ** n)
+    for t, x in enumerate(_inverse_blocks(a[None], rows, cols, True, work[out.size:])):
+        out[..., t * x.shape[2]:(t + 1) * x.shape[2]] = x[0][place]
+    return out.transpose(2, 0, 1)
 
 
 def superset_sums(values: np.ndarray) -> np.ndarray:

@@ -230,7 +230,7 @@ class TestLineSearch:
                 self.calls += len(matrices)
                 return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2)), (matrices,)
 
-            def derivatives(self, point):
+            def derivatives(self, point, gram=None):
                 (kernels,) = point
                 return fake_derivatives(np.repeat(1e-6 * np.eye(2)[None], len(kernels), axis=0))
 
@@ -255,7 +255,7 @@ class TestLineSearch:
                 self.calls += 1
                 return 1e6 - 0.5 * ((matrices - target) ** 2).sum(axis=(1, 2)), (matrices,)
 
-            def derivatives(self, point):
+            def derivatives(self, point, gram=None):
                 (kernels,) = point
                 return fake_derivatives(target - kernels, 2.0)
 
@@ -282,13 +282,17 @@ def batch_of(tables, config):
     return estimation._Objective(freqs), starts
 
 
-def count_hessians(monkeypatch):
-    """The list of Hessian counts the fitter forms, one entry a chunk."""
+def count_hessians(monkeypatch, grams=None):
+    """The list of Hessian counts the fitter forms, one entry a chunk; and
+    in `grams`, if given, the count of members that sum a Gram, one entry
+    a chunk."""
     formed = []
     real = estimation.likelihood_derivatives
 
-    def counting(*args, **kwargs):
-        grads, hessians = real(*args, **kwargs)
+    def counting(blocks, q, p, gram=None):
+        if grams is not None:
+            grams.append(len(q) if gram is None else int(np.sum(gram)))
+        grads, hessians = real(blocks, q, p, gram)
 
         def counted(members=None):
             hess = hessians(members)
@@ -303,13 +307,16 @@ def count_hessians(monkeypatch):
 
 class TestHessiansFormed:
     def test_one_hessian_a_step_at_max_iters(self, monkeypatch):
-        # six restarts take one step each; the closing gradient pass forms none
+        # six restarts take one step each; the closing gradient pass forms
+        # no Hessian and, every member flat, sums no Gram
         freqs = d.empirical_table(d.sample(d.build_table(d.tridiagonal_kernel(6, 2.0, 0.5)),
                                            2000, seed=3))
-        formed = count_hessians(monkeypatch)
+        grams = []
+        formed = count_hessians(monkeypatch, grams)
         result = d.fit_mle(freqs, MleConfig(seed=1, max_iters=1))
         assert result.stop_reason == "max_iters" and result.iterations == 1
         assert sum(formed) == 6
+        assert sum(grams) == 6 and len(grams) == 2
 
     def test_one_hessian_a_step_to_convergence(self, monkeypatch):
         # every member stops on grad_tol, and no member at grad_tol forms one
@@ -483,7 +490,7 @@ class TestFitMle:
                 self.calls += 1
                 return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), (matrices,)
 
-            def derivatives(self, point):
+            def derivatives(self, point, gram=None):
                 (kernels,) = point
                 return fake_derivatives(np.repeat(5.0 * np.eye(2)[None], len(kernels), axis=0))
 
@@ -799,6 +806,25 @@ class TestEstimateRisk:
             for a, b in zip(fits[0], other):
                 np.testing.assert_array_equal(a.estimate.matrix, b.estimate.matrix)
                 assert a.to_dict() == b.to_dict(), (n, budget)
+
+    def test_fits_in_blocks_do_not_depend_on_the_chunk_budget(self, monkeypatch):
+        # with the derivative pass in 2^(6 - 2) blocks, the same fits at
+        # every chunk budget, and the maxima of the one-block fits (up to
+        # the sign orbit, which roundoff may change)
+        tables = replicate_tables(6, 3, 400, seed=8)
+        cfg = MleConfig(seed=2, restarts=3)
+        one_block = estimation._fit_tables(tables, cfg)
+        monkeypatch.setattr(minors, "_BLOCK_BITS", 2)
+        fits = []
+        for budget in (1, 2 ** 12, 2 ** 30):
+            monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
+            fits.append(estimation._fit_tables(tables, cfg))
+        for other in fits[1:]:
+            for a, b in zip(fits[0], other):
+                assert a.to_dict() == b.to_dict()
+        for a, b in zip(one_block, fits[0]):
+            assert a.converged and b.converged
+            assert b.log_likelihood == pytest.approx(a.log_likelihood, rel=1e-12)
 
     def test_rate_study_runs_one_lockstep(self, monkeypatch):
         from dppmle import experiments

@@ -166,6 +166,20 @@ class TestEstimateCommand:
         o1.pop("created_at"), o2.pop("created_at")
         assert o1 == o2
 
+    def test_fit_at_n16_stays_under_150_mib(self, tmp_path):
+        # the Newton derivative pass streams the distinct padded-inverse
+        # entries in blocks of 2^12 masks, m 2^12 floats a member, where
+        # all 2^n n^2 padded-inverse floats took the fit to 254 MiB
+        sim_cfg = {"kernel": {"tridiagonal": {"a": 2.0, "b": 0.9, "n": 16}},
+                   "count": 20000, "seed": 5}
+        ex.run_simulate(sim_cfg, tmp_path)
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"mle": {"restarts": 2, "max_iters": 1, "seed": 1}}))
+        peak_mib = measured("estimate", "--config", str(config), "--samples",
+                            str(tmp_path / "samples.json"), "--out", str(tmp_path))
+        assert json.loads((tmp_path / "estimate.json").read_text())["result"]["iterations"] == 1
+        assert peak_mib <= 150, peak_mib
+
     def test_size_mismatch_rejected(self, tmp_path):
         sim_cfg = {"kernel": {"n": 1, "entries": [1.0]}, "count": 10, "seed": 2}
         ex.run_simulate(sim_cfg, tmp_path)

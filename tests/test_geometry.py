@@ -224,10 +224,12 @@ class TestHessianMatrix:
             np.testing.assert_allclose(form.matrix, expect, rtol=0,
                                        atol=1e-12 * np.abs(form.eigenvalues).max(), err_msg=name)
 
-    def test_is_the_fitter_hessian_at_the_truth(self, rng):
+    def test_is_the_fitter_hessian_at_the_truth(self, monkeypatch, rng):
         # the Newton step's Hessian at (L*, q = p*), symmetrized, with p* as
-        # the table normalizes it, is the population Hessian exactly
-        for n in (1, 3, 6):
+        # the table normalizes it, is the population Hessian exactly, in one
+        # block of masks and in several
+        for bits, n in ((12, 1), (12, 3), (12, 6), (2, 3), (2, 6)):
+            monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
             star = random_kernel(n, rng)
             table = d.build_table(star)
             lse = np.logaddexp.reduce(np.sort(table.log_dets))
@@ -248,9 +250,50 @@ class TestHessianMatrix:
             q = (raw / raw.sum())[None]
             p = d.build_table(d.Kernel(a)).probs[None]
             expect = dense_basis_hessian(inv, q, p)
-            got = geometry.likelihood_derivatives(inv, q, p)[1]()
+            x = inv.reshape(1, 2 ** n, n * n)[:, :, geometry._gram_pairs(n)[0]].transpose(0, 2, 1)
+            got = geometry.likelihood_derivatives([x], q, p)[1]()
             np.testing.assert_allclose(got, expect, rtol=0,
                                        atol=1e-13 * np.abs(expect).max(), err_msg=f"n={n}")
+
+    def test_blocked_gram_matches_one_block(self, monkeypatch, rng):
+        # gradients and Hessians summed over 2^(n - bits) blocks from bordered
+        # seeds against one block, to 1e-12 relative, for q away from p
+        for n in range(2, 11):
+            mats = np.array([random_kernel(n, rng).matrix for _ in range(2)])
+            raw = rng.random((2, 2 ** n)) * (rng.random((2, 2 ** n)) < 0.5)
+            raw[:, 0] += 1.0
+            q = raw / raw.sum(axis=1, keepdims=True)
+            p = np.array([d.build_table(d.Kernel(a)).probs for a in mats])
+            rows, cols, _ = d.kernels._coordinate_layout(n)
+            got = []
+            for bits in (12, n // 2, 1):
+                monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
+                grads, hessians = geometry.likelihood_derivatives(
+                    minors._inverse_blocks(mats, rows, cols), q, p)
+                got.append((grads, hessians()))
+            for grads, hess in got[1:]:
+                for one, other in zip(got[0], (grads, hess)):
+                    np.testing.assert_allclose(other, one, rtol=0,
+                                               atol=1e-12 * np.abs(one).max(), err_msg=f"n={n}")
+
+    def test_hessians_only_of_gram_members(self, rng):
+        # a member outside `gram` sums no Gram, so it has no Hessian; the
+        # others' Hessians and every gradient are bitwise those of the full pass
+        mats = np.array([random_kernel(4, rng).matrix for _ in range(3)])
+        p = np.array([d.build_table(d.Kernel(a)).probs for a in mats])
+        rows, cols, _ = d.kernels._coordinate_layout(4)
+
+        def derivatives(gram=None):
+            return geometry.likelihood_derivatives(minors._inverse_blocks(mats, rows, cols),
+                                                   p, p, gram)
+
+        grads, hessians = derivatives()
+        some_grads, some = derivatives(np.array([True, False, True]))
+        np.testing.assert_array_equal(some_grads, grads)
+        np.testing.assert_array_equal(some(), hessians()[[0, 2]])
+        np.testing.assert_array_equal(some(np.array([False, False, True])), hessians()[[2]])
+        with pytest.raises(ValueError, match="no Gram"):
+            some(np.array([False, True, False]))
 
     def test_csv_exports(self, rng):
         form = d.hessian_matrix(d.build_table(random_kernel(3, rng)))

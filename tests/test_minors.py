@@ -4,6 +4,7 @@ import pytest
 from dppmle import Kernel, build_table, identity_residuals, minors
 from dppmle.errors import GroundSetTooLarge
 from dppmle import rngs
+from dppmle.kernels import _coordinate_layout
 
 from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, brute_submatrix,
                       random_kernel, random_symmetric, reference_kernels)
@@ -62,6 +63,44 @@ class TestPrincipalLogdets:
             minors.principal_logdets(np.eye(21))
 
 
+def streamed(mats):
+    """The blocks of `minors._inverse_blocks`, (B, m, 2^n), joined in order."""
+    rows, cols, _ = _coordinate_layout(mats.shape[-1])
+    return np.concatenate([x.copy() for x in minors._inverse_blocks(mats, rows, cols)], axis=2)
+
+
+class TestInverseBlocks:
+    @pytest.mark.parametrize("bits", [12, 3, 1])
+    def test_against_per_mask_inverses(self, monkeypatch, bits):
+        # the distinct entries, masks last, against one np.linalg.inv per
+        # mask gathered into the kernels layout, to 1e-12, in one block and
+        # in 2^(n - bits) blocks from bordered seeds
+        monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
+        for name, a in reference_kernels():
+            rows, cols, _ = _coordinate_layout(a.shape[0])
+            x = streamed(a[None])[0]
+            assert x.shape == (rows.size, 2 ** a.shape[0])
+            np.testing.assert_allclose(x, brute_inverses(a)[:, rows, cols].T, rtol=1e-12,
+                                       atol=1e-12, err_msg=f"{name} bits={bits}")
+
+    def test_blocks_of_fixed_width(self, monkeypatch):
+        # the block width is the module constant, whatever the chunk budget
+        a = random_kernel(7, np.random.default_rng(27)).matrix
+        rows, cols, _ = _coordinate_layout(7)
+        for bits, count in ((12, 1), (5, 4), (2, 32)):
+            monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
+            for budget in (1, 2 ** 30):
+                monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
+                widths = [x.shape for x in minors._inverse_blocks(a[None], rows, cols)]
+                assert widths == [(1, 28, 2 ** min(7, bits))] * count
+
+    @pytest.mark.parametrize("bits", [12, 2, 1])
+    def test_rejects_nonpositive_minor_at_any_block_width(self, monkeypatch, bits):
+        monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
+        with pytest.raises(np.linalg.LinAlgError, match=r"masks \[7\]"):
+            minors.padded_inverses(NEGATIVE_3X3)
+
+
 class TestPaddedInverses:
     def test_against_brute_force(self, rng):
         ker = random_kernel(4, rng)
@@ -82,18 +121,22 @@ class TestPaddedInverses:
         with pytest.raises(np.linalg.LinAlgError, match=r"masks \[7\]"):
             minors.padded_inverses(NEGATIVE_3X3)
 
-    def test_batched_recursion_is_bitwise_the_same(self):
-        # the fitter's batched bordering recursion against the public one,
-        # each member alone and in a batch of the kernels of its size
+    def test_batched_recursion_is_bitwise_the_same(self, monkeypatch):
+        # the fitter's batched stream against the public padded inverses,
+        # each member alone and in a batch of the kernels of its size, in
+        # one block and in several
         by_size = {}
         for name, a in reference_kernels():
             by_size.setdefault(a.shape[0], []).append(a)
-        for n, mats in by_size.items():
-            whole = minors._bordered_inverses(np.array(mats))
-            for k, a in enumerate(mats):
-                public = minors.padded_inverses(a)
-                np.testing.assert_array_equal(minors._bordered_inverses(a[None])[0], public)
-                np.testing.assert_array_equal(whole[k], public, err_msg=f"n={n} member {k}")
+        for bits in (12, 2):
+            monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
+            for n, mats in by_size.items():
+                rows, cols, _ = _coordinate_layout(n)
+                whole = streamed(np.array(mats))
+                for k, a in enumerate(mats):
+                    public = minors.padded_inverses(a)[:, rows, cols].T
+                    np.testing.assert_array_equal(streamed(a[None])[0], public)
+                    np.testing.assert_array_equal(whole[k], public, err_msg=f"n={n} member {k}")
 
     def test_zero_padding_outside_subset(self, rng):
         ker = random_kernel(3, rng)
@@ -171,7 +214,7 @@ class TestSchurAdjoint:
             weights = gen.random((2, 2 ** n))
             weights[1] -= 0.5                   # signed weights, as q - p
             got = adjoint(a[None].repeat(2, axis=0), weights)
-            bordered = minors._bordered_inverses(a[None])[0]
+            bordered = minors.padded_inverses(a)
             for w, g in zip(weights, got):
                 for ref in (np.einsum("j,jab->ab", w, brute_inverses(a)),
                             np.einsum("j,jab->ab", w, bordered)):

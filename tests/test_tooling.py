@@ -65,7 +65,7 @@ def test_one_fit_loop():
                                  "_weighted_inverse_sums", "_select", "_offdiag_rows_cols",
                                  "_split_by_blocks", "ScanReport", "RateReport",
                                  "_hessian_layout", "_gram_layout", "_strict_lower",
-                                 "stack_to_coords"}:
+                                 "stack_to_coords", "_bordered_inverses"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed machinery in src/dppmle: {banned}"
@@ -73,25 +73,33 @@ def test_one_fit_loop():
 
 def _is_gram(node) -> bool:
     """A matrix product X^T @ Y whose operands share an array name, such
-    as y.transpose(0, 2, 1) @ y or (t * p[:, None]).T @ t."""
+    as y.transpose(0, 2, 1) @ y or (t * p[:, None]).T @ t, or Y @ Y^T of
+    one array, such as y @ y.transpose(0, 2, 1) or a @ a.T."""
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
         return False
-    left = node.left
-    if isinstance(left, ast.Call):
-        left = left.func
-    if not (isinstance(left, ast.Attribute) and left.attr in ("T", "transpose")):
-        return False
+
+    def transposed(side):
+        """The array a transpose is taken of, or None."""
+        func = side.func if isinstance(side, ast.Call) else side
+        if isinstance(func, ast.Attribute) and func.attr in ("T", "transpose"):
+            return func.value
+        return None
 
     def names(tree):
         return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
-    return bool(names(left.value) & names(node.right))
+    left, right = transposed(node.left), transposed(node.right)
+    if left is not None:
+        return bool(names(left) & names(node.right))
+    return right is not None and ast.dump(right) == ast.dump(node.left)
 
 
 def test_one_likelihood_hessian():
     # the Newton step, hessian_matrix, min_curvature and asymptotic_covariance
     # read one Hessian: a Gram of the distinct padded-inverse entries is
-    # formed in one function, geometry.likelihood_derivatives, and nowhere else
+    # formed in one function, geometry.likelihood_derivatives, and nowhere
+    # else; the one other Gram is the Wishart draw a a^T / n of the random
+    # kernels of verify-identities
     grams = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -101,7 +109,8 @@ def test_one_likelihood_hessian():
                  if isinstance(node, ast.FunctionDef)]
         grams += [f"{path.stem}.{name}" for name, fn in defs
                   if any(_is_gram(node) for node in ast.walk(fn))]
-    assert grams == ["geometry.likelihood_derivatives"], f"Gram products in src/dppmle: {grams}"
+    assert grams == ["experiments.random_kernel", "geometry.likelihood_derivatives"], \
+        f"Gram products in src/dppmle: {grams}"
 
 
 def test_one_coordinate_layout():
