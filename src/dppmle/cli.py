@@ -120,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, desc, run, summarize in COMMANDS:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
+        if name in ("simulate", "estimate", "rate-study", "verify-identities"):
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
         if name == "estimate":
             p.add_argument("--samples", required=True, help="samples JSON or table CSV")
         p.set_defaults(run=run, summarize=summarize)

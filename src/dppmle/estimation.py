@@ -40,12 +40,12 @@ nothing else does.
 
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 sizes x replicates x restarts of a rate study in `estimate_risk`,
-iterate together, each member with its own state.  Each objective call,
-derivative and Newton step runs over the members still searching in
-member chunks of `minors._chunks`, so memory does not grow with the
-batch.  No operation mixes members, so a member's fit is bitwise the
-same alone, in any batch and at any chunk budget; one failing fit fails
-the batch, and a rate study then has no row.
+iterate together, each member with its own state.  Each objective call
+and Newton step (one loop, its derivative pass inside) runs over the
+members still searching in member chunks of `minors._chunks`, so memory
+does not grow with the batch.  No operation mixes members, so a member's
+fit is bitwise the same alone, in any batch and at any chunk budget; one
+failing fit fails the batch, and a rate study then has no row.
 """
 
 from __future__ import annotations
@@ -190,21 +190,18 @@ class _Objective:
         return values, (matrices, logdets, log_z, members)
 
     def derivatives(self, point, gram=None):
-        """(slice, gradients, Hessian function) of `likelihood_derivatives`
-        per member chunk of `minors._chunks` of a point whose values are
-        finite, from one streamed bordering pass per member; only the
-        members `gram` selects (all by default) sum a Gram."""
+        """(gradients, Hessian function) of `likelihood_derivatives` of a
+        point whose values are finite, from one streamed bordering pass of
+        `minors._pass_floats(n)` floats a member, unchunked (see `_newton`);
+        only the members `gram` selects (all by default) sum a Gram."""
         matrices, logdets, log_z, members = point
-        b, n = matrices.shape[0], matrices.shape[1]
-        rows, cols, _ = _coordinate_layout(n)
-        floats = minors._pass_floats(n)
-        for at in minors._chunks(b, floats):
-            if self.work.size < len(matrices[at]) * floats:
-                self.work = np.empty(len(matrices[at]) * floats)
-            blocks = minors._inverse_blocks(matrices[at], rows, cols, work=self.work)
-            yield (at, *likelihood_derivatives(blocks, self.freqs[self.tables[members[at]]],
-                                               np.exp(logdets[at] - log_z[at, None]),
-                                               None if gram is None else gram[at]))
+        rows, cols, _ = _coordinate_layout(matrices.shape[1])
+        floats = len(matrices) * minors._pass_floats(matrices.shape[1])
+        if self.work.size < floats:
+            self.work = np.empty(floats)
+        blocks = minors._inverse_blocks(matrices, rows, cols, work=self.work)
+        return likelihood_derivatives(blocks, self.freqs[self.tables[members]],
+                                      np.exp(logdets - log_z[:, None]), gram)
 
 
 # --- Newton step -----------------------------------------------------------
@@ -295,27 +292,25 @@ def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float)
     """(gradient norms by `_theta_norm`, Newton decrements, ascent
     directions) of a point's members, the last two zero, and no Hessian
     formed, for a member at `grad_tol` or `flat`, and no Gram summed for a
-    `flat` one; in member chunks of about 4 m^2 floats, m = n(n+1)/2, so
-    no Hessian stack spans the batch."""
+    `flat` one; in one loop over member chunks, a member taking its
+    bordering work, `minors._pass_floats(n)`, plus about 4 m^2 floats of
+    Gram, Hessian and eigh, m = n(n+1)/2, so no pass or Hessian spans the batch."""
     b, n = matrices.shape[0], matrices.shape[1]
     gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
-    for at in minors._chunks(b, 4 * symmetric_dim(n) ** 2):
-        c = np.linalg.cholesky(matrices[at])
-        grad, hess = np.empty((len(c), n, n)), []
-        for sub, g, hessians in obj.derivatives(tuple(x[at] for x in point), ~flat[at]):
-            grad[sub], gnorm[at][sub] = g, _theta_norm(g, c[sub])
-            hess.append(hessians(~(gnorm[at][sub] <= grad_tol) & ~flat[at][sub]))
-        go = np.flatnonzero(~(gnorm[at] <= grad_tol) & ~flat[at])
-        if not go.size:
+    for at in minors._chunks(b, minors._pass_floats(n) + 4 * symmetric_dim(n) ** 2):
+        grad, hessians = obj.derivatives(tuple(x[at] for x in point), ~flat[at])
+        gnorm[at] = _theta_norm(grad, np.linalg.cholesky(matrices[at]))
+        go = ~(gnorm[at] <= grad_tol) & ~flat[at]
+        if not go.any():
             continue
         # the step solves against -H with its eigenvalues reflected and
         # floored, so it ascends wherever H is indefinite
-        w, v = np.linalg.eigh(-np.concatenate(hess))
+        w, v = np.linalg.eigh(-hessians(go))
         w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
         z = (sym_to_coords(grad[go])[:, None, :] @ v)[:, 0] / np.sqrt(w)
-        decrement[at.start + go] = _rowdot(z, z)       # lambda^2 = g^T (-H)^{-1} g
+        decrement[at][go] = _rowdot(z, z)               # lambda^2 = g^T (-H)^{-1} g
         step = (z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1)   # (-H)^{-1} g, as a row
-        direction[at.start + go] = coords_to_sym(step[:, 0], n)
+        direction[at][go] = coords_to_sym(step[:, 0], n)
     return gnorm, decrement, direction
 
 

@@ -130,6 +130,15 @@ class TestSimulateEstimateFlow:
         report = json.loads((out_a / "simulate.json").read_text())
         assert report["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("command", ["hessian", "curvature-scan", "variance-growth"])
+    def test_seed_flag_refused_where_nothing_reads_it(self, tmp_path, capsys, command):
+        # argparse exits 2 on the flag, as on any unknown one, before any run
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestScans:
     def test_curvature_scan(self, tmp_path, capsys):

@@ -124,7 +124,7 @@ class TestObjective:
             obj = estimation._Objective(q[None])
             values, point = obj.evaluate(a[None], [0])
             assert values[0] == pytest.approx(value, rel=1e-12, abs=1e-12), name
-            np.testing.assert_allclose(next(obj.derivatives(point))[1][0], grad,
+            np.testing.assert_allclose(obj.derivatives(point)[0][0], grad,
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_hessian_matches_per_mask_reference(self, rng):
@@ -141,7 +141,7 @@ class TestObjective:
                                 for mq, gq in per] for mp, gp in per])
             obj = estimation._Objective(q[None])
             _, point = obj.evaluate(a[None], [0])
-            np.testing.assert_allclose(next(obj.derivatives(point))[2]()[0], expect,
+            np.testing.assert_allclose(obj.derivatives(point)[1]()[0], expect,
                                        rtol=0, atol=1e-10, err_msg=name)
 
     def test_hessian_matches_gradient_differences(self, rng):
@@ -152,7 +152,7 @@ class TestObjective:
         cand = random_kernel(4, rng)
         obj = estimation._Objective(freqs.freqs[None])
         _, point = obj.evaluate(cand.matrix[None], [0])
-        hess = next(obj.derivatives(point))[2]()[0]
+        hess = obj.derivatives(point)[1]()[0]
         basis = d.symmetric_basis(4)
         step = 1e-5
         for p, ep in enumerate(basis):
@@ -207,11 +207,11 @@ def fit_one(obj, start, config):
 
 
 def fake_derivatives(grads, curvature=1.0):
-    """What `_Objective.derivatives` yields for 2 x 2 kernels with these
+    """What `_Objective.derivatives` returns for 2 x 2 kernels with these
     gradients and the Hessian -curvature I in symmetric coordinates, that
-    of -curvature ||L - T||^2 / 2: one chunk of every member.  The fakes
-    below keep a point as the 1-tuple (kernels,)."""
-    yield slice(None), grads, lambda go: np.repeat(-curvature * np.eye(3)[None], go.sum(), axis=0)
+    of -curvature ||L - T||^2 / 2.  The fakes below keep a point as the
+    1-tuple (kernels,)."""
+    return grads, lambda go: np.repeat(-curvature * np.eye(3)[None], go.sum(), axis=0)
 
 
 class TestLineSearch:
@@ -791,12 +791,13 @@ class TestEstimateRisk:
         with pytest.raises(ValueError, match="sample_size"):
             d.estimate_risk(random_kernel(2, rng), [], 3, MleConfig(), seed=0)
 
-    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("n", [3, 6, 10])
     def test_fits_do_not_depend_on_the_chunk_budget(self, monkeypatch, n):
-        # the objective, derivatives and Newton steps run in member chunks;
-        # one member a chunk and the whole batch in one give the same fits
+        # the objective and the Newton steps run in member chunks; one
+        # member a chunk and the whole batch in one give the same fits.  At
+        # n = 10 the default budget holds one member a Newton chunk
         tables = replicate_tables(n, 3, 400, seed=8)
-        cfg = MleConfig(seed=2, restarts=3, max_iters=30)
+        cfg = MleConfig(seed=2, restarts=3, max_iters=30 if n < 10 else 3)
         fits = []
         for budget in (1, 2 ** 12, 2 ** 17, 2 ** 30):
             monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)

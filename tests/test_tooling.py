@@ -129,3 +129,28 @@ def test_one_coordinate_layout():
                     or name.split(".")[-1] == "symmetric_basis"):
                 calls.append(f"{name} at {path.name}:{node.lineno}")
     assert not calls, f"coordinate layouts outside kernels.py: {calls}"
+
+
+def test_one_member_chunk_loop_a_pass():
+    # a loop over member chunks (`minors._chunks`) holds no second one, and
+    # the Newton step's derivative pass is a plain call on the members it
+    # is given: no loop and no yield
+    def chunk_loop(node):
+        return (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                and ast.unparse(node.iter.func).split(".")[-1] == "_chunks")
+
+    nested, derivatives = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in filter(chunk_loop, ast.walk(tree)):
+            nested += [f"{path.name}:{node.lineno} holds {path.name}:{inner.lineno}"
+                       for stmt in node.body + node.orelse for inner in ast.walk(stmt)
+                       if chunk_loop(inner)]
+        derivatives += [fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        and cls.name == "_Objective" for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "derivatives"]
+    assert not nested, f"member-chunk loops inside member-chunk loops: {nested}"
+    assert len(derivatives) == 1
+    loops = [f"{type(node).__name__} at line {node.lineno}" for node in ast.walk(derivatives[0])
+             if isinstance(node, (ast.For, ast.While, ast.Yield, ast.YieldFrom))]
+    assert not loops, f"_Objective.derivatives loops or yields: {loops}"
