@@ -3,7 +3,7 @@ processes: probabilities, sampling, likelihood geometry, and
 maximum-likelihood estimation under the sign-orbit identifiability."""
 
 from .errors import (ConfigError, DppError, EmptyBatch, GroundSetTooLarge,
-                     InsufficientPoints, LikelihoodDecrease, NonpositiveValue,
+                     InsufficientPoints, NonpositiveValue,
                      NormalizationMismatch, NotNullDirection,
                      SingularInformation)
 from .kernels import (CorrelationKernel, DeterminantalGraph, Kernel,
@@ -17,11 +17,10 @@ from .model import (DppTable, EmpiricalTable, SampleBatch, build_table,
                     inclusion_probability, sample, subset_probability,
                     total_variation)
 from .geometry import (HessianForm, IdentityResiduals, NullSpaceBasis,
-                       TraceStatistics, decompose_null_direction,
-                       directional_derivative, expected_log_likelihood,
-                       fourth_order_form, hessian_matrix,
-                       hessian_quadratic_form, identity_residuals,
-                       min_curvature, null_space_basis, trace_statistics)
+                       decompose_null_direction, directional_derivative,
+                       expected_log_likelihood, fourth_order_form,
+                       hessian_matrix, hessian_quadratic_form,
+                       identity_residuals, min_curvature, null_space_basis)
 from .estimation import (BlockwiseLoss, LossValue, MleConfig, MleResult,
                          RiskEstimate, asymptotic_covariance, blockwise_loss,
                          empirical_log_likelihood, estimate_risk, fit_mle,

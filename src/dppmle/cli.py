@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .errors import (ConfigError, GroundSetTooLarge, LikelihoodDecrease,
-                     NormalizationMismatch, SingularInformation)
+from .errors import (ConfigError, GroundSetTooLarge, NormalizationMismatch,
+                     SingularInformation)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,8 +141,7 @@ def main(argv=None) -> int:
     except GroundSetTooLarge as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NormalizationMismatch, SingularInformation, LikelihoodDecrease,
-            np.linalg.LinAlgError) as exc:
+    except (NormalizationMismatch, SingularInformation, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -34,9 +34,5 @@ class NonpositiveValue(DppError):
     """Log-scale fits require strictly positive coordinates."""
 
 
-class LikelihoodDecrease(DppError):
-    """An accepted optimizer step lowered the likelihood it was meant to raise."""
-
-
 class ConfigError(DppError):
     """An experiment configuration is malformed; the message names the field."""

@@ -40,8 +40,10 @@ nothing else does.
 
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 sizes x replicates x restarts of a rate study in `estimate_risk`,
-iterate together, each member with its own state.  Each objective call
-and Newton step (one loop, its derivative pass inside) runs over the
+iterate together, each member with its own state.  A kernel is
+evaluated once: the start, and each line-search candidate, whose point
+the next Newton step reads if it is accepted.  Each objective call and
+Newton step (one loop, its derivative pass inside) runs over the
 members still searching in member chunks of `minors._chunks`, so memory
 does not grow with the batch.  No operation mixes members, so a member's
 fit is bitwise the same alone, in any batch and at any chunk budget; one
@@ -58,7 +60,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import minors, rngs
-from .errors import LikelihoodDecrease, SingularInformation
+from .errors import SingularInformation
 from .geometry import hessian_matrix, likelihood_derivatives
 from .kernels import (DeterminantalGraph, Kernel, _coordinate_layout, conjugate_by_signs,
                       coords_to_sym, determinantal_graph, k_to_l, sym_to_coords,
@@ -135,15 +137,13 @@ def empirical_log_likelihood(freqs: EmpiricalTable, kernel: Kernel) -> float:
 
 def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
     """Gradient matrix G with directional derivative Tr(G H) along H:
-    the frequency-weighted padded inverse minors minus (I+L)^{-1}."""
+    the frequency-weighted padded inverse minors minus (I+L)^{-1}, the
+    fitter's gradient (`_Objective.derivatives`, no Gram summed)."""
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
-    tape = []
-    q = freqs.freqs[None]
-    _, (_, logdets, log_z, _) = _Objective(q).evaluate(kernel.matrix[None], [0], tape)
-    # sum_J (q_J - p_J) P_J, from the reverse sweep of the value's pass
-    grad = minors._schur_adjoint(tape, q - np.exp(logdets - log_z[:, None]))[0]
-    return (grad + grad.T) / 2.0
+    obj = _Objective(freqs.freqs[None])
+    _, point = obj.evaluate(kernel.matrix[None], [0])
+    return obj.derivatives(point, np.zeros(1, dtype=bool))[0][0]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,24 +162,24 @@ class _Objective:
     log-determinants since det(I+L) = sum_J det L_J.  Both derivatives
     are `geometry.likelihood_derivatives` of the P_J = pad(L_J^{-1}) that
     one streamed bordering pass gives, with p_J = det L_J / det(I+L), so
-    I+L is never factored."""
+    I+L is never factored; they read the point `evaluate` returns with
+    the values, and `likelihood_gradient` is the same call."""
 
     def __init__(self, freqs: np.ndarray, tables: np.ndarray | None = None):
         self.freqs = np.asarray(freqs, dtype=float)
         self.tables = np.arange(len(self.freqs)) if tables is None else np.asarray(tables)
         self.work = np.empty(0)     # `derivatives`' stream work, kept so no pass faults in pages
 
-    def evaluate(self, matrices: np.ndarray, members, tape: list | None = None):
+    def evaluate(self, matrices: np.ndarray, members):
         """(values of the kernels of `members`, the point `derivatives`
-        reads, a tuple of per-member arrays); -inf where some principal
-        minor is not positive.  The pass of a batch of one writes `tape`
-        (see `minors._schur_pass`)."""
+        reads: the per-member arrays (kernels, log-minors, log det(I+L),
+        members)); -inf where some principal minor is not positive."""
         matrices, members = np.asarray(matrices, dtype=float), np.asarray(members)
         logdets = np.empty((len(matrices), self.freqs.shape[1]))
         log_z, values = np.empty(len(matrices)), np.empty(len(matrices))
         # in member chunks; a member's pass peaks near 4 x 2^n floats
         for at in minors._chunks(len(matrices), 4 * logdets.shape[1]):
-            jets, ok = minors._schur_pass(matrices[at], tape=tape)
+            jets, ok = minors._schur_pass(matrices[at])
             logdets[at] = jets[0]
             with np.errstate(all="ignore"):
                 top = jets[0].max(axis=1)
@@ -263,12 +263,14 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
     a candidate the box moves is taken only if it rises.  Where f cannot
     resolve the predicted rise (`flat`), only the full step is tried,
     and it is taken unless f falls by more than the roundoff slack.
-    Returns the accepted flags and, in order, the accepted kernels."""
+    Returns the accepted flags and one list: the accepted members'
+    values, in order, then the arrays of the point `obj.evaluate` gave
+    them (the kernels first), which the next Newton step reads."""
     floor = np.where(flat, 1.0, 1e-14)
     slack = np.where(flat, _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval)), 0.0)
     step = np.ones(len(members))
     accepted = np.zeros(len(members), dtype=bool)
-    out = np.empty_like(matrix)
+    kept = []           # the values, then the point's arrays, member i's at row i
     idx = np.arange(len(members))
     while True:
         idx = idx[step[idx] >= floor[idx]]
@@ -276,13 +278,15 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
         moves = ~np.all(cand == matrix[idx], axis=(1, 2))
         idx, cand = idx[moves], cand[moves]
         if not idx.size:
-            return accepted, out[accepted]
+            return accepted, [x[accepted] for x in kept]
         cand, projected = _project_box(cand, config.spectral_box)
-        values, _ = obj.evaluate(cand, members[idx])
+        values, point = obj.evaluate(cand, members[idx])
         rise = values - fval[idx]
         take = np.isfinite(values) & np.where(
             projected, rise > 0, rise >= 1e-4 * step[idx] * slope[idx] - slack[idx])
-        out[idx[take]] = cand[take]
+        kept = kept or [np.empty((len(members),) + x.shape[1:], x.dtype) for x in (values, *point)]
+        for x, new in zip(kept, (values, *point)):
+            x[idx[take]] = new[take]
         accepted[idx[take]] = True
         idx = idx[~take]
         step[idx] *= 0.5
@@ -320,7 +324,8 @@ def _lockstep(obj, starts: np.ndarray, config: MleConfig):
     (kernels, log-likelihoods, iterations, converged, gradient norms,
     stop codes indexing STOP_REASONS).  Each member keeps its own
     kernel, value and stop state, so its result does not depend on the
-    rest of the batch."""
+    rest of the batch.  Only the starts are evaluated here: a step goes
+    on from the value and point at which `_line_search` accepted it."""
     matrix = np.array(starts, dtype=float)
     live = np.arange(len(matrix))                   # members still searching
     fval, point = obj.evaluate(matrix, live)
@@ -331,6 +336,7 @@ def _lockstep(obj, starts: np.ndarray, config: MleConfig):
     for _ in range(config.max_iters):
         gnorm[live], decrement, direction = _newton(obj, point, matrix[live], flat[live],
                                                     config.grad_tol)
+        del point           # not held through the line search, which gives the next
         done = gnorm[live] <= config.grad_tol
         stop[live[done]] = _GRAD_TOL
         stop[live[~done & flat[live]]] = _ROUNDOFF
@@ -340,19 +346,14 @@ def _lockstep(obj, starts: np.ndarray, config: MleConfig):
             break
         # below what f resolves, a member takes the full step once and stops
         flat[live] = decrement / 2.0 <= _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval[live]))
-        accepted, matrix_new = _line_search(obj, live, matrix[live], fval[live],
-                                            direction, decrement, flat[live], config)
+        accepted, point = _line_search(obj, live, matrix[live], fval[live],
+                                       direction, decrement, flat[live], config)
         stop[live[~accepted]] = np.where(flat[live[~accepted]], _ROUNDOFF, _LINE_SEARCH)
         live = live[accepted]
         if not live.size:
             break
-        f_new, point = obj.evaluate(matrix_new, live)
-        drop = ~(f_new >= fval[live] - 1e-9 * np.maximum(1.0, np.abs(fval[live])))
-        if drop.any():
-            k = int(np.argmax(drop))
-            raise LikelihoodDecrease(f"line search accepted a decrease in likelihood: "
-                                     f"{float(fval[live[k]])!r} -> {float(f_new[k])!r}")
-        matrix[live], fval[live] = matrix_new, f_new
+        fval[live], *point = point
+        matrix[live] = point[0]
         iterations[live] += 1
     else:
         gnorm[live] = _newton(obj, point, matrix[live], np.ones_like(live, bool), config.grad_tol)[0]

@@ -62,17 +62,6 @@ def trace_cache(obj) -> TraceCache:
     return TraceCache(obj.kernel if isinstance(obj, DppTable) else obj)
 
 
-@dataclass
-class TraceStatistics:
-    """a_{J,k} over all subsets plus the global a_k, for one (L, H, k)."""
-
-    kernel: Kernel
-    direction: np.ndarray
-    order: int
-    per_subset: np.ndarray
-    global_value: float
-
-
 def _traces(matrices: np.ndarray, directions: np.ndarray, order: int,
             tape: list | None = None):
     """For B kernels and directions (B, n, n) and k = 1..order: (log det
@@ -101,12 +90,6 @@ def _stats(kernel: Kernel, direction, order: int):
         raise ValueError(f"direction of shape {h.shape} for a kernel of size {kernel.n}")
     _, per, glob, _ = _traces(kernel.matrix[None], h[None], order)
     return per[:, 0], glob[:, 0]
-
-
-def trace_statistics(kernel: Kernel, direction: np.ndarray, k: int) -> TraceStatistics:
-    per, glob = _stats(kernel, direction, k)
-    return TraceStatistics(kernel=kernel, direction=np.asarray(direction, dtype=float),
-                           order=k, per_subset=per[k - 1], global_value=float(glob[k - 1]))
 
 
 def expected_log_likelihood(table_star: DppTable, kernel: Kernel) -> float:
@@ -279,7 +262,7 @@ def fourth_order_form(table_star: DppTable, direction: np.ndarray,
     per = _stats(table_star.kernel, h, 2)[0]
     q = -_variance(table_star.probs, per[0])
     scale = max(1.0, float((h * h).sum()))
-    if abs(q) > null_tol * scale:
+    if not abs(q) <= null_tol * scale:          # NaN too
         raise NotNullDirection(
             f"direction has Hessian value {q:.3e}, not a null direction")
     return -3.0 * _variance(table_star.probs, per[1])

@@ -33,10 +33,13 @@ def _as_matrix(obj) -> np.ndarray:
 def _symmetric_spectrum(matrix, noun: str, repair: str = ""):
     """(the matrix as floats, its ascending eigenvalues): the validation
     both kernel types construct through; ValueError naming `noun` unless
-    the matrix is square, nonempty and exactly symmetric."""
+    the matrix is square, nonempty, finite (an inf entry gives NaN
+    eigenvalues, which pass every bound) and exactly symmetric."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{noun} must be square and nonempty, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{noun} entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError(f"{noun} must be exactly symmetric{repair}")
     return a, np.linalg.eigvalsh(a)
@@ -332,7 +335,8 @@ def kernel_from_json(obj) -> Kernel:
     skew = np.abs(entries - entries.T).max()
     if skew > 1e-9:
         warnings.warn(f"kernel entries asymmetric by {skew:.3e}; symmetrizing")
-    return Kernel(symmetrize(entries))
+    with np.errstate(over="ignore"):        # Kernel refuses an entry that overflows
+        return Kernel(symmetrize(entries))
 
 
 def kernel_to_json(kernel) -> dict:

@@ -21,7 +21,8 @@ stacked numpy operations over all masks at once:
   writes them out in full.
 - `_schur_adjoint` runs the pass backwards (Griewank & Walther,
   "Evaluating Derivatives", 2nd ed., ch. 3): sum_J w_J pad(A_J^{-1}),
-  the gradient of sum_J w_J log det A_J, with no inverse formed.
+  the gradient of sum_J w_J log det A_J, with no inverse formed; the
+  identity suite's matrix form reads it.
 
 The Schur pass can carry Taylor jets of A + tH (ibid., ch. 13): the t^k
 coefficient of log det(A_J + tH_J) is (-1)^(k-1) Tr((A_J^{-1} H_J)^k) / k,

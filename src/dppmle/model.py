@@ -131,7 +131,7 @@ def normalized(log_dets: np.ndarray, matrix: np.ndarray):
     lse = np.logaddexp.reduce(log_dets[order])
     log_z = float(np.linalg.slogdet(np.eye(len(matrix)) + matrix)[1])
     residual = abs(np.expm1(lse - log_z))
-    if residual > BREAKDOWN_TOL:
+    if not residual <= BREAKDOWN_TOL:       # NaN too
         raise NormalizationMismatch(
             f"sum of principal minors misses det(I+L) by relative {residual:.3e}")
     return np.exp(log_dets - lse), log_z, float(residual)

@@ -299,3 +299,15 @@ class TestMalformedConfig:
             assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["config error: kernel: kernel entries must be finite"], err
+
+    def test_entries_that_overflow_when_symmetrized(self, tmp_path, capsys):
+        # finite entries whose symmetrized kernel is inf: once written as
+        # nan rows and NaN/Infinity in the report, with exit 0
+        cfg = write_config(tmp_path, "top.json", {"kernel": {
+            "n": 2, "entries": [1e308, 0, 0, 1e308]}, "count": 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: kernel: kernel entries must be finite"], err
+        assert not (tmp_path / "out").exists()

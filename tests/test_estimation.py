@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import dppmle as d
 from dppmle import estimation, geometry, minors
-from dppmle.errors import GroundSetTooLarge, LikelihoodDecrease, SingularInformation
+from dppmle.errors import GroundSetTooLarge, SingularInformation
 from dppmle.estimation import MleConfig
 from dppmle.kernels import sign_vectors
 from dppmle.model import EmpiricalTable
@@ -97,6 +99,18 @@ class TestLikelihoodGradient:
             np.testing.assert_array_equal(grad, grad.T)
             np.testing.assert_allclose(grad, expect, rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(expect).max()), err_msg=name)
+
+    def test_is_the_fitters_gradient(self, rng):
+        # bitwise the gradient a Newton step reads, whose pass sums a Gram
+        for name, a in reference_kernels():
+            n = a.shape[0]
+            raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
+            raw[0] += 1.0
+            freqs = EmpiricalTable(n=n, freqs=raw / raw.sum(), total=1)
+            obj = estimation._Objective(freqs.freqs[None])
+            _, point = obj.evaluate(a[None], [0])
+            np.testing.assert_array_equal(d.likelihood_gradient(freqs, d.Kernel(a)),
+                                          obj.derivatives(point)[0][0], err_msg=name)
 
 
 class TestObjective:
@@ -265,7 +279,7 @@ class TestLineSearch:
         assert estimation.STOP_REASONS[stop] == "roundoff"
         assert iters == 1 and not conv and gnorm > cfg.grad_tol
         np.testing.assert_allclose(matrix, (np.eye(2) + target) / 2, rtol=0, atol=1e-15)
-        assert obj.calls == 3          # the start, the full step, its fresh evaluation
+        assert obj.calls == 2          # the start and the full step, evaluated once
 
 
 def replicate_tables(n, count, size, seed=5):
@@ -334,6 +348,60 @@ class TestHessiansFormed:
         _, _, iterations, converged, _, _ = estimation._lockstep(obj, starts, cfg)
         assert converged.all()
         assert sum(formed) == sum(searched) == iterations.sum()
+
+
+class TestOneEvaluationAStep:
+    def test_line_search_point_is_a_fresh_evaluation(self, monkeypatch):
+        # on a batch that backtracks, the values and point each line search
+        # hands back are, array for array, bitwise a fresh evaluation of
+        # the kernels it accepted
+        cfg = MleConfig(seed=2, restarts=3)
+        obj, starts = batch_of(replicate_tables(4, 2, 300), cfg)
+        searches, evaluated = [], []
+        line_search, evaluate = estimation._line_search, obj.evaluate
+
+        def spy(obj, members, *args):
+            accepted, kept = line_search(obj, members, *args)
+            searches.append((members[accepted], [x.copy() for x in kept]))
+            return accepted, kept
+
+        def counting(matrices, members):
+            evaluated.append(len(matrices))
+            return evaluate(matrices, members)
+
+        monkeypatch.setattr(estimation, "_line_search", spy)
+        monkeypatch.setattr(obj, "evaluate", counting)
+        estimation._lockstep(obj, starts, cfg)
+        assert len(evaluated) - 1 > len(searches)        # some search backtracked
+        for members, (values, *point) in searches:
+            fresh_values, fresh_point = evaluate(point[0], members)
+            np.testing.assert_array_equal(values, fresh_values)
+            assert len(point) == len(fresh_point)
+            for kept, fresh in zip(point, fresh_point):
+                np.testing.assert_array_equal(kept, fresh)
+
+    def test_one_evaluation_a_round(self, monkeypatch):
+        # an n = 6 fit evaluates its starts once, then once per round of a
+        # line search, and the accepted kernels never again
+        freqs = d.empirical_table(d.sample(d.build_table(d.tridiagonal_kernel(6, 2.0, 0.5)),
+                                           2000, seed=3))
+        evaluated, rounds = [], []
+        evaluate, project = estimation._Objective.evaluate, estimation._project_box
+
+        def counting(self, matrices, members):
+            evaluated.append(sys._getframe(1).f_code.co_name)
+            return evaluate(self, matrices, members)
+
+        def projecting(matrices, box):
+            rounds.append(sys._getframe(1).f_code.co_name)
+            return project(matrices, box)
+
+        monkeypatch.setattr(estimation._Objective, "evaluate", counting)
+        monkeypatch.setattr(estimation, "_project_box", projecting)
+        result = d.fit_mle(freqs, MleConfig(seed=1))
+        searched = rounds.count("_line_search")
+        assert evaluated == ["_lockstep"] + ["_line_search"] * searched
+        assert searched >= result.iterations > 1
 
 
 class TestLockstepBatch:
@@ -479,23 +547,6 @@ class TestFitMle:
                        {"seed": -1}, {"seed": 1.5}, {"seed": "1"}):
             with pytest.raises(ValueError):
                 MleConfig(**kwargs)
-
-    def test_accepted_decrease_raises(self):
-        class Decreasing:
-            """Line search sees a rise, the fresh evaluation of the
-            accepted point a fall."""
-            calls = 0
-
-            def evaluate(self, matrices, members):
-                self.calls += 1
-                return np.full(len(matrices), (0.0, 1.0, -5.0)[min(self.calls, 3) - 1]), (matrices,)
-
-            def derivatives(self, point, gram=None):
-                (kernels,) = point
-                return fake_derivatives(np.repeat(5.0 * np.eye(2)[None], len(kernels), axis=0))
-
-        with pytest.raises(LikelihoodDecrease):
-            fit_one(Decreasing(), np.eye(2), MleConfig())
 
     def test_degenerate_table_clamps_to_box(self):
         # all mass on one subset: the likelihood sup is on the boundary,

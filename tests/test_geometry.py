@@ -71,16 +71,18 @@ class TestExpectedLogLikelihood:
 
 
 class TestTraceStatistics:
+    """a_{J,k} and a_k of `geometry._stats`, row k - 1 for order k."""
+
     def test_zero_direction(self, rng):
         ker = random_kernel(3, rng)
-        stats = d.trace_statistics(ker, np.zeros((3, 3)), 2)
-        assert np.all(stats.per_subset == 0.0)
-        assert stats.global_value == 0.0
+        per, glob = geometry._stats(ker, np.zeros((3, 3)), 2)
+        assert np.all(per == 0.0)
+        assert np.all(glob == 0.0)
 
     def test_scalar_values(self):
-        stats = d.trace_statistics(d.Kernel([[2.0]]), np.array([[1.0]]), 1)
-        assert stats.per_subset[1] == pytest.approx(0.5)
-        assert stats.global_value == pytest.approx(1.0 / 3.0)
+        per, glob = geometry._stats(d.Kernel([[2.0]]), np.array([[1.0]]), 1)
+        assert per[0, 1] == pytest.approx(0.5)
+        assert glob[0] == pytest.approx(1.0 / 3.0)
 
     def test_second_order_is_nonnegative(self, rng):
         # a_{J,2} equals the trace of a symmetrized square
@@ -88,13 +90,13 @@ class TestTraceStatistics:
             n = int(rng.integers(2, 7))
             ker = random_kernel(n, rng)
             h = random_symmetric(n, rng)
-            stats = d.trace_statistics(ker, h, 2)
-            assert np.all(stats.per_subset >= -1e-12)
+            per, _ = geometry._stats(ker, h, 2)
+            assert np.all(per[1] >= -1e-12)
 
     def test_second_order_matches_symmetrized_square(self, rng):
         ker = random_kernel(4, rng)
         h = random_symmetric(4, rng)
-        stats = d.trace_statistics(ker, h, 2)
+        per, _ = geometry._stats(ker, h, 2)
         from dppmle.minors import subset_indices
         for mask in (0b0011, 0b1101, 0b1111):
             idx = subset_indices(mask)
@@ -103,7 +105,7 @@ class TestTraceStatistics:
             w, v = np.linalg.eigh(lj)
             root_inv = (v / np.sqrt(w)) @ v.T
             sym = root_inv @ hj @ root_inv
-            assert stats.per_subset[mask] == pytest.approx(np.trace(sym @ sym), rel=1e-10)
+            assert per[1, mask] == pytest.approx(np.trace(sym @ sym), rel=1e-10)
 
 
 class TestDirectionalDerivatives:
@@ -175,8 +177,8 @@ class TestHessianQuadraticForm:
             h = random_symmetric(n, rng)
             variance_form = d.hessian_quadratic_form(table, h)
             derivative_form = d.directional_derivative(table, star, h, 2)
-            stats1 = d.trace_statistics(star, h, 1)
-            rearranged = -(table.probs @ stats1.per_subset ** 2 - stats1.global_value ** 2)
+            per, glob = geometry._stats(star, h, 1)
+            rearranged = -(table.probs @ per[0] ** 2 - glob[0] ** 2)
             scale = max(abs(variance_form), 1e-12)
             assert abs(variance_form - derivative_form) <= 1e-10 * scale
             assert abs(variance_form - rearranged) <= 1e-10 * scale
@@ -398,6 +400,12 @@ class TestFourthOrder:
         with pytest.raises(NotNullDirection):
             d.fourth_order_form(table, np.eye(3))
 
+    def test_rejects_nan_direction(self):
+        # a NaN Hessian value compares false against the tolerance
+        table = d.build_table(d.Kernel(np.eye(2)))
+        with pytest.raises(NotNullDirection, match="nan"):
+            d.fourth_order_form(table, np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
     def test_strictness(self, rng):
         star = random_block_kernel([2, 2], rng)
         table = d.build_table(star)
@@ -493,9 +501,9 @@ class TestJetConsumers:
             for h in (random_symmetric(n, rng), rng.normal(size=(n, n))):
                 per, glob = matmul_trace_stats(kernel, h, 4)
                 for k in range(1, 5):
-                    stats = d.trace_statistics(kernel, h, k)
-                    close(stats.per_subset, per[:, k - 1])
-                    close(stats.global_value, glob[k - 1])
+                    got_per, got_glob = geometry._stats(kernel, h, k)
+                    close(got_per[k - 1], per[:, k - 1])
+                    close(got_glob[k - 1], glob[k - 1])
 
     def test_directional_derivative(self, rng):
         for n in range(2, 7):
@@ -569,7 +577,7 @@ class TestIdentityBatch:
         kernel = random_kernel(3, rng)
         with pytest.raises(ValueError, match="directions"):
             d.identity_residuals([kernel], np.ones((2, 3, 3)))
-        for call in (lambda h: d.trace_statistics(kernel, h, 1),
+        for call in (lambda h: geometry._stats(kernel, h, 1),
                      lambda h: d.hessian_quadratic_form(d.build_table(kernel), h)):
             with pytest.raises(ValueError, match="direction"):
                 call(np.ones((1, 1)))

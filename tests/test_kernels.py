@@ -35,6 +35,16 @@ class TestKernelConstruction:
         with pytest.raises(ValueError, match="exactly symmetric"):
             d.CorrelationKernel([[0.5, 0.1], [0.2, 0.5]])
 
+    @pytest.mark.parametrize("cls", [d.Kernel, d.CorrelationKernel])
+    def test_both_kinds_refuse_nonfinite_entries(self, cls):
+        # an inf diagonal has eigenvalues [nan nan], which pass every bound
+        with pytest.raises(ValueError, match="entries must be finite"):
+            cls(np.array([[np.inf, 0.0], [0.0, np.inf]]))
+
+    def test_json_entries_that_overflow_when_symmetrized(self):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            d.kernel_from_json({"n": 2, "entries": [1e308, 0, 0, 1e308]})
+
 
 class TestPrincipalSubmatrix:
     def test_single_index(self):

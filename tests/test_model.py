@@ -109,6 +109,11 @@ class TestBuildTable:
         with pytest.raises(NormalizationMismatch):
             d.build_table(ker)
 
+    def test_breakdown_detection_at_nan(self):
+        # a NaN residual compares false against BREAKDOWN_TOL
+        with pytest.raises(NormalizationMismatch, match="nan"), np.errstate(invalid="ignore"):
+            model.normalized(np.array([0.0, np.nan]), np.array([[1.0]]))
+
 
 class TestInclusionProbability:
     def test_empty_set(self, rng):

@@ -65,10 +65,28 @@ def test_one_fit_loop():
                                  "_weighted_inverse_sums", "_select", "_offdiag_rows_cols",
                                  "_split_by_blocks", "ScanReport", "RateReport",
                                  "_hessian_layout", "_gram_layout", "_strict_lower",
-                                 "stack_to_coords", "_bordered_inverses"}:
+                                 "stack_to_coords", "_bordered_inverses",
+                                 "LikelihoodDecrease", "trace_statistics",
+                                 "TraceStatistics"}:
                 banned.append(f"{name} at {path.name}:{node.lineno}")
     assert len(loops) == 1, f"fit loops in src/dppmle: {loops}"
     assert not banned, f"removed machinery in src/dppmle: {banned}"
+
+
+def _defs(tree) -> list:
+    """(name, node) of a module's functions and of its classes' methods,
+    the latter named Class.method."""
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)]
+    return defs
+
+
+def _calls(node, name: str) -> list:
+    """The calls under `node` of a function or method of that name."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and ast.unparse(call.func).split(".")[-1] == name]
 
 
 def _is_gram(node) -> bool:
@@ -103,11 +121,7 @@ def test_one_likelihood_hessian():
     grams = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
-                 if isinstance(cls, ast.ClassDef) for node in cls.body
-                 if isinstance(node, ast.FunctionDef)]
-        grams += [f"{path.stem}.{name}" for name, fn in defs
+        grams += [f"{path.stem}.{name}" for name, fn in _defs(tree)
                   if any(_is_gram(node) for node in ast.walk(fn))]
     assert grams == ["experiments.random_kernel", "geometry.likelihood_derivatives"], \
         f"Gram products in src/dppmle: {grams}"
@@ -154,3 +168,26 @@ def test_one_member_chunk_loop_a_pass():
     loops = [f"{type(node).__name__} at line {node.lineno}" for node in ast.walk(derivatives[0])
              if isinstance(node, (ast.For, ast.While, ast.Yield, ast.YieldFrom))]
     assert not loops, f"_Objective.derivatives loops or yields: {loops}"
+
+
+def test_one_evaluation_a_step():
+    # the fit loop evaluates only its starts: a step goes on from the
+    # values and point at which its line search accepted it, so no
+    # accepted kernel is evaluated twice
+    tree = ast.parse((SRC / "estimation.py").read_text())
+    lockstep = dict(_defs(tree))["_lockstep"]
+    calls = [call.lineno for call in _calls(lockstep, "evaluate")]
+    assert len(calls) == 1, f"evaluate calls in estimation._lockstep: lines {calls}"
+
+
+def test_one_reverse_sweep_reader():
+    # the reverse sweep of the Schur pass serves only the identity suite's
+    # matrix form; the likelihood gradient is the fitter's derivative pass
+    everywhere, callers = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        everywhere += len(_calls(tree, "_schur_adjoint"))
+        callers += [f"{path.stem}.{name}" for name, fn in _defs(tree)
+                    if _calls(fn, "_schur_adjoint")]
+    assert callers == ["geometry.identity_residuals"] and everywhere == 1, \
+        f"_schur_adjoint callers in src/dppmle: {callers}, {everywhere} calls"
