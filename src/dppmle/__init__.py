@@ -19,12 +19,12 @@ from .model import (DppTable, EmpiricalTable, SampleBatch, build_table,
 from .geometry import (HessianForm, IdentityResiduals, NullSpaceBasis,
                        decompose_null_direction, directional_derivative,
                        expected_log_likelihood, fourth_order_form,
-                       hessian_matrix, hessian_quadratic_form,
-                       identity_residuals, min_curvature, null_space_basis)
+                       hessian_matrix, hessian_quadratic_form, identity_residuals,
+                       likelihood_gradient, min_curvature, null_space_basis)
 from .estimation import (BlockwiseLoss, LossValue, MleConfig, MleResult,
                          RiskEstimate, asymptotic_covariance, blockwise_loss,
                          empirical_log_likelihood, estimate_risk, fit_mle,
-                         likelihood_gradient, moment_init, sign_orbit_loss)
+                         moment_init, sign_orbit_loss)
 from .experiments import (SlopeFit, fit_loglog_slope, fit_semilog_slope,
                           parse_kernel_spec, random_kernel, random_symmetric)
 

@@ -1,30 +1,21 @@
 """Maximum-likelihood estimation of a kernel from observed subsets.
 
-The scaled log-likelihood of a candidate kernel L against observed
-frequencies q is
-
-    Lhat(L) = sum_J q_J log det(L_J) - log det(I+L),
-
-and its gradient is sum_J q_J pad(L_J^{-1}) - (I+L)^{-1}, both over the
-full table of 2^n masks (see `_Objective`).  The objective is invariant
-under sign conjugation, so estimates are only meaningful up to the sign
-orbit and performance is measured by the orbit loss
+The scaled log-likelihood Lhat(L) = sum_J q_J log det(L_J) -
+log det(I+L) of a candidate kernel L against observed frequencies q,
+its gradient and its Hessian are `geometry`'s (`_Objective`,
+`likelihood_derivatives`); this module searches it.  The objective is
+invariant under sign conjugation, so estimates are only meaningful up
+to the sign orbit and performance is measured by the orbit loss
 min_D ||Lhat - D Lstar D||_F.  `sign_orbit_loss` ranks all 2^(n-1)
 classes by s^T (Lhat o Lstar) s from two half sign sets in one matrix
 product, then scores the classes within a roundoff band of the best
 directly, so its value and signs are those of the direct scan.
 
 The fit is damped Newton in the orthonormal symmetric coordinates of L
-on the exact observed information, the form (H, K) ->
--sum_J q_J Tr(P_J H P_J K) + Tr(G H G K) with P_J = pad(L_J^{-1}) and
-G = (I+L)^{-1} = sum_J p_J P_J: `geometry.likelihood_derivatives`, at
-q = p* the population Hessian, summed over the blocks of masks that the
-bordering in `minors` streams, of the distinct entries of the P_J only,
-so no 2^n n^2 array is formed.  It is read by two gathers from a Gram
-in the one coordinate layout of `kernels`, which a member sums unless
-its last step was below roundoff, and formed only for a member that
-then steps.  The likelihood is not concave (Brunel, Moitra, Rigollet &
-Urschel, arXiv:1701.06501), so the eigenvalues of -H are reflected and
+on the exact observed information, the negated Hessian, which a member
+sums unless its last step was below roundoff and solves against only if
+it then steps.  The likelihood is not concave (Brunel, Moitra, Rigollet
+& Urschel, arXiv:1701.06501), so the eigenvalues of -H are reflected and
 floored at 1e-13 of the largest, and Armijo backtracking from step 1
 makes every step a rise (Nocedal & Wright, ch. 3.4).  A nonpositive
 minor makes the value -inf, so iterates stay positive definite; a
@@ -61,7 +52,7 @@ import numpy as np
 
 from . import minors, rngs
 from .errors import SingularInformation
-from .geometry import hessian_matrix, likelihood_derivatives
+from .geometry import _Objective, _rowdot, hessian_matrix
 from .kernels import (DeterminantalGraph, Kernel, _coordinate_layout, conjugate_by_signs,
                       coords_to_sym, determinantal_graph, k_to_l, sym_to_coords,
                       symmetric_dim, symmetrize)
@@ -131,77 +122,7 @@ class MleConfig:
 def empirical_log_likelihood(freqs: EmpiricalTable, kernel: Kernel) -> float:
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
-    values, _ = _Objective(freqs.freqs[None]).evaluate(kernel.matrix[None], [0])
-    return float(values[0])
-
-
-def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
-    """Gradient matrix G with directional derivative Tr(G H) along H:
-    the frequency-weighted padded inverse minors minus (I+L)^{-1}, the
-    fitter's gradient (`_Objective.derivatives`, no Gram summed)."""
-    if kernel.n != freqs.n:
-        raise ValueError("ground-set sizes differ")
-    obj = _Objective(freqs.freqs[None])
-    _, point = obj.evaluate(kernel.matrix[None], [0])
-    return obj.derivatives(point, np.zeros(1, dtype=bool))[0][0]
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each the BLAS dot of a 1-D `a @ b`, on
-    C-ordered copies: the summation order follows the layout."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-class _Objective:
-    """The scaled log-likelihood of a batch of kernels, member i scored
-    against frequency row `tables[i]` (row i when omitted) of (T, 2^n).
-
-    The value is one forward pass of the all-minors recursion: sum_J q_J
-    log det L_J minus log det(I+L), taken as the logsumexp of the same
-    log-determinants since det(I+L) = sum_J det L_J.  Both derivatives
-    are `geometry.likelihood_derivatives` of the P_J = pad(L_J^{-1}) that
-    one streamed bordering pass gives, with p_J = det L_J / det(I+L), so
-    I+L is never factored; they read the point `evaluate` returns with
-    the values, and `likelihood_gradient` is the same call."""
-
-    def __init__(self, freqs: np.ndarray, tables: np.ndarray | None = None):
-        self.freqs = np.asarray(freqs, dtype=float)
-        self.tables = np.arange(len(self.freqs)) if tables is None else np.asarray(tables)
-        self.work = np.empty(0)     # `derivatives`' stream work, kept so no pass faults in pages
-
-    def evaluate(self, matrices: np.ndarray, members):
-        """(values of the kernels of `members`, the point `derivatives`
-        reads: the per-member arrays (kernels, log-minors, log det(I+L),
-        members)); -inf where some principal minor is not positive."""
-        matrices, members = np.asarray(matrices, dtype=float), np.asarray(members)
-        logdets = np.empty((len(matrices), self.freqs.shape[1]))
-        log_z, values = np.empty(len(matrices)), np.empty(len(matrices))
-        # in member chunks; a member's pass peaks near 4 x 2^n floats
-        for at in minors._chunks(len(matrices), 4 * logdets.shape[1]):
-            jets, ok = minors._schur_pass(matrices[at])
-            logdets[at] = jets[0]
-            with np.errstate(all="ignore"):
-                top = jets[0].max(axis=1)
-                log_z[at] = top + np.log(np.exp(jets[0] - top[:, None]).sum(axis=1))
-                q = self.freqs[self.tables[members[at]]]
-                values[at] = np.where(ok, _rowdot(jets[0], q) - log_z[at], -np.inf)
-        values[~np.isfinite(values)] = -np.inf
-        return values, (matrices, logdets, log_z, members)
-
-    def derivatives(self, point, gram=None):
-        """(gradients, Hessian function) of `likelihood_derivatives` of a
-        point whose values are finite, from one streamed bordering pass of
-        `minors._pass_floats(n)` floats a member, unchunked (see `_newton`);
-        only the members `gram` selects (all by default) sum a Gram."""
-        matrices, logdets, log_z, members = point
-        rows, cols, _ = _coordinate_layout(matrices.shape[1])
-        floats = len(matrices) * minors._pass_floats(matrices.shape[1])
-        if self.work.size < floats:
-            self.work = np.empty(floats)
-        blocks = minors._inverse_blocks(matrices, rows, cols, work=self.work)
-        return likelihood_derivatives(blocks, self.freqs[self.tables[members]],
-                                      np.exp(logdets - log_z[:, None]), gram)
+    return float(_Objective(freqs.freqs[None]).evaluate(kernel.matrix[None], [0])[0][0])
 
 
 # --- Newton step -----------------------------------------------------------
@@ -294,22 +215,22 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
 
 def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float):
     """(gradient norms by `_theta_norm`, Newton decrements, ascent
-    directions) of a point's members, the last two zero, and no Hessian
-    formed, for a member at `grad_tol` or `flat`, and no Gram summed for a
-    `flat` one; in one loop over member chunks, a member taking its
-    bordering work, `minors._pass_floats(n)`, plus about 4 m^2 floats of
+    directions) of a point's members, the last two zero, and no eigh run,
+    for a member at `grad_tol` or `flat`, and no Gram summed or Hessian
+    formed for a `flat` one; in one loop over member chunks, a member
+    taking its bordering work, `minors._pass_floats(n)`, plus about 4 m^2 floats of
     Gram, Hessian and eigh, m = n(n+1)/2, so no pass or Hessian spans the batch."""
     b, n = matrices.shape[0], matrices.shape[1]
     gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
     for at in minors._chunks(b, minors._pass_floats(n) + 4 * symmetric_dim(n) ** 2):
-        grad, hessians = obj.derivatives(tuple(x[at] for x in point), ~flat[at])
+        grad, hess = obj.derivatives(tuple(x[at] for x in point), ~flat[at])
         gnorm[at] = _theta_norm(grad, np.linalg.cholesky(matrices[at]))
         go = ~(gnorm[at] <= grad_tol) & ~flat[at]
         if not go.any():
             continue
         # the step solves against -H with its eigenvalues reflected and
         # floored, so it ascends wherever H is indefinite
-        w, v = np.linalg.eigh(-hessians(go))
+        w, v = np.linalg.eigh(-hess[go[~flat[at]]])
         w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
         z = (sym_to_coords(grad[go])[:, None, :] @ v)[:, 0] / np.sqrt(w)
         decrement[at][go] = _rowdot(z, z)               # lambda^2 = g^T (-H)^{-1} g
@@ -414,11 +335,11 @@ def fit_mle(freqs: EmpiricalTable, config: MleConfig) -> MleResult:
     return _fit_tables([freqs], config)[0]
 
 
-def _moment_correlation(freqs: EmpiricalTable) -> np.ndarray:
+def _moment_correlation(incl: np.ndarray) -> np.ndarray:
     """Correlation-kernel estimate from first and second inclusion
-    moments: exact diagonal, nonnegative off-diagonal magnitudes."""
-    incl = minors.superset_sums(freqs.freqs)
-    bits = 1 << np.arange(freqs.n)
+    moments, entries of the superset sums `incl` of the frequencies:
+    exact diagonal, nonnegative off-diagonal magnitudes."""
+    bits = 1 << np.arange(incl.size.bit_length() - 1)
     single, pair = incl[bits], incl[bits[:, None] | bits[None, :]]
     prod = single[:, None] * single[None, :]
     gap = prod - pair
@@ -443,7 +364,7 @@ def moment_init(freqs: EmpiricalTable, spectral_box: tuple = (1e-4, 1.0 - 1e-4))
     nonnegative signs.  The spectrum is clipped into the box, so the
     output is always a valid kernel.
     """
-    return _clip_to_kernel(_moment_correlation(freqs), spectral_box)
+    return _clip_to_kernel(_moment_correlation(minors.superset_sums(freqs.freqs)), spectral_box)
 
 
 def _sign_corrected_init(freqs: EmpiricalTable, spectral_box: tuple) -> Kernel | None:
@@ -454,15 +375,17 @@ def _sign_corrected_init(freqs: EmpiricalTable, spectral_box: tuple) -> Kernel |
     conjugation class is pinned by the cycle products K_ij K_jk K_ik.
     Each product is solved from det(K_{ijk}) = P[{i,j,k} in Z]; rooting
     the assignment at index 0 (entries K_0i taken nonnegative) realizes
-    the estimated class.  The triples are entries of the superset sums,
-    at any n; None for n < 3 or when no sign changes.
+    the estimated class.  The pairs and triples are entries of one
+    superset-sum transform, at any n; None for n < 3 or when no sign
+    changes.
     """
     n = freqs.n
     if n < 3:
         return None
-    k_hat = _moment_correlation(freqs)
+    incl = minors.superset_sums(freqs.freqs)
+    k_hat = _moment_correlation(incl)
     bits = 1 << np.arange(n)
-    triple = minors.superset_sums(freqs.freqs)[1 | bits[:, None] | bits[None, :]]
+    triple = incl[1 | bits[:, None] | bits[None, :]]
     d, root = np.diag(k_hat), k_hat[0]
     # entry (i, j) solves the cycle product of {0, i, j}
     diag = d[0] * d[:, None] * d[None, :]

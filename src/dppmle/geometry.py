@@ -1,7 +1,11 @@
-"""Local geometry of the population log-likelihood.
+"""The likelihood of a kernel and its local geometry.
 
-For a reference kernel L* with subset probabilities p*, the expected
-log-likelihood of a candidate kernel L is
+For frequencies q over the 2^n masks, the scaled log-likelihood of a
+kernel L is Lhat(L) = sum_J q_J log det(L_J) - log det(I+L).  Its value
+(`_Objective`), gradient, Gram and Hessian (`likelihood_derivatives`)
+are computed here and nowhere else, and `estimation` searches it.  At
+q = p*, the subset probabilities of a reference kernel L*, it is the
+expected log-likelihood
 
     Phi(L) = sum_J p*_J log det(L_J) - log det(I+L).
 
@@ -11,17 +15,14 @@ counterpart a_k = Tr(((I+L)^{-1} H)^k):
 
     d^k Phi(H,..,H) = (-1)^(k-1) (k-1)! (sum_J p*_J a_{J,k} - a_k).
 
-At L = L* the gradient vanishes and the Hessian is the likelihood
-Hessian at q = p* (`likelihood_derivatives`: two gathers from the Gram
-of the distinct entries of the padded inverses, in the one coordinate
-layout that `kernels` owns, summed over the blocks of masks of the
-fitter's bordering pass), which by the identity
-differentiated twice is minus the variance of Tr((L*_Z)^{-1} H_Z), hence
-negative semidefinite; its null space consists of the symmetric
-directions on cross-block index pairs of L*.  Along those directions the
-third derivative vanishes and the fourth is minus three times the
-variance of the quadratic trace statistic, strictly negative for any
-nonzero null direction.
+At L = L* the gradient vanishes and the Hessian, the likelihood Hessian
+at q = p* (`hessian_matrix`), is by the identity differentiated twice
+minus the variance of Tr((L*_Z)^{-1} H_Z), hence negative semidefinite;
+its null space consists of the symmetric directions on cross-block
+index pairs of L*.  Along those directions the third derivative
+vanishes and the fourth is minus three times the variance of the
+quadratic trace statistic, strictly negative for any nonzero null
+direction.
 
 Every a_{J,k} comes from one pass of the all-minors recursion in
 `minors`, carried in Taylor jets of L + tH: a_{J,k} = (-1)^(k-1) k c_{J,k}
@@ -42,7 +43,7 @@ import numpy as np
 from . import minors
 from .errors import NotNullDirection
 from .kernels import DeterminantalGraph, Kernel, _coordinate_layout, coords_to_sym
-from .model import DppTable, build_table, normalized
+from .model import DppTable, EmpiricalTable, build_table, normalized
 
 #: Relative eigenvalue threshold used to identify the numerical null space.
 NULL_EIG_TOL = 1e-9
@@ -93,13 +94,23 @@ def _stats(kernel: Kernel, direction, order: int):
 
 
 def expected_log_likelihood(table_star: DppTable, kernel: Kernel) -> float:
-    """Phi(L) under the reference table; maximal exactly on the sign
-    orbit of the reference kernel."""
+    """Phi(L), the `_Objective` value at q = the reference table's
+    probabilities; maximal exactly on the sign orbit of the reference
+    kernel, -inf where some principal minor of L is not positive."""
     if kernel.n != table_star.n:
         raise ValueError("ground-set sizes differ")
-    log_dets = minors.principal_logdets(kernel.matrix)
-    log_z = np.linalg.slogdet(np.eye(kernel.n) + kernel.matrix)[1]
-    return float(table_star.probs @ log_dets - log_z)
+    return float(_Objective(table_star.probs[None]).evaluate(kernel.matrix[None], [0])[0][0])
+
+
+def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
+    """Gradient matrix G with directional derivative Tr(G H) along H:
+    the frequency-weighted padded inverse minors minus (I+L)^{-1}, the
+    fitter's gradient (`_Objective.derivatives`, no Gram summed)."""
+    if kernel.n != freqs.n:
+        raise ValueError("ground-set sizes differ")
+    obj = _Objective(freqs.freqs[None])
+    _, point = obj.evaluate(kernel.matrix[None], [0])
+    return obj.derivatives(point, np.zeros(1, dtype=bool))[0][0]
 
 
 def directional_derivative(table_star: DppTable, kernel: Kernel,
@@ -141,16 +152,15 @@ def _gram_pairs(n: int):
 
 
 def likelihood_derivatives(blocks, q: np.ndarray, p: np.ndarray, gram=None):
-    """(gradients sum_J (q_J - p_J) P_J, a function forming once the Hessians
-    of the members a mask selects, all by default) of sum_J q_J log det L_J
+    """(gradients sum_J (q_J - p_J) P_J, Hessians) of sum_J q_J log det L_J
     - log det(I+L) for k kernels from the distinct entries x_J of P_J =
     pad(L_J^{-1}), a stream of (k, m, w) blocks over the masks in order
     (`minors._inverse_blocks`), each read once and then scaled in place, q
-    and p_J = det L_J / det(I+L).  A Hessian, -sum_J q_J Tr(P_J H P_J K) +
-    Tr(G H G K) in `symmetric_basis` coordinates, G = (I+L)^{-1}, is read
-    by two gathers from the Gram sum_J q_J x_J x_J^T - g g^T, g = sum_J p_J
-    x_J, summed block by block in block order by the members `gram`
-    selects (all by default), and by no other."""
+    and p_J = det L_J / det(I+L).  The Hessians, one row per member `gram`
+    selects (all by default), in order, are -sum_J q_J Tr(P_J H P_J K) +
+    Tr(G H G K) in `symmetric_basis` coordinates, G = (I+L)^{-1}, read by
+    two gathers from the Gram sum_J q_J x_J x_J^T - g g^T, g = sum_J p_J
+    x_J, which only those members sum, block by block in block order."""
     k, n = q.shape[0], q.shape[1].bit_length() - 1
     distinct, spread, pairs, weights = _gram_pairs(n)
     gram = np.ones(k, dtype=bool) if gram is None else np.asarray(gram)
@@ -167,15 +177,66 @@ def likelihood_derivatives(blocks, q: np.ndarray, p: np.ndarray, gram=None):
         grams += y @ y.transpose(0, 2, 1)         # a syrk
     g = sums[some, :, 1]
     grams -= g[:, :, None] * g[:, None, :]
-
-    def hessians(members=None):
-        pick = gram if members is None else np.asarray(members)
-        if (pick & ~gram).any():
-            raise ValueError("a Hessian of a member that summed no Gram")
-        chosen = (grams if pick[gram].all() else grams[pick[gram]]).reshape(-1, weights.size)
-        return (np.take(chosen, pairs[0], axis=1) + np.take(chosen, pairs[1], axis=1)) * weights
-
+    grams = grams.reshape(-1, weights.size)
+    hessians = (np.take(grams, pairs[0], axis=1) + np.take(grams, pairs[1], axis=1)) * weights
     return sums[:, :, 0][:, spread], hessians
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each the BLAS dot of a 1-D `a @ b`, on
+    C-ordered copies: the summation order follows the layout."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class _Objective:
+    """Lhat of a batch of kernels, member i scored against frequency row
+    `tables[i]` (row i when omitted) of (T, 2^n).  The value is one
+    forward pass of the all-minors recursion, log det(I+L) the logsumexp
+    of the same log-determinants since det(I+L) = sum_J det L_J.  Both
+    derivatives are `likelihood_derivatives` of the P_J = pad(L_J^{-1})
+    that one streamed bordering pass gives, with p_J = det L_J /
+    det(I+L), so I+L is never factored; they read the point `evaluate`
+    returns with the values."""
+
+    def __init__(self, freqs: np.ndarray, tables: np.ndarray | None = None):
+        self.freqs = np.asarray(freqs, dtype=float)
+        self.tables = np.arange(len(self.freqs)) if tables is None else np.asarray(tables)
+        self.work = np.empty(0)     # `derivatives`' stream work, kept so no pass faults in pages
+
+    def evaluate(self, matrices: np.ndarray, members):
+        """(values of the kernels of `members`, the point `derivatives`
+        reads: the per-member arrays (kernels, log-minors, log det(I+L),
+        members)); -inf where some principal minor is not positive."""
+        matrices, members = np.asarray(matrices, dtype=float), np.asarray(members)
+        logdets = np.empty((len(matrices), self.freqs.shape[1]))
+        log_z, values = np.empty(len(matrices)), np.empty(len(matrices))
+        # in member chunks; a member's pass peaks near 4 x 2^n floats
+        for at in minors._chunks(len(matrices), 4 * logdets.shape[1]):
+            jets, ok = minors._schur_pass(matrices[at])
+            logdets[at] = jets[0]
+            with np.errstate(all="ignore"):
+                top = jets[0].max(axis=1)
+                log_z[at] = top + np.log(np.exp(jets[0] - top[:, None]).sum(axis=1))
+                q = self.freqs[self.tables[members[at]]]
+                values[at] = np.where(ok, _rowdot(jets[0], q) - log_z[at], -np.inf)
+        values[~np.isfinite(values)] = -np.inf
+        return values, (matrices, logdets, log_z, members)
+
+    def derivatives(self, point, gram=None):
+        """`likelihood_derivatives` of a point whose values are finite:
+        (gradients, Hessians of the members `gram` selects, all by
+        default), from one streamed bordering pass of
+        `minors._pass_floats(n)` floats a member, unchunked (see
+        `estimation._newton`)."""
+        matrices, logdets, log_z, members = point
+        rows, cols, _ = _coordinate_layout(matrices.shape[1])
+        floats = len(matrices) * minors._pass_floats(matrices.shape[1])
+        if self.work.size < floats:
+            self.work = np.empty(floats)
+        blocks = minors._inverse_blocks(matrices, rows, cols, work=self.work)
+        return likelihood_derivatives(blocks, self.freqs[self.tables[members]],
+                                      np.exp(logdets - log_z[:, None]), gram)
 
 
 @dataclass
@@ -215,7 +276,7 @@ def hessian_matrix(table_star: DppTable) -> HessianForm:
     x = trace_cache(table_star).padded_inv.transpose(1, 2, 0).reshape(n * n, -1)[_gram_pairs(n)[0]]
     blocks = (np.ascontiguousarray(x[None, :, lo:lo + minors._block_width(n)])
               for lo in range(0, 2 ** n, minors._block_width(n)))
-    hess = likelihood_derivatives(blocks, p, p)[1]()[0]
+    hess = likelihood_derivatives(blocks, p, p)[1][0]
     mat = (hess + hess.T) / 2.0
     w, v = np.linalg.eigh(mat)
     return HessianForm(kernel=table_star.kernel, matrix=mat, eigenvalues=w, eigenvectors=v)

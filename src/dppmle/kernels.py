@@ -34,7 +34,8 @@ def _symmetric_spectrum(matrix, noun: str, repair: str = ""):
     """(the matrix as floats, its ascending eigenvalues): the validation
     both kernel types construct through; ValueError naming `noun` unless
     the matrix is square, nonempty, finite (an inf entry gives NaN
-    eigenvalues, which pass every bound) and exactly symmetric."""
+    eigenvalues, which pass every bound), exactly symmetric and of finite
+    spectrum (an inf eigenvalue would be misreported as indefinite)."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{noun} must be square and nonempty, got shape {a.shape}")
@@ -42,7 +43,10 @@ def _symmetric_spectrum(matrix, noun: str, repair: str = ""):
         raise ValueError(f"{noun} entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError(f"{noun} must be exactly symmetric{repair}")
-    return a, np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(a)
+    if not np.isfinite(w).all():
+        raise ValueError(f"{noun} spectrum overflows float64")
+    return a, w
 
 
 class Kernel:

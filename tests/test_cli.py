@@ -311,3 +311,16 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.splitlines() == ["config error: kernel: kernel entries must be finite"], err
         assert not (tmp_path / "out").exists()
+
+    def test_kernel_whose_spectrum_overflows(self, tmp_path, capsys):
+        # finite positive definite entries whose largest eigenvalue is inf
+        # in float64: once refused as "not positive definite"
+        entries = [8.9e307 if i == j else 4e307 for i in range(4) for j in range(4)]
+        cfg = write_config(tmp_path, "top.json", {"kernel": {"n": 4, "entries": entries},
+                                                  "count": 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: kernel: kernel spectrum overflows float64"], err
+        assert not (tmp_path / "out").exists()

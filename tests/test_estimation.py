@@ -155,7 +155,7 @@ class TestObjective:
                                 for mq, gq in per] for mp, gp in per])
             obj = estimation._Objective(q[None])
             _, point = obj.evaluate(a[None], [0])
-            np.testing.assert_allclose(obj.derivatives(point)[1]()[0], expect,
+            np.testing.assert_allclose(obj.derivatives(point)[1][0], expect,
                                        rtol=0, atol=1e-10, err_msg=name)
 
     def test_hessian_matches_gradient_differences(self, rng):
@@ -166,7 +166,7 @@ class TestObjective:
         cand = random_kernel(4, rng)
         obj = estimation._Objective(freqs.freqs[None])
         _, point = obj.evaluate(cand.matrix[None], [0])
-        hess = obj.derivatives(point)[1]()[0]
+        hess = obj.derivatives(point)[1][0]
         basis = d.symmetric_basis(4)
         step = 1e-5
         for p, ep in enumerate(basis):
@@ -220,12 +220,13 @@ def fit_one(obj, start, config):
     return tuple(column[0] for column in estimation._lockstep(obj, start[None], config))
 
 
-def fake_derivatives(grads, curvature=1.0):
+def fake_derivatives(grads, gram, curvature=1.0):
     """What `_Objective.derivatives` returns for 2 x 2 kernels with these
-    gradients and the Hessian -curvature I in symmetric coordinates, that
-    of -curvature ||L - T||^2 / 2.  The fakes below keep a point as the
-    1-tuple (kernels,)."""
-    return grads, lambda go: np.repeat(-curvature * np.eye(3)[None], go.sum(), axis=0)
+    gradients and, for the members `gram` selects, the Hessian
+    -curvature I in symmetric coordinates, that of -curvature ||L - T||^2
+    / 2.  The fakes below keep a point as the 1-tuple (kernels,)."""
+    count = len(grads) if gram is None else int(np.sum(gram))
+    return grads, np.repeat(-curvature * np.eye(3)[None], count, axis=0)
 
 
 class TestLineSearch:
@@ -246,7 +247,8 @@ class TestLineSearch:
 
             def derivatives(self, point, gram=None):
                 (kernels,) = point
-                return fake_derivatives(np.repeat(1e-6 * np.eye(2)[None], len(kernels), axis=0))
+                return fake_derivatives(np.repeat(1e-6 * np.eye(2)[None], len(kernels), axis=0),
+                                        gram)
 
         obj = Peaked()
         cfg = MleConfig()
@@ -271,7 +273,7 @@ class TestLineSearch:
 
             def derivatives(self, point, gram=None):
                 (kernels,) = point
-                return fake_derivatives(target - kernels, 2.0)
+                return fake_derivatives(target - kernels, gram, 2.0)
 
         obj = Quadratic()
         cfg = MleConfig()
@@ -296,44 +298,40 @@ def batch_of(tables, config):
     return estimation._Objective(freqs), starts
 
 
-def count_hessians(monkeypatch, grams=None):
-    """The list of Hessian counts the fitter forms, one entry a chunk; and
-    in `grams`, if given, the count of members that sum a Gram, one entry
-    a chunk."""
-    formed = []
-    real = estimation.likelihood_derivatives
+def count_steps(monkeypatch):
+    """(the Gram members of each derivative pass, one entry a pass; the
+    Hessians `_newton` solves against, one entry an eigh)."""
+    grams, solved = [], []
+    derivatives, eigh = geometry._Objective.derivatives, np.linalg.eigh
 
-    def counting(blocks, q, p, gram=None):
-        if grams is not None:
-            grams.append(len(q) if gram is None else int(np.sum(gram)))
-        grads, hessians = real(blocks, q, p, gram)
+    def counting(self, point, gram=None):
+        grads, hess = derivatives(self, point, gram)
+        grams.append(len(hess))
+        return grads, hess
 
-        def counted(members=None):
-            hess = hessians(members)
-            formed.append(len(hess))
-            return hess
+    def counting_eigh(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_newton":
+            solved.append(len(a))
+        return eigh(a, *args, **kwargs)
 
-        return grads, counted
-
-    monkeypatch.setattr(estimation, "likelihood_derivatives", counting)
-    return formed
+    monkeypatch.setattr(geometry._Objective, "derivatives", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return grams, solved
 
 
 class TestHessiansFormed:
     def test_one_hessian_a_step_at_max_iters(self, monkeypatch):
-        # six restarts take one step each; the closing gradient pass forms
-        # no Hessian and, every member flat, sums no Gram
+        # six restarts take one step each; the closing gradient pass, every
+        # member flat, sums no Gram and forms no Hessian
         freqs = d.empirical_table(d.sample(d.build_table(d.tridiagonal_kernel(6, 2.0, 0.5)),
                                            2000, seed=3))
-        grams = []
-        formed = count_hessians(monkeypatch, grams)
+        grams, solved = count_steps(monkeypatch)
         result = d.fit_mle(freqs, MleConfig(seed=1, max_iters=1))
         assert result.stop_reason == "max_iters" and result.iterations == 1
-        assert sum(formed) == 6
-        assert sum(grams) == 6 and len(grams) == 2
+        assert grams == [6, 0] and sum(solved) == 6
 
     def test_one_hessian_a_step_to_convergence(self, monkeypatch):
-        # every member stops on grad_tol, and no member at grad_tol forms one
+        # every member stops on grad_tol, and no member at grad_tol is solved
         cfg = MleConfig(seed=2, restarts=3)
         obj, starts = batch_of(replicate_tables(4, 2, 2000), cfg)
         searched = []
@@ -344,10 +342,10 @@ class TestHessiansFormed:
             return line_search(obj, members, *args)
 
         monkeypatch.setattr(estimation, "_line_search", spy)
-        formed = count_hessians(monkeypatch)
+        _, solved = count_steps(monkeypatch)
         _, _, iterations, converged, _, _ = estimation._lockstep(obj, starts, cfg)
         assert converged.all()
-        assert sum(formed) == sum(searched) == iterations.sum()
+        assert sum(solved) == sum(searched) == iterations.sum()
 
 
 class TestOneEvaluationAStep:
@@ -741,6 +739,11 @@ def reference_tables():
         yield f"{name}-sampled", d.empirical_table(d.sample(d.build_table(star), 400, seed=k))
 
 
+def moments(freqs):
+    """The moment correlation matrix of a table."""
+    return estimation._moment_correlation(minors.superset_sums(freqs.freqs))
+
+
 class TestMomentStarts:
     """The superset-sum moments and sign anchors against one scan over
     all masks per moment.  An off-diagonal entry is the square root of a
@@ -755,7 +758,7 @@ class TestMomentStarts:
 
     def test_moments_match_loop_reference(self):
         for name, freqs in reference_tables():
-            np.testing.assert_allclose(estimation._moment_correlation(freqs) ** 2,
+            np.testing.assert_allclose(moments(freqs) ** 2,
                                        loop_moment_correlation(freqs) ** 2,
                                        rtol=0, atol=1e-12, err_msg=name)
 
@@ -779,6 +782,20 @@ class TestMomentStarts:
         np.testing.assert_array_equal(np.sign(fast), np.sign(loop))
         assert (fast < 0).any()
 
+    def test_two_superset_transforms_a_start_set(self, monkeypatch):
+        # the moment start (through moment_init) and the sign-corrected one
+        # each transform the frequencies once, at any n >= 3
+        transforms, inits = [], []
+        superset_sums, moment_init = minors.superset_sums, estimation.moment_init
+        monkeypatch.setattr(minors, "superset_sums",
+                            lambda values: transforms.append(1) or superset_sums(values))
+        monkeypatch.setattr(estimation, "moment_init",
+                            lambda *args: inits.append(1) or moment_init(*args))
+        for n in (3, 5, 8, 13):
+            transforms.clear(), inits.clear()
+            estimation._starts(exact_frequencies(d.tridiagonal_kernel(n, 2.0, 0.9)), MleConfig())
+            assert len(transforms) == 2 and len(inits) == 1, n
+
     def test_no_signed_start_below_three(self):
         for n in (1, 2):
             freqs = exact_frequencies(d.tridiagonal_kernel(n, 2.0, 0.9))
@@ -786,13 +803,13 @@ class TestMomentStarts:
 
     def test_scalar_moment(self):
         freqs = EmpiricalTable(n=1, freqs=np.array([0.25, 0.75]), total=4)
-        np.testing.assert_array_equal(estimation._moment_correlation(freqs), [[0.75]])
+        np.testing.assert_array_equal(moments(freqs), [[0.75]])
 
     @pytest.mark.parametrize("mask", [0, 5, 7])
     def test_one_mask_table(self, mask):
         freqs = EmpiricalTable(n=3, freqs=np.eye(8)[mask], total=3)
         in_mask = np.array([mask >> i & 1 for i in range(3)], dtype=float)
-        np.testing.assert_array_equal(estimation._moment_correlation(freqs), np.diag(in_mask))
+        np.testing.assert_array_equal(moments(freqs), np.diag(in_mask))
         assert estimation._sign_corrected_init(freqs, (1e-4, 1 - 1e-4)) is None
         eigs = d.l_to_k(d.moment_init(freqs)).eigenvalues
         assert eigs[0] >= 1e-4 - 1e-12 and eigs[-1] <= 1 - 1e-4 + 1e-12

@@ -5,10 +5,10 @@ import dppmle as d
 from dppmle.errors import NotNullDirection
 from dppmle.kernels import sign_vectors
 
-from dppmle import estimation, geometry, minors, model
-from conftest import (NEGATIVE_3X3, brute_inverses, dense_basis_hessian, matmul_trace_stats,
-                      random_block_kernel, random_kernel, random_null_direction, random_symmetric,
-                      reference_kernels)
+from dppmle import geometry, minors, model
+from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, dense_basis_hessian,
+                      matmul_trace_stats, random_block_kernel, random_kernel,
+                      random_null_direction, random_symmetric, reference_kernels)
 
 
 def close(got, ref, tol=1e-12):
@@ -60,6 +60,26 @@ class TestExpectedLogLikelihood:
             table = d.build_table(star)
             at_star = d.expected_log_likelihood(table, star)
             assert d.expected_log_likelihood(table, random_kernel(n, rng)) <= at_star
+
+    def test_matches_per_mask_reference(self, rng):
+        # sum_J p*_J log det L_J - log det(I+L), one slogdet per mask
+        for n in range(1, 9):
+            for _ in range(3):
+                table, a = d.build_table(random_kernel(n, rng)), random_kernel(n, rng).matrix
+                expect = table.probs @ brute_logdets(a) - np.linalg.slogdet(np.eye(n) + a)[1]
+                got = d.expected_log_likelihood(table, d.Kernel(a))
+                assert got == pytest.approx(expect, rel=1e-12, abs=1e-12), n
+
+    def test_is_the_empirical_value_at_the_probabilities(self, rng):
+        for n in range(1, 9):
+            table, cand = d.build_table(random_kernel(n, rng)), random_kernel(n, rng)
+            freqs = model.EmpiricalTable.from_probabilities(n, table.probs)
+            assert d.expected_log_likelihood(table, cand) == d.empirical_log_likelihood(freqs, cand)
+
+    def test_minus_inf_on_nonpositive_minor(self, rng):
+        bad = d.Kernel(np.eye(3))
+        bad.matrix = NEGATIVE_3X3
+        assert d.expected_log_likelihood(d.build_table(random_kernel(3, rng)), bad) == -np.inf
 
     def test_sign_orbit_attains_max(self, rng):
         star = random_kernel(4, rng)
@@ -236,8 +256,7 @@ class TestHessianMatrix:
             table = d.build_table(star)
             lse = np.logaddexp.reduce(np.sort(table.log_dets))
             point = (star.matrix[None], table.log_dets[None], np.array([lse]), np.array([0]))
-            _, hessians = estimation._Objective(table.probs[None]).derivatives(point)
-            hess = hessians()[0]
+            hess = geometry._Objective(table.probs[None]).derivatives(point)[1][0]
             np.testing.assert_array_equal(d.hessian_matrix(table).matrix, (hess + hess.T) / 2)
 
     def test_matches_the_dense_basis_projection(self, rng):
@@ -253,7 +272,7 @@ class TestHessianMatrix:
             p = d.build_table(d.Kernel(a)).probs[None]
             expect = dense_basis_hessian(inv, q, p)
             x = inv.reshape(1, 2 ** n, n * n)[:, :, geometry._gram_pairs(n)[0]].transpose(0, 2, 1)
-            got = geometry.likelihood_derivatives([x], q, p)[1]()
+            got = geometry.likelihood_derivatives([x], q, p)[1]
             np.testing.assert_allclose(got, expect, rtol=0,
                                        atol=1e-13 * np.abs(expect).max(), err_msg=f"n={n}")
 
@@ -270,17 +289,16 @@ class TestHessianMatrix:
             got = []
             for bits in (12, n // 2, 1):
                 monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
-                grads, hessians = geometry.likelihood_derivatives(
-                    minors._inverse_blocks(mats, rows, cols), q, p)
-                got.append((grads, hessians()))
+                got.append(geometry.likelihood_derivatives(
+                    minors._inverse_blocks(mats, rows, cols), q, p))
             for grads, hess in got[1:]:
                 for one, other in zip(got[0], (grads, hess)):
                     np.testing.assert_allclose(other, one, rtol=0,
                                                atol=1e-12 * np.abs(one).max(), err_msg=f"n={n}")
 
     def test_hessians_only_of_gram_members(self, rng):
-        # a member outside `gram` sums no Gram, so it has no Hessian; the
-        # others' Hessians and every gradient are bitwise those of the full pass
+        # one Hessian row per member `gram` selects, in order, each bitwise
+        # that member's row of the full pass; every gradient is bitwise too
         mats = np.array([random_kernel(4, rng).matrix for _ in range(3)])
         p = np.array([d.build_table(d.Kernel(a)).probs for a in mats])
         rows, cols, _ = d.kernels._coordinate_layout(4)
@@ -289,13 +307,13 @@ class TestHessianMatrix:
             return geometry.likelihood_derivatives(minors._inverse_blocks(mats, rows, cols),
                                                    p, p, gram)
 
-        grads, hessians = derivatives()
-        some_grads, some = derivatives(np.array([True, False, True]))
-        np.testing.assert_array_equal(some_grads, grads)
-        np.testing.assert_array_equal(some(), hessians()[[0, 2]])
-        np.testing.assert_array_equal(some(np.array([False, False, True])), hessians()[[2]])
-        with pytest.raises(ValueError, match="no Gram"):
-            some(np.array([False, True, False]))
+        grads, hess = derivatives()
+        assert hess.shape == (3, 10, 10)
+        for gram in ([True, False, True], [False, False, True], [False] * 3):
+            some_grads, some = derivatives(np.array(gram))
+            np.testing.assert_array_equal(some_grads, grads)
+            assert some.shape == (sum(gram), 10, 10)
+            np.testing.assert_array_equal(some, hess[np.array(gram)])
 
     def test_csv_exports(self, rng):
         form = d.hessian_matrix(d.build_table(random_kernel(3, rng)))

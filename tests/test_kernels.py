@@ -41,6 +41,16 @@ class TestKernelConstruction:
         with pytest.raises(ValueError, match="entries must be finite"):
             cls(np.array([[np.inf, 0.0], [0.0, np.inf]]))
 
+    def test_kernel_whose_spectrum_overflows(self):
+        # finite, symmetric and positive definite, but eigvalsh gives
+        # [5e307, inf]; the reason is the overflow, not indefiniteness
+        with pytest.raises(ValueError, match="^kernel spectrum overflows float64$"):
+            d.Kernel([[1.5e308, 1e308], [1e308, 1.5e308]])
+
+    def test_correlation_kernel_whose_spectrum_overflows(self):
+        with pytest.raises(ValueError, match="^correlation kernel spectrum overflows float64$"):
+            d.CorrelationKernel([[1.5e308, 1e308], [1e308, 1.5e308]])
+
     def test_json_entries_that_overflow_when_symmetrized(self):
         with pytest.raises(ValueError, match="entries must be finite"):
             d.kernel_from_json({"n": 2, "entries": [1e308, 0, 0, 1e308]})

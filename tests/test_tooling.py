@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dppmle"
@@ -191,3 +192,40 @@ def test_one_reverse_sweep_reader():
                     if _calls(fn, "_schur_adjoint")]
     assert callers == ["geometry.identity_residuals"] and everywhere == 1, \
         f"_schur_adjoint callers in src/dppmle: {callers}, {everywhere} calls"
+
+
+def test_one_likelihood_module():
+    # the objective's value, gradient, Gram and Hessians live in geometry:
+    # `_Objective` is defined there and nowhere else, and
+    # `likelihood_derivatives` returns its Hessians as arrays, with no
+    # function nested in it to form them later
+    defined, nested = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [path.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and node.name == "_Objective"]
+        for name, fn in _defs(tree):
+            if name == "likelihood_derivatives":
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if node is not fn and isinstance(
+                               node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert defined == ["geometry.py"], f"_Objective defined in: {defined}"
+    assert not nested, f"functions nested in likelihood_derivatives: {nested}"
+
+
+def test_imports_are_declared():
+    # numpy is the one declared dependency: every import is relative,
+    # numpy or the standard library (an undeclared import such as scipy
+    # would also add to the time to import and set up a command)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{name} at {path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert not found, f"undeclared imports in src/dppmle: {found}"
