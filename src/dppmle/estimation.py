@@ -32,8 +32,8 @@ nothing else does.
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 sizes x replicates x restarts of a rate study in `estimate_risk`,
 iterate together, each member with its own state.  A kernel is
-evaluated once: the start, and each line-search candidate, whose point
-the next Newton step reads if it is accepted.  Each objective call and
+evaluated once: the start, and each line-search candidate, whose value
+is kept if it is accepted.  Each objective call and
 Newton step (one loop, its derivative pass inside) runs over the
 members still searching in member chunks of `minors._chunks`, so memory
 does not grow with the batch.  No operation mixes members, so a member's
@@ -122,7 +122,7 @@ class MleConfig:
 def empirical_log_likelihood(freqs: EmpiricalTable, kernel: Kernel) -> float:
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
-    return float(_Objective(freqs.freqs[None]).evaluate(kernel.matrix[None], [0])[0][0])
+    return float(_Objective(freqs.freqs[None]).evaluate(kernel.matrix[None], [0])[0])
 
 
 # --- Newton step -----------------------------------------------------------
@@ -165,16 +165,8 @@ class MleResult:
     stop_reason: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.estimate.n,
-            "estimate": [float(x) for x in self.estimate.matrix.ravel()],
-            "log_likelihood": self.log_likelihood,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "restart_index": self.restart_index,
-            "gradient_norm": self.gradient_norm,
-            "stop_reason": self.stop_reason,
-        }
+        return {"n": self.estimate.n, "estimate": [float(x) for x in self.estimate.matrix.ravel()],
+                **{name: value for name, value in vars(self).items() if name != "estimate"}}
 
 
 def _line_search(obj, members, matrix, fval, direction, slope, flat, config: MleConfig):
@@ -184,14 +176,13 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
     a candidate the box moves is taken only if it rises.  Where f cannot
     resolve the predicted rise (`flat`), only the full step is tried,
     and it is taken unless f falls by more than the roundoff slack.
-    Returns the accepted flags and one list: the accepted members'
-    values, in order, then the arrays of the point `obj.evaluate` gave
-    them (the kernels first), which the next Newton step reads."""
+    Returns the accepted flags, and the accepted members' values and
+    kernels, in order, from which the next Newton step goes on."""
     floor = np.where(flat, 1.0, 1e-14)
     slack = np.where(flat, _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval)), 0.0)
     step = np.ones(len(members))
     accepted = np.zeros(len(members), dtype=bool)
-    kept = []           # the values, then the point's arrays, member i's at row i
+    values, kernels = np.empty(len(members)), np.empty_like(matrix)
     idx = np.arange(len(members))
     while True:
         idx = idx[step[idx] >= floor[idx]]
@@ -199,31 +190,30 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
         moves = ~np.all(cand == matrix[idx], axis=(1, 2))
         idx, cand = idx[moves], cand[moves]
         if not idx.size:
-            return accepted, [x[accepted] for x in kept]
+            return accepted, values[accepted], kernels[accepted]
         cand, projected = _project_box(cand, config.spectral_box)
-        values, point = obj.evaluate(cand, members[idx])
-        rise = values - fval[idx]
-        take = np.isfinite(values) & np.where(
+        value = obj.evaluate(cand, members[idx])
+        rise = value - fval[idx]
+        take = np.isfinite(value) & np.where(
             projected, rise > 0, rise >= 1e-4 * step[idx] * slope[idx] - slack[idx])
-        kept = kept or [np.empty((len(members),) + x.shape[1:], x.dtype) for x in (values, *point)]
-        for x, new in zip(kept, (values, *point)):
-            x[idx[take]] = new[take]
+        values[idx[take]], kernels[idx[take]] = value[take], cand[take]
         accepted[idx[take]] = True
         idx = idx[~take]
         step[idx] *= 0.5
 
 
-def _newton(obj, point, matrices: np.ndarray, flat: np.ndarray, grad_tol: float):
+def _newton(obj, matrices: np.ndarray, members: np.ndarray, flat: np.ndarray, grad_tol: float):
     """(gradient norms by `_theta_norm`, Newton decrements, ascent
-    directions) of a point's members, the last two zero, and no eigh run,
-    for a member at `grad_tol` or `flat`, and no Gram summed or Hessian
-    formed for a `flat` one; in one loop over member chunks, a member
-    taking its bordering work, `minors._pass_floats(n)`, plus about 4 m^2 floats of
-    Gram, Hessian and eigh, m = n(n+1)/2, so no pass or Hessian spans the batch."""
+    directions) of the kernels of `members`, the last two zero, and no
+    eigh run, for a member at `grad_tol` or `flat`, and no Gram summed
+    or Hessian formed for a `flat` one; in one loop over member chunks,
+    a member taking its bordering work, `minors._pass_floats(n)`, plus
+    about 4 m^2 floats of Gram, Hessian and eigh, m = n(n+1)/2, so no
+    pass or Hessian spans the batch."""
     b, n = matrices.shape[0], matrices.shape[1]
     gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
     for at in minors._chunks(b, minors._pass_floats(n) + 4 * symmetric_dim(n) ** 2):
-        grad, hess = obj.derivatives(tuple(x[at] for x in point), ~flat[at])
+        grad, hess = obj.derivatives(matrices[at], members[at], ~flat[at])
         gnorm[at] = _theta_norm(grad, np.linalg.cholesky(matrices[at]))
         go = ~(gnorm[at] <= grad_tol) & ~flat[at]
         if not go.any():
@@ -246,18 +236,17 @@ def _lockstep(obj, starts: np.ndarray, config: MleConfig):
     stop codes indexing STOP_REASONS).  Each member keeps its own
     kernel, value and stop state, so its result does not depend on the
     rest of the batch.  Only the starts are evaluated here: a step goes
-    on from the value and point at which `_line_search` accepted it."""
+    on from the value and kernel that `_line_search` accepted."""
     matrix = np.array(starts, dtype=float)
     live = np.arange(len(matrix))                   # members still searching
-    fval, point = obj.evaluate(matrix, live)
+    fval = obj.evaluate(matrix, live)
     iterations = np.zeros(len(live), dtype=int)
     gnorm = np.zeros(len(live))
     stop = np.full(len(live), _MAX_ITERS)
     flat = np.zeros(len(live), dtype=bool)          # the last step was below roundoff
     for _ in range(config.max_iters):
-        gnorm[live], decrement, direction = _newton(obj, point, matrix[live], flat[live],
+        gnorm[live], decrement, direction = _newton(obj, matrix[live], live, flat[live],
                                                     config.grad_tol)
-        del point           # not held through the line search, which gives the next
         done = gnorm[live] <= config.grad_tol
         stop[live[done]] = _GRAD_TOL
         stop[live[~done & flat[live]]] = _ROUNDOFF
@@ -267,17 +256,17 @@ def _lockstep(obj, starts: np.ndarray, config: MleConfig):
             break
         # below what f resolves, a member takes the full step once and stops
         flat[live] = decrement / 2.0 <= _ROUNDOFF_SLACK * np.maximum(1.0, np.abs(fval[live]))
-        accepted, point = _line_search(obj, live, matrix[live], fval[live],
-                                       direction, decrement, flat[live], config)
+        accepted, values, kernels = _line_search(obj, live, matrix[live], fval[live],
+                                                 direction, decrement, flat[live], config)
         stop[live[~accepted]] = np.where(flat[live[~accepted]], _ROUNDOFF, _LINE_SEARCH)
         live = live[accepted]
         if not live.size:
             break
-        fval[live], *point = point
-        matrix[live] = point[0]
+        fval[live], matrix[live] = values, kernels
         iterations[live] += 1
     else:
-        gnorm[live] = _newton(obj, point, matrix[live], np.ones_like(live, bool), config.grad_tol)[0]
+        gnorm[live] = _newton(obj, matrix[live], live, np.ones(live.size, bool),
+                              config.grad_tol)[0]
     return matrix, fval, iterations, gnorm <= config.grad_tol, gnorm, stop
 
 
@@ -305,13 +294,14 @@ def _starts(freqs: EmpiricalTable, config: MleConfig) -> np.ndarray:
     return np.array(starts)
 
 
-def _fit_tables(tables: list, config: MleConfig) -> list:
-    """The best restart of each table's fit, every restart of every
-    table fitted as one batch."""
-    r = config.restarts
-    obj = _Objective([t.freqs for t in tables], np.repeat(np.arange(len(tables)), r))
+def _fit_tables(freqs: np.ndarray, config: MleConfig) -> list:
+    """The best restart of the fit of each row of the (T, 2^n)
+    frequencies, which the objective keeps without a copy, every
+    restart of every row fitted as one batch."""
+    r, n = config.restarts, freqs.shape[1].bit_length() - 1
+    obj = _Objective(freqs, np.repeat(np.arange(len(freqs)), r))
     matrices, fvals, iterations, converged, gnorms, stops = _lockstep(
-        obj, np.concatenate([_starts(t, config) for t in tables]), config)
+        obj, np.concatenate([_starts(EmpiricalTable(n, row, 0), config) for row in freqs]), config)
     results = []
     for lo in range(0, len(matrices), r):
         # the lowest restart within roundoff of the best, not the last-bit largest
@@ -332,7 +322,7 @@ def fit_mle(freqs: EmpiricalTable, config: MleConfig) -> MleResult:
     sign-corrected variant, then jittered copies; see `_starts`), all
     fitted as one lockstep batch.  Of restarts within 4 eps max(1, |f|)
     of the best, the lowest wins."""
-    return _fit_tables([freqs], config)[0]
+    return _fit_tables(freqs.freqs[None], config)[0]
 
 
 def _moment_correlation(incl: np.ndarray) -> np.ndarray:
@@ -554,13 +544,17 @@ def estimate_risk(l_star: Kernel, sample_size, replicates: int,
         raise ValueError("replicates must be >= 2")
     table = build_table(l_star)
     graph = determinantal_graph(l_star)
-    tables = [empirical_table(sample(table, size, seed, stream_path=(rngs.REPLICATE_STREAM, r)))
-              for size in sizes for r in range(replicates)]
+    draws = (empirical_table(sample(table, size, seed, stream_path=(rngs.REPLICATE_STREAM, r)))
+             for size in sizes for r in range(replicates))
+    freqs, tables = np.empty((len(sizes) * replicates, table.probs.size)), []
+    for row, freq in zip(freqs, draws):     # each table's frequencies become its row
+        row[:], freq.freqs = freq.freqs, row
+        tables.append(freq)
     if estimator is None:
         fits = [(res.estimate, res.converged, res.iterations)
-                for res in _fit_tables(tables, config)]
+                for res in _fit_tables(freqs, config)]
     else:
-        fits = [(estimator(freqs), True, 0) for freqs in tables]
+        fits = [(estimator(freq), True, 0) for freq in tables]
     scores = []
     for l_hat, conv, iters in fits:
         loss = blockwise_loss(l_hat, l_star, graph)

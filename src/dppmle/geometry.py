@@ -15,8 +15,11 @@ counterpart a_k = Tr(((I+L)^{-1} H)^k):
 
     d^k Phi(H,..,H) = (-1)^(k-1) (k-1)! (sum_J p*_J a_{J,k} - a_k).
 
-At L = L* the gradient vanishes and the Hessian, the likelihood Hessian
-at q = p* (`hessian_matrix`), is by the identity differentiated twice
+The gradient is sum_J q_J P_J - G, P_J = pad(L_J^{-1}), G = (I+L)^{-1},
+and the Hessian comes from the Gram of the P_J centred at G, as a
+variance is summed about its mean (Chan, Golub & LeVeque, 1983).  At
+L = L* the gradient vanishes and the Hessian, the likelihood Hessian at
+q = p* (`hessian_matrix`), is by the identity differentiated twice
 minus the variance of Tr((L*_Z)^{-1} H_Z), hence negative semidefinite;
 its null space consists of the symmetric directions on cross-block
 index pairs of L*.  Along those directions the third derivative
@@ -99,7 +102,7 @@ def expected_log_likelihood(table_star: DppTable, kernel: Kernel) -> float:
     kernel, -inf where some principal minor of L is not positive."""
     if kernel.n != table_star.n:
         raise ValueError("ground-set sizes differ")
-    return float(_Objective(table_star.probs[None]).evaluate(kernel.matrix[None], [0])[0][0])
+    return float(_Objective(table_star.probs[None]).evaluate(kernel.matrix[None], [0])[0])
 
 
 def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
@@ -108,9 +111,8 @@ def likelihood_gradient(freqs: EmpiricalTable, kernel: Kernel) -> np.ndarray:
     fitter's gradient (`_Objective.derivatives`, no Gram summed)."""
     if kernel.n != freqs.n:
         raise ValueError("ground-set sizes differ")
-    obj = _Objective(freqs.freqs[None])
-    _, point = obj.evaluate(kernel.matrix[None], [0])
-    return obj.derivatives(point, np.zeros(1, dtype=bool))[0][0]
+    return _Objective(freqs.freqs[None]).derivatives(kernel.matrix[None], [0],
+                                                     np.zeros(1, dtype=bool))[0][0]
 
 
 def directional_derivative(table_star: DppTable, kernel: Kernel,
@@ -151,35 +153,39 @@ def _gram_pairs(n: int):
     return layout
 
 
-def likelihood_derivatives(blocks, q: np.ndarray, p: np.ndarray, gram=None):
-    """(gradients sum_J (q_J - p_J) P_J, Hessians) of sum_J q_J log det L_J
+def _gram_hessians(grams: np.ndarray, n: int) -> np.ndarray:
+    """The Hessians in `symmetric_basis` coordinates that the two gathers
+    of `_gram_pairs` read from (k, m, m) Grams of the distinct entries."""
+    _, _, pairs, weights = _gram_pairs(n)
+    grams = grams.reshape(-1, weights.size)
+    return (np.take(grams, pairs[0], axis=1) + np.take(grams, pairs[1], axis=1)) * weights
+
+
+def likelihood_derivatives(blocks, q: np.ndarray, inv: np.ndarray, gram: np.ndarray):
+    """(gradients sum_J q_J P_J - G, Hessians) of sum_J q_J log det L_J
     - log det(I+L) for k kernels from the distinct entries x_J of P_J =
     pad(L_J^{-1}), a stream of (k, m, w) blocks over the masks in order
-    (`minors._inverse_blocks`), each read once and then scaled in place, q
-    and p_J = det L_J / det(I+L).  The Hessians, one row per member `gram`
-    selects (all by default), in order, are -sum_J q_J Tr(P_J H P_J K) +
-    Tr(G H G K) in `symmetric_basis` coordinates, G = (I+L)^{-1}, read by
-    two gathers from the Gram sum_J q_J x_J x_J^T - g g^T, g = sum_J p_J
-    x_J, which only those members sum, block by block in block order."""
-    k, n = q.shape[0], q.shape[1].bit_length() - 1
-    distinct, spread, pairs, weights = _gram_pairs(n)
-    gram = np.ones(k, dtype=bool) if gram is None else np.asarray(gram)
+    (`minors._inverse_blocks`), each read once and then overwritten, q
+    and G = (I+L)^{-1}, (k, n, n).  The Hessians of the members `gram`
+    selects, in order, are `_gram_hessians` of the centred Gram sum_J q_J
+    (x_J - g)(x_J - g)^T, g the distinct entries of G, which only they
+    sum, block by block: all of it where the gradient is 0 and sum q = 1."""
+    k, n = q.shape[0], inv.shape[1]
+    distinct, spread = _gram_pairs(n)[:2]
     some = slice(None) if gram.all() else gram
-    sums = np.zeros((k, distinct.size, 2))        # sum_J (q_J - p_J) x_J and g
+    g = inv.reshape(k, -1)[:, distinct]
+    sums = np.zeros((k, distinct.size, 1))        # sum_J q_J x_J
     grams = np.zeros((int(gram.sum()), distinct.size, distinct.size))
-    qp, root, lo = np.stack([q - p, p], axis=2), np.sqrt(q[some]), 0
+    centre, root, lo = g[some, :, None], np.sqrt(q[some]), 0
     for x in blocks:
         at = slice(lo, lo + x.shape[2])
         lo = at.stop
-        sums += x @ qp[:, at]
+        sums += x @ q[:, at, None]
         y = x[some]                               # x itself if every member sums one
+        y -= centre
         y *= root[:, None, at]
         grams += y @ y.transpose(0, 2, 1)         # a syrk
-    g = sums[some, :, 1]
-    grams -= g[:, :, None] * g[:, None, :]
-    grams = grams.reshape(-1, weights.size)
-    hessians = (np.take(grams, pairs[0], axis=1) + np.take(grams, pairs[1], axis=1)) * weights
-    return sums[:, :, 0][:, spread], hessians
+    return (sums[..., 0] - g)[:, spread], _gram_hessians(grams, n)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,52 +197,48 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _Objective:
     """Lhat of a batch of kernels, member i scored against frequency row
-    `tables[i]` (row i when omitted) of (T, 2^n).  The value is one
-    forward pass of the all-minors recursion, log det(I+L) the logsumexp
-    of the same log-determinants since det(I+L) = sum_J det L_J.  Both
-    derivatives are `likelihood_derivatives` of the P_J = pad(L_J^{-1})
-    that one streamed bordering pass gives, with p_J = det L_J /
-    det(I+L), so I+L is never factored; they read the point `evaluate`
-    returns with the values."""
+    `tables[i]` (row i when omitted) of (T, 2^n), kept without a copy.
+    The value is one forward pass of the all-minors recursion, log
+    det(I+L) the logsumexp of the same log-determinants since det(I+L) =
+    sum_J det L_J.  The derivatives read only the kernels."""
 
     def __init__(self, freqs: np.ndarray, tables: np.ndarray | None = None):
         self.freqs = np.asarray(freqs, dtype=float)
         self.tables = np.arange(len(self.freqs)) if tables is None else np.asarray(tables)
         self.work = np.empty(0)     # `derivatives`' stream work, kept so no pass faults in pages
 
-    def evaluate(self, matrices: np.ndarray, members):
-        """(values of the kernels of `members`, the point `derivatives`
-        reads: the per-member arrays (kernels, log-minors, log det(I+L),
-        members)); -inf where some principal minor is not positive."""
-        matrices, members = np.asarray(matrices, dtype=float), np.asarray(members)
-        logdets = np.empty((len(matrices), self.freqs.shape[1]))
-        log_z, values = np.empty(len(matrices)), np.empty(len(matrices))
+    def evaluate(self, matrices: np.ndarray, members) -> np.ndarray:
+        """The values of the kernels of `members`; -inf where some
+        principal minor is not positive."""
+        values = np.empty(len(matrices))
         # in member chunks; a member's pass peaks near 4 x 2^n floats
-        for at in minors._chunks(len(matrices), 4 * logdets.shape[1]):
+        for at in minors._chunks(len(matrices), 4 * self.freqs.shape[1]):
             jets, ok = minors._schur_pass(matrices[at])
-            logdets[at] = jets[0]
             with np.errstate(all="ignore"):
                 top = jets[0].max(axis=1)
-                log_z[at] = top + np.log(np.exp(jets[0] - top[:, None]).sum(axis=1))
+                log_z = top + np.log(np.exp(jets[0] - top[:, None]).sum(axis=1))
                 q = self.freqs[self.tables[members[at]]]
-                values[at] = np.where(ok, _rowdot(jets[0], q) - log_z[at], -np.inf)
+                values[at] = np.where(ok, _rowdot(jets[0], q) - log_z, -np.inf)
         values[~np.isfinite(values)] = -np.inf
-        return values, (matrices, logdets, log_z, members)
+        return values
 
-    def derivatives(self, point, gram=None):
-        """`likelihood_derivatives` of a point whose values are finite:
-        (gradients, Hessians of the members `gram` selects, all by
-        default), from one streamed bordering pass of
-        `minors._pass_floats(n)` floats a member, unchunked (see
-        `estimation._newton`)."""
-        matrices, logdets, log_z, members = point
-        rows, cols, _ = _coordinate_layout(matrices.shape[1])
-        floats = len(matrices) * minors._pass_floats(matrices.shape[1])
-        if self.work.size < floats:
-            self.work = np.empty(floats)
-        blocks = minors._inverse_blocks(matrices, rows, cols, work=self.work)
-        return likelihood_derivatives(blocks, self.freqs[self.tables[members]],
-                                      np.exp(logdets - log_z[:, None]), gram)
+    def derivatives(self, matrices: np.ndarray, members, gram: np.ndarray):
+        """(gradients, Hessians of the members the flags `gram` select) of
+        kernels whose values are finite, from one streamed bordering pass
+        of `minors._pass_floats(n)` floats a member, unchunked (see
+        `estimation._newton`).  Their Gram sum_J q_J x_J x_J^T - g g^T is
+        `likelihood_derivatives`' centred one plus d g^T + g d^T +
+        (1 - sum q) g g^T, d the gradient's distinct entries."""
+        k, n = matrices.shape[:2]
+        if self.work.size < k * minors._pass_floats(n):
+            self.work = np.empty(k * minors._pass_floats(n))
+        q, inv = self.freqs[self.tables[members]], np.linalg.inv(np.eye(n) + matrices)
+        blocks = minors._inverse_blocks(matrices, *_coordinate_layout(n)[:2], work=self.work)
+        grads, hess = likelihood_derivatives(blocks, q, inv, gram)
+        g, e = (x.reshape(k, -1)[gram][:, _gram_pairs(n)[0]] for x in (inv, grads))
+        e += (1.0 - q[gram].sum(axis=1))[:, None] * g / 2.0
+        rest = g[:, :, None] * e[:, None, :]
+        return grads, hess + _gram_hessians(rest + rest.transpose(0, 2, 1), n)
 
 
 @dataclass
@@ -270,13 +272,15 @@ class HessianForm:
 
 
 def hessian_matrix(table_star: DppTable) -> HessianForm:
-    """`likelihood_derivatives`' Hessian at q = p = the table's probabilities,
-    from the padded inverses gathered into the blocks of the fitter's pass."""
+    """`likelihood_derivatives`' Hessian at q = p*, the table's
+    probabilities, centred at G = (I+L*)^{-1}, symmetrized, from the
+    padded inverses gathered into the blocks of the fitter's pass."""
     p, n = table_star.probs[None], table_star.n
     x = trace_cache(table_star).padded_inv.transpose(1, 2, 0).reshape(n * n, -1)[_gram_pairs(n)[0]]
     blocks = (np.ascontiguousarray(x[None, :, lo:lo + minors._block_width(n)])
               for lo in range(0, 2 ** n, minors._block_width(n)))
-    hess = likelihood_derivatives(blocks, p, p)[1][0]
+    inv = np.linalg.inv(np.eye(n) + table_star.kernel.matrix)[None]
+    hess = likelihood_derivatives(blocks, p, inv, np.ones(1, dtype=bool))[1][0]
     mat = (hess + hess.T) / 2.0
     w, v = np.linalg.eigh(mat)
     return HessianForm(kernel=table_star.kernel, matrix=mat, eigenvalues=w, eigenvectors=v)

@@ -167,21 +167,21 @@ def matmul_trace_stats(kernel, direction, kmax):
     return per, glob
 
 
-def dense_basis_hessian(inv, q, p):
-    """Reference: the likelihood Hessians of k kernels from their padded
-    inverses (k, 2^n, n, n), as the projection -B M B^T of the n^2 x n^2
-    matrix M[(b, c), (d, a)] = sum_J q_J P_ab P_cd - G_ab G_cd, G = sum_J
-    p_J P_J, onto the dense (m, n^2) rows B of symmetric_basis."""
+def dense_basis_hessian(inv, q, glob):
+    """Reference: the Hessians of k kernels read from the centred Gram of
+    their padded inverses (k, 2^n, n, n) about glob (k, n, n), as the
+    projection -B M B^T of the n^2 x n^2 matrix M[(b, c), (d, a)] =
+    sum_J q_J (P_J - G)_ab (P_J - G)_cd, G = glob, onto the dense
+    (m, n^2) rows B of symmetric_basis."""
     k, n = inv.shape[0], inv.shape[-1]
     rows, cols = np.triu_indices(n)
     u = np.empty((n, n), dtype=np.intp)
     u[rows, cols] = u[cols, rows] = np.arange(rows.size)
     b, c, e, a = np.indices((n,) * 4).reshape(4, n * n, n * n)
     basis = np.reshape(symmetric_basis(n), (-1, n * n))
-    x = inv.reshape(k, 2 ** n, n * n)[:, :, rows * n + cols]
-    g = x.transpose(0, 2, 1) @ p[:, :, None]
+    x = (inv - glob[:, None]).reshape(k, 2 ** n, n * n)[:, :, rows * n + cols]
     y = x * np.sqrt(q)[:, :, None]
-    gram = y.transpose(0, 2, 1) @ y - g * g.transpose(0, 2, 1)
+    gram = y.transpose(0, 2, 1) @ y
     return -(basis @ gram[:, u[a, b], u[c, e]] @ basis.T)
 
 

@@ -15,6 +15,10 @@ from conftest import (NEGATIVE_3X3, brute_inverses, brute_logdets, loop_loss,
                       random_kernel, reference_kernels)
 
 
+#: The Gram flags of a one-member derivative pass that forms its Hessian.
+ONE = np.ones(1, dtype=bool)
+
+
 def exact_frequencies(kernel) -> EmpiricalTable:
     table = d.build_table(kernel)
     return EmpiricalTable.from_probabilities(kernel.n, table.probs)
@@ -108,9 +112,8 @@ class TestLikelihoodGradient:
             raw[0] += 1.0
             freqs = EmpiricalTable(n=n, freqs=raw / raw.sum(), total=1)
             obj = estimation._Objective(freqs.freqs[None])
-            _, point = obj.evaluate(a[None], [0])
             np.testing.assert_array_equal(d.likelihood_gradient(freqs, d.Kernel(a)),
-                                          obj.derivatives(point)[0][0], err_msg=name)
+                                          obj.derivatives(a[None], [0], ONE)[0][0], err_msg=name)
 
 
 class TestObjective:
@@ -120,8 +123,8 @@ class TestObjective:
         good = random_kernel(3, rng).matrix
         for freqs in ([0.5, 0.5, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1.0]):
             obj = estimation._Objective(np.array([freqs, freqs]))
-            values, _ = obj.evaluate(np.array([NEGATIVE_3X3, good]), [0, 1])
-            alone, _ = obj.evaluate(good[None], [1])
+            values = obj.evaluate(np.array([NEGATIVE_3X3, good]), [0, 1])
+            alone = obj.evaluate(good[None], [1])
             assert values[0] == -np.inf
             assert values[1] == alone[0] and np.isfinite(alone[0])
 
@@ -136,9 +139,9 @@ class TestObjective:
             value = q @ brute_logdets(a) - np.linalg.slogdet(np.eye(n) + a)[1]
             grad = np.einsum("m,mij->ij", q, brute_inverses(a)) - np.linalg.inv(np.eye(n) + a)
             obj = estimation._Objective(q[None])
-            values, point = obj.evaluate(a[None], [0])
-            assert values[0] == pytest.approx(value, rel=1e-12, abs=1e-12), name
-            np.testing.assert_allclose(obj.derivatives(point)[0][0], grad,
+            assert obj.evaluate(a[None], [0])[0] == pytest.approx(value, rel=1e-12,
+                                                                  abs=1e-12), name
+            np.testing.assert_allclose(obj.derivatives(a[None], [0], ONE)[0][0], grad,
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_hessian_matches_per_mask_reference(self, rng):
@@ -154,9 +157,29 @@ class TestObjective:
             expect = np.array([[np.trace(gp @ gq) - q @ np.einsum("jab,jba->j", mp, mq)
                                 for mq, gq in per] for mp, gp in per])
             obj = estimation._Objective(q[None])
-            _, point = obj.evaluate(a[None], [0])
-            np.testing.assert_allclose(obj.derivatives(point)[1][0], expect,
+            np.testing.assert_allclose(obj.derivatives(a[None], [0], ONE)[1][0], expect,
                                        rtol=0, atol=1e-10, err_msg=name)
+
+    def test_exact_when_the_frequencies_miss_one(self, rng):
+        # frequencies summing to 1 + 1e-10, within what EmpiricalTable
+        # accepts: the gradient is sum_J q_J P_J - G and the Hessian
+        # -sum_J q_J P_J (x) P_J + G (x) G, G = (I+L)^{-1}, to 1e-12 of
+        # their scale, (1 - sum q) terms included
+        for name, a in reference_kernels():
+            n = a.shape[0]
+            raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
+            raw[0] += 1.0
+            freqs = EmpiricalTable(n=n, freqs=raw / raw.sum() * (1.0 + 1e-10), total=1)
+            q = freqs.freqs
+            inv, glob = brute_inverses(a), np.linalg.inv(np.eye(n) + a)
+            grad = np.einsum("m,mij->ij", q, inv) - glob
+            per = [(inv @ e, glob @ e) for e in d.symmetric_basis(n)]
+            hess = np.array([[np.trace(gp @ gq) - q @ np.einsum("jab,jba->j", mp, mq)
+                              for mq, gq in per] for mp, gp in per])
+            got = estimation._Objective(q[None]).derivatives(a[None], [0], ONE)
+            for what, ref in zip(got, (grad, hess)):
+                np.testing.assert_allclose(what[0], ref, rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(ref).max()), err_msg=name)
 
     def test_hessian_matches_gradient_differences(self, rng):
         # central differences of the gradient's coordinates along each
@@ -165,8 +188,7 @@ class TestObjective:
         freqs = d.empirical_table(d.sample(d.build_table(star), 3000, seed=6))
         cand = random_kernel(4, rng)
         obj = estimation._Objective(freqs.freqs[None])
-        _, point = obj.evaluate(cand.matrix[None], [0])
-        hess = obj.derivatives(point)[1][0]
+        hess = obj.derivatives(cand.matrix[None], [0], ONE)[1][0]
         basis = d.symmetric_basis(4)
         step = 1e-5
         for p, ep in enumerate(basis):
@@ -224,7 +246,7 @@ def fake_derivatives(grads, gram, curvature=1.0):
     """What `_Objective.derivatives` returns for 2 x 2 kernels with these
     gradients and, for the members `gram` selects, the Hessian
     -curvature I in symmetric coordinates, that of -curvature ||L - T||^2
-    / 2.  The fakes below keep a point as the 1-tuple (kernels,)."""
+    / 2."""
     count = len(grads) if gram is None else int(np.sum(gram))
     return grads, np.repeat(-curvature * np.eye(3)[None], count, axis=0)
 
@@ -243,11 +265,10 @@ class TestLineSearch:
                 if self.peak is None:
                     self.peak = matrices[0].copy()
                 self.calls += len(matrices)
-                return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2)), (matrices,)
+                return -1.0 - 1e30 * ((matrices - self.peak) ** 2).sum(axis=(1, 2))
 
-            def derivatives(self, point, gram=None):
-                (kernels,) = point
-                return fake_derivatives(np.repeat(1e-6 * np.eye(2)[None], len(kernels), axis=0),
+            def derivatives(self, matrices, members, gram=None):
+                return fake_derivatives(np.repeat(1e-6 * np.eye(2)[None], len(matrices), axis=0),
                                         gram)
 
         obj = Peaked()
@@ -269,11 +290,10 @@ class TestLineSearch:
 
             def evaluate(self, matrices, members):
                 self.calls += 1
-                return 1e6 - 0.5 * ((matrices - target) ** 2).sum(axis=(1, 2)), (matrices,)
+                return 1e6 - 0.5 * ((matrices - target) ** 2).sum(axis=(1, 2))
 
-            def derivatives(self, point, gram=None):
-                (kernels,) = point
-                return fake_derivatives(target - kernels, gram, 2.0)
+            def derivatives(self, matrices, members, gram=None):
+                return fake_derivatives(target - matrices, gram, 2.0)
 
         obj = Quadratic()
         cfg = MleConfig()
@@ -304,8 +324,8 @@ def count_steps(monkeypatch):
     grams, solved = [], []
     derivatives, eigh = geometry._Objective.derivatives, np.linalg.eigh
 
-    def counting(self, point, gram=None):
-        grads, hess = derivatives(self, point, gram)
+    def counting(self, matrices, members, gram):
+        grads, hess = derivatives(self, matrices, members, gram)
         grams.append(len(hess))
         return grads, hess
 
@@ -349,19 +369,18 @@ class TestHessiansFormed:
 
 
 class TestOneEvaluationAStep:
-    def test_line_search_point_is_a_fresh_evaluation(self, monkeypatch):
-        # on a batch that backtracks, the values and point each line search
-        # hands back are, array for array, bitwise a fresh evaluation of
-        # the kernels it accepted
+    def test_line_search_values_are_a_fresh_evaluation(self, monkeypatch):
+        # on a batch that backtracks, the values each line search hands
+        # back are bitwise a fresh evaluation of the kernels it accepted
         cfg = MleConfig(seed=2, restarts=3)
         obj, starts = batch_of(replicate_tables(4, 2, 300), cfg)
         searches, evaluated = [], []
         line_search, evaluate = estimation._line_search, obj.evaluate
 
         def spy(obj, members, *args):
-            accepted, kept = line_search(obj, members, *args)
-            searches.append((members[accepted], [x.copy() for x in kept]))
-            return accepted, kept
+            accepted, values, kernels = line_search(obj, members, *args)
+            searches.append((members[accepted], values.copy(), kernels.copy()))
+            return accepted, values, kernels
 
         def counting(matrices, members):
             evaluated.append(len(matrices))
@@ -371,12 +390,8 @@ class TestOneEvaluationAStep:
         monkeypatch.setattr(obj, "evaluate", counting)
         estimation._lockstep(obj, starts, cfg)
         assert len(evaluated) - 1 > len(searches)        # some search backtracked
-        for members, (values, *point) in searches:
-            fresh_values, fresh_point = evaluate(point[0], members)
-            np.testing.assert_array_equal(values, fresh_values)
-            assert len(point) == len(fresh_point)
-            for kept, fresh in zip(point, fresh_point):
-                np.testing.assert_array_equal(kept, fresh)
+        for members, values, kernels in searches:
+            np.testing.assert_array_equal(values, evaluate(kernels, members))
 
     def test_one_evaluation_a_round(self, monkeypatch):
         # an n = 6 fit evaluates its starts once, then once per round of a
@@ -437,10 +452,10 @@ class TestLockstepBatch:
                 matrices = matrices.copy()
                 if self.calls > 1:
                     matrices[np.asarray(members) == 1] = NEGATIVE_3X3
-                values, point = super().evaluate(matrices, members)
+                values = super().evaluate(matrices, members)
                 if self.calls > 1:
                     values[np.asarray(members) == 3] = -np.inf
-                return values, point
+                return values
 
         faulty = estimation._lockstep(Faulty(obj.freqs), starts, cfg)
         self.assert_members_equal(clean, [0, 2], [x[[0, 2]] for x in faulty])
@@ -864,12 +879,12 @@ class TestEstimateRisk:
         # the objective and the Newton steps run in member chunks; one
         # member a chunk and the whole batch in one give the same fits.  At
         # n = 10 the default budget holds one member a Newton chunk
-        tables = replicate_tables(n, 3, 400, seed=8)
+        freqs = np.array([t.freqs for t in replicate_tables(n, 3, 400, seed=8)])
         cfg = MleConfig(seed=2, restarts=3, max_iters=30 if n < 10 else 3)
         fits = []
         for budget in (1, 2 ** 12, 2 ** 17, 2 ** 30):
             monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
-            fits.append(estimation._fit_tables(tables, cfg))
+            fits.append(estimation._fit_tables(freqs, cfg))
         assert max(r.iterations for r in fits[0]) > 1
         for budget, other in zip((2 ** 12, 2 ** 17, 2 ** 30), fits[1:]):
             for a, b in zip(fits[0], other):
@@ -880,14 +895,14 @@ class TestEstimateRisk:
         # with the derivative pass in 2^(6 - 2) blocks, the same fits at
         # every chunk budget, and the maxima of the one-block fits (up to
         # the sign orbit, which roundoff may change)
-        tables = replicate_tables(6, 3, 400, seed=8)
+        freqs = np.array([t.freqs for t in replicate_tables(6, 3, 400, seed=8)])
         cfg = MleConfig(seed=2, restarts=3)
-        one_block = estimation._fit_tables(tables, cfg)
+        one_block = estimation._fit_tables(freqs, cfg)
         monkeypatch.setattr(minors, "_BLOCK_BITS", 2)
         fits = []
         for budget in (1, 2 ** 12, 2 ** 30):
             monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
-            fits.append(estimation._fit_tables(tables, cfg))
+            fits.append(estimation._fit_tables(freqs, cfg))
         for other in fits[1:]:
             for a, b in zip(fits[0], other):
                 assert a.to_dict() == b.to_dict()
@@ -909,6 +924,32 @@ class TestEstimateRisk:
                                     "sample_sizes": [100, 1000, 10000], "replicates": 2,
                                     "seed": 3, "mle": {"restarts": 2}})
         assert calls == [3 * 2 * 2]
+
+    def test_replicate_tables_are_rows_of_the_objectives_array(self, monkeypatch):
+        # each replicate's table is a row view of the one (T, 2^n) array the
+        # objective keeps without a copy, and fit_mle hands its table over
+        # the same way
+        tables, objectives = [], []
+        empirical, init = estimation.empirical_table, geometry._Objective.__init__
+
+        def spy_table(batch):
+            tables.append(empirical(batch))
+            return tables[-1]
+
+        def spy_init(self, freqs, tables=None):
+            init(self, freqs, tables)
+            objectives.append(self)
+
+        monkeypatch.setattr(estimation, "empirical_table", spy_table)
+        monkeypatch.setattr(geometry._Objective, "__init__", spy_init)
+        d.estimate_risk(d.tridiagonal_kernel(3, 2.0, 0.5), [100, 1000], 3,
+                        MleConfig(seed=1, restarts=2), seed=3)
+        (obj,) = objectives
+        assert obj.freqs.shape == (6, 8) and len(tables) == 6
+        for i, table in enumerate(tables):
+            assert np.shares_memory(table.freqs, obj.freqs[i])
+        d.fit_mle(tables[0], MleConfig(seed=1, restarts=2))
+        assert np.shares_memory(objectives[-1].freqs, tables[0].freqs)
 
     def test_standard_error(self, rng):
         star = random_kernel(2, rng)

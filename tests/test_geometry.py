@@ -204,6 +204,39 @@ class TestHessianQuadraticForm:
             assert abs(variance_form - rearranged) <= 1e-10 * scale
 
 
+def long_double_curvature(table):
+    """Reference: the smallest eigenvalue of sum_J p_J Tr((P_J - G) B_a
+    (P_J - G) B_b) over `symmetric_basis` B, minus the population
+    Hessian.  The padded inverses P_J and G = (I+L)^{-1} are refined in
+    long double by two Newton-Schulz steps X <- 2X - X A X (P_J A P_J =
+    P_J A_J P_J, so the padded form refines each block), and the sum is
+    taken in long double with the table's float64 probabilities, whose
+    rounding moves a sum of positive semidefinite terms only relatively;
+    the eigenvector of its float64 rounding then gives the Rayleigh
+    quotient in long double."""
+    n = table.n
+    a = table.kernel.matrix.astype(np.longdouble)
+
+    def refine(x, a):
+        x = x.astype(np.longdouble)
+        for _ in range(2):
+            x = 2 * x - x @ a @ x
+        return x
+
+    y = refine(minors.padded_inverses(table.kernel.matrix), a)
+    y -= refine(np.linalg.inv(np.eye(n) + table.kernel.matrix), np.eye(n) + a)
+    rows, cols = np.triu_indices(n)
+    u = np.empty((n, n), dtype=np.intp)
+    u[rows, cols] = u[cols, rows] = np.arange(rows.size)
+    x = y[:, rows, cols]
+    gram = (x * table.probs.astype(np.longdouble)[:, None]).T @ x
+    j, k, l, i = np.indices((n,) * 4)
+    basis = np.array(d.symmetric_basis(n), dtype=np.longdouble)
+    form = np.einsum("aij,bkl,jkli->ab", basis, basis, gram[u[j, k], u[l, i]], optimize=True)
+    v = np.linalg.eigh(form.astype(float))[1][:, 0].astype(np.longdouble)
+    return float(v @ form @ v / (v @ v))
+
+
 class TestHessianMatrix:
     def test_quadratic_form_consistency(self, rng):
         table = d.build_table(random_kernel(4, rng))
@@ -247,17 +280,39 @@ class TestHessianMatrix:
                                        atol=1e-12 * np.abs(form.eigenvalues).max(), err_msg=name)
 
     def test_is_the_fitter_hessian_at_the_truth(self, monkeypatch, rng):
-        # the Newton step's Hessian at (L*, q = p*), symmetrized, with p* as
-        # the table normalizes it, is the population Hessian exactly, in one
-        # block of masks and in several
+        # the population Hessian is bitwise the centred form of the
+        # fitter's derivative pass at (L*, q = p*), symmetrized; the
+        # Newton step's Hessian there differs from that form only by the
+        # rank-two term of its gradient d, G = (I+L*)^{-1}: at most twice
+        # 2 |d| |G| + |1 - sum p*| |G|^2 through the gathers, and the
+        # rounding of the sum; in one block of masks and in several
         for bits, n in ((12, 1), (12, 3), (12, 6), (2, 3), (2, 6)):
             monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
             star = random_kernel(n, rng)
             table = d.build_table(star)
-            lse = np.logaddexp.reduce(np.sort(table.log_dets))
-            point = (star.matrix[None], table.log_dets[None], np.array([lse]), np.array([0]))
-            hess = geometry._Objective(table.probs[None]).derivatives(point)[1][0]
-            np.testing.assert_array_equal(d.hessian_matrix(table).matrix, (hess + hess.T) / 2)
+            rows, cols, _ = d.kernels._coordinate_layout(n)
+            glob = np.linalg.inv(np.eye(n) + star.matrix)[None]
+            centred = geometry.likelihood_derivatives(
+                minors._inverse_blocks(star.matrix[None], rows, cols), table.probs[None], glob,
+                np.ones(1, dtype=bool))[1][0]
+            np.testing.assert_array_equal(d.hessian_matrix(table).matrix,
+                                          (centred + centred.T) / 2)
+            grad, hess = geometry._Objective(table.probs[None]).derivatives(
+                star.matrix[None], [0], np.ones(1, dtype=bool))
+            g, d_max = np.abs(glob).max(), np.abs(grad).max()
+            bound = (2 * (2 * d_max * g + abs(1 - table.probs.sum()) * g ** 2)
+                     + 4 * np.finfo(float).eps * np.abs(centred).max())
+            assert bound <= 1e-13 * max(1.0, np.abs(centred).max())
+            assert np.abs(hess[0] - centred).max() <= bound
+
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_smallest_curvature_against_a_long_double_reference(self, n):
+        # tridiagonal a = 2, b = 0.9, whose smallest curvature falls fast
+        # with n: to 1e-7 relative of a long-double reference
+        star = d.tridiagonal_kernel(n, 2.0, 0.9)
+        table = d.build_table(star)
+        expect = long_double_curvature(table)
+        assert d.min_curvature(table) == pytest.approx(expect, rel=1e-7, abs=0)
 
     def test_matches_the_dense_basis_projection(self, rng):
         # the two gathers from the Gram of the distinct entries are the
@@ -269,10 +324,10 @@ class TestHessianMatrix:
             raw = rng.random(2 ** n) * (rng.random(2 ** n) < 0.5)
             raw[0] += 1.0
             q = (raw / raw.sum())[None]
-            p = d.build_table(d.Kernel(a)).probs[None]
-            expect = dense_basis_hessian(inv, q, p)
+            glob = np.linalg.inv(np.eye(n) + a)[None]
+            expect = dense_basis_hessian(inv, q, glob)
             x = inv.reshape(1, 2 ** n, n * n)[:, :, geometry._gram_pairs(n)[0]].transpose(0, 2, 1)
-            got = geometry.likelihood_derivatives([x], q, p)[1]
+            got = geometry.likelihood_derivatives([x], q, glob, np.ones(1, dtype=bool))[1]
             np.testing.assert_allclose(got, expect, rtol=0,
                                        atol=1e-13 * np.abs(expect).max(), err_msg=f"n={n}")
 
@@ -284,13 +339,13 @@ class TestHessianMatrix:
             raw = rng.random((2, 2 ** n)) * (rng.random((2, 2 ** n)) < 0.5)
             raw[:, 0] += 1.0
             q = raw / raw.sum(axis=1, keepdims=True)
-            p = np.array([d.build_table(d.Kernel(a)).probs for a in mats])
+            glob = np.linalg.inv(np.eye(n) + mats)
             rows, cols, _ = d.kernels._coordinate_layout(n)
             got = []
             for bits in (12, n // 2, 1):
                 monkeypatch.setattr(minors, "_BLOCK_BITS", bits)
                 got.append(geometry.likelihood_derivatives(
-                    minors._inverse_blocks(mats, rows, cols), q, p))
+                    minors._inverse_blocks(mats, rows, cols), q, glob, np.ones(2, dtype=bool)))
             for grads, hess in got[1:]:
                 for one, other in zip(got[0], (grads, hess)):
                     np.testing.assert_allclose(other, one, rtol=0,
@@ -301,13 +356,14 @@ class TestHessianMatrix:
         # that member's row of the full pass; every gradient is bitwise too
         mats = np.array([random_kernel(4, rng).matrix for _ in range(3)])
         p = np.array([d.build_table(d.Kernel(a)).probs for a in mats])
+        glob = np.linalg.inv(np.eye(4) + mats)
         rows, cols, _ = d.kernels._coordinate_layout(4)
 
-        def derivatives(gram=None):
+        def derivatives(gram):
             return geometry.likelihood_derivatives(minors._inverse_blocks(mats, rows, cols),
-                                                   p, p, gram)
+                                                   p, glob, gram)
 
-        grads, hess = derivatives()
+        grads, hess = derivatives(np.ones(3, dtype=bool))
         assert hess.shape == (3, 10, 10)
         for gram in ([True, False, True], [False, False, True], [False] * 3):
             some_grads, some = derivatives(np.array(gram))

@@ -173,12 +173,27 @@ def test_one_member_chunk_loop_a_pass():
 
 def test_one_evaluation_a_step():
     # the fit loop evaluates only its starts: a step goes on from the
-    # values and point at which its line search accepted it, so no
-    # accepted kernel is evaluated twice
+    # value and kernel that its line search accepted, so no accepted
+    # kernel is evaluated twice
     tree = ast.parse((SRC / "estimation.py").read_text())
     lockstep = dict(_defs(tree))["_lockstep"]
     calls = [call.lineno for call in _calls(lockstep, "evaluate")]
     assert len(calls) == 1, f"evaluate calls in estimation._lockstep: lines {calls}"
+
+
+def test_derivatives_read_the_kernels():
+    # the objective's value pass leaves nothing for the derivative pass:
+    # `_Objective.evaluate` returns one array, not a tuple, and the
+    # search hands no evaluation point to `_line_search` or `_newton`
+    defs = dict(_defs(ast.parse((SRC / "geometry.py").read_text())))
+    returns = [node for node in ast.walk(defs["_Objective.evaluate"])
+               if isinstance(node, ast.Return)]
+    assert returns and not any(isinstance(node.value, ast.Tuple) for node in returns), \
+        [ast.unparse(node) for node in returns]
+    defs = dict(_defs(ast.parse((SRC / "estimation.py").read_text())))
+    for name in ("_line_search", "_newton"):
+        args = [arg.arg for arg in defs[name].args.args]
+        assert "point" not in args, f"estimation.{name}{tuple(args)}"
 
 
 def test_one_reverse_sweep_reader():
