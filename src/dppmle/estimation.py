@@ -15,19 +15,20 @@ The fit is damped Newton in the orthonormal symmetric coordinates of L
 on the exact observed information, the negated Hessian, which a member
 sums unless its last step was below roundoff and solves against only if
 it then steps.  The likelihood is not concave (Brunel, Moitra, Rigollet
-& Urschel, arXiv:1701.06501), so the eigenvalues of -H are reflected and
-floored at 1e-13 of the largest, and Armijo backtracking from step 1
-makes every step a rise (Nocedal & Wright, ch. 3.4).  A nonpositive
-minor makes the value -inf, so iterates stay positive definite; a
-candidate the spectral box [alpha, beta] of the correlation kernel
-moves is taken only if it rises.  A member stops on `grad_tol`; on
-`roundoff`, when half the Newton decrement g^T (-H)^{-1} g is at most
-8 eps max(1, |f|), below what f resolves (Boyd & Vandenberghe, 9.5.1),
-after one full step taken unless f falls by more than that; on
-`line_search`, when no step moves L; or on `max_iters`.  `grad_tol`,
-`converged` and `gradient_norm` use the gradient norm in the
-log-Cholesky parameters of L = C C^T at the returned kernel, and
-nothing else does.
+& Urschel, arXiv:1701.06501), so eigh reflects the eigenvalues of -H and
+floors them at 1e-13 of the largest, unless a Cholesky factor certifies
+that none is negative or below the floor and solves the step (Higham,
+2002, ch. 10); Armijo backtracking from step 1 makes every step a rise
+(Nocedal & Wright, ch. 3.4).  A nonpositive minor makes the value -inf,
+so iterates stay positive definite; a candidate the spectral box
+[alpha, beta] of the correlation kernel moves is taken only if it
+rises.  A member stops on `grad_tol`; on `roundoff`, when half the
+Newton decrement g^T (-H)^{-1} g is at most 8 eps max(1, |f|), below
+what f resolves (Boyd & Vandenberghe, 9.5.1), after one full step taken
+unless f falls by more than that; on `line_search`, when no step moves
+L; or on `max_iters`.  `grad_tol`, `converged` and `gradient_norm` use
+the gradient norm in the log-Cholesky parameters of L = C C^T at the
+returned kernel, and nothing else does.
 
 Every fit is one lockstep batch: all restarts of `fit_mle`, and all
 sizes x replicates x restarts of a rate study in `estimate_risk`,
@@ -43,6 +44,7 @@ failing fit fails the batch, and a rate study then has no row.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -65,6 +67,10 @@ _GRAD_TOL, _ROUNDOFF, _LINE_SEARCH, _MAX_ITERS = range(4)
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _ROUNDOFF_SLACK = 8 * _EPS          # what f resolves, in units of max(1, |f|)
+
+#: Coordinates m from which `_ascent_steps` tries Cholesky: a step took 32.2 / 34.5 / 71 us
+#: by eigh, 34.8 / 35.8 / 63 by Cholesky at m = 6 / 10 / 15 (medians of 21, one BLAS thread).
+_CHOLESKY_DIM = 10
 
 #: Candidate sign vectors rescored per slice in sign_orbit_loss (n=20:
 #: ~3.3 MB for the stacked differences); a diagonal truth makes all
@@ -202,30 +208,54 @@ def _line_search(obj, members, matrix, fval, direction, slope, flat, config: Mle
         step[idx] *= 0.5
 
 
+def _ascent_steps(info: np.ndarray, grad: np.ndarray):
+    """(Newton decrements g^T A^+ g, steps A^+ g) of informations A = -H
+    (k, m, m) and gradients g (k, m), A^+ the inverse with eigenvalues
+    reflected and floored at 1e-13 of the largest.  From m = _CHOLESKY_DIM
+    a Cholesky factor C with 1/||C^-1||_F^2 (<= the least eigenvalue) >=
+    1e-13 max_i sum_j |A_ij| (>= 1e-13 of the largest) certifies that no
+    eigenvalue needs either, and the member takes y = C^-1 g, y^T y and
+    C^-T y.  A member's path and bits do not depend on the batch."""
+    k, m = grad.shape
+    decrement, step, certified = np.empty(k), np.empty((k, m)), np.zeros(k, dtype=bool)
+    if m >= _CHOLESKY_DIM:
+        try:
+            inverses = np.linalg.inv(np.linalg.cholesky(info))
+        except np.linalg.LinAlgError:       # each member alone; NaN is never certified
+            inverses = np.full_like(info, np.nan)
+            for i in range(k):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    inverses[i] = np.linalg.inv(np.linalg.cholesky(info[i]))
+        frobenius = _rowdot(inverses.reshape(k, m * m), inverses.reshape(k, m * m))
+        certified = 1e-13 * np.abs(info).sum(axis=2).max(axis=1) * frobenius <= 1.0
+        y = (inverses[certified] @ grad[certified][:, :, None])[:, :, 0]
+        decrement[certified] = _rowdot(y, y)
+        step[certified] = (y[:, None, :] @ inverses[certified])[:, 0]
+    if not certified.all():
+        w, v = np.linalg.eigh(info[~certified])
+        w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
+        z = (grad[~certified][:, None, :] @ v)[:, 0] / np.sqrt(w)
+        decrement[~certified] = _rowdot(z, z)
+        step[~certified] = ((z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1))[:, 0]
+    return decrement, step
+
+
 def _newton(obj, matrices: np.ndarray, members: np.ndarray, flat: np.ndarray, grad_tol: float):
     """(gradient norms by `_theta_norm`, Newton decrements, ascent
     directions) of the kernels of `members`, the last two zero, and no
-    eigh run, for a member at `grad_tol` or `flat`, and no Gram summed
+    step solved, for a member at `grad_tol` or `flat`, and no Gram summed
     or Hessian formed for a `flat` one; in one loop over member chunks,
     a member taking its bordering work, `minors._pass_floats(n)`, plus
-    about 4 m^2 floats of Gram, Hessian and eigh, m = n(n+1)/2, so no
-    pass or Hessian spans the batch."""
+    about 4 m^2 floats of Gram, Hessian and the step's Cholesky or eigh,
+    m = n(n+1)/2, so no pass or Hessian spans the batch."""
     b, n = matrices.shape[0], matrices.shape[1]
     gnorm, decrement, direction = np.empty(b), np.zeros(b), np.zeros((b, n, n))
     for at in minors._chunks(b, minors._pass_floats(n) + 4 * symmetric_dim(n) ** 2):
         grad, hess = obj.derivatives(matrices[at], members[at], ~flat[at])
         gnorm[at] = _theta_norm(grad, np.linalg.cholesky(matrices[at]))
         go = ~(gnorm[at] <= grad_tol) & ~flat[at]
-        if not go.any():
-            continue
-        # the step solves against -H with its eigenvalues reflected and
-        # floored, so it ascends wherever H is indefinite
-        w, v = np.linalg.eigh(-hess[go[~flat[at]]])
-        w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
-        z = (sym_to_coords(grad[go])[:, None, :] @ v)[:, 0] / np.sqrt(w)
-        decrement[at][go] = _rowdot(z, z)               # lambda^2 = g^T (-H)^{-1} g
-        step = (z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1)   # (-H)^{-1} g, as a row
-        direction[at][go] = coords_to_sym(step[:, 0], n)
+        decrement[at][go], step = _ascent_steps(-hess[go[~flat[at]]], sym_to_coords(grad[go]))
+        direction[at][go] = coords_to_sym(step, n)
     return gnorm, decrement, direction
 
 

@@ -57,8 +57,8 @@ MAX_ENUM_N = 20
 #: reading its samples at 186 MiB, 653 and 639 MiB with a Python int per draw.
 MAX_DRAWS = 10 ** 7
 
-#: Floats a chunk of a batched consumer holds (1 MiB), `_chunks`.
-_CHUNK_FLOATS = 2 ** 17
+#: Floats a chunk of a batched consumer holds (2 MiB), `_chunks`.
+_CHUNK_FLOATS = 2 ** 18
 
 #: Low indices that `_inverse_blocks` borders within a block: the pass
 #: over n <= 12 indices is one block, and a block holds m 2^12 floats a

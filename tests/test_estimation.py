@@ -320,23 +320,107 @@ def batch_of(tables, config):
 
 def count_steps(monkeypatch):
     """(the Gram members of each derivative pass, one entry a pass; the
-    Hessians `_newton` solves against, one entry an eigh)."""
+    Hessians `_newton` solves against, one entry an `_ascent_steps` call)."""
     grams, solved = [], []
-    derivatives, eigh = geometry._Objective.derivatives, np.linalg.eigh
+    derivatives, ascent_steps = geometry._Objective.derivatives, estimation._ascent_steps
 
     def counting(self, matrices, members, gram):
         grads, hess = derivatives(self, matrices, members, gram)
         grams.append(len(hess))
         return grads, hess
 
-    def counting_eigh(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_newton":
-            solved.append(len(a))
-        return eigh(a, *args, **kwargs)
+    def counting_steps(info, grad):
+        solved.append(len(info))
+        return ascent_steps(info, grad)
 
     monkeypatch.setattr(geometry._Objective, "derivatives", counting)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(estimation, "_ascent_steps", counting_steps)
     return grams, solved
+
+
+def eigh_steps(info, grad):
+    """The decrements and steps of the information stack `info` solved by
+    eigh, its eigenvalues reflected and floored at 1e-13 of the largest:
+    the step every member took before the Cholesky path."""
+    w, v = np.linalg.eigh(info)
+    w = np.maximum(np.abs(w), 1e-13 * np.abs(w).max(axis=1, keepdims=True))
+    z = (grad[:, None, :] @ v)[:, 0] / np.sqrt(w)
+    return geometry._rowdot(z, z), ((z / np.sqrt(w))[:, None, :] @ v.transpose(0, 2, 1))[:, 0]
+
+
+def spectral_matrix(eigenvalues, gen):
+    """A symmetric matrix with these eigenvalues and random eigenvectors."""
+    q = np.linalg.qr(gen.normal(size=(len(eigenvalues),) * 2))[0]
+    return d.symmetrize((q * eigenvalues) @ q.T)
+
+
+class TestAscentSteps:
+    @staticmethod
+    def spy_eigh(monkeypatch):
+        """The member counts of each eigh `_ascent_steps` runs."""
+        calls, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_ascent_steps":
+                calls.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return calls
+
+    def members(self, m, gen):
+        """A certifiable information (condition 1e4), an indefinite one,
+        and a positive definite one of condition 1e15, with gradients."""
+        spectra = [np.logspace(0, 4, m), np.linspace(-1.0, 3.0, m), np.logspace(-15, 0, m)]
+        return (np.array([spectral_matrix(w, gen) for w in spectra]),
+                gen.normal(size=(len(spectra), m)))
+
+    @pytest.mark.parametrize("m", [15, 21, 55])
+    def test_certified_step_is_the_eigh_step(self, monkeypatch, m):
+        # the Cholesky step and decrement agree with the eigh ones within
+        # 1e-10 relative; their gap is roundoff of order condition x eps
+        gen = np.random.default_rng(m)
+        conditions = [1.0, 1e2, 1e4, 1e6]
+        info = np.array([spectral_matrix(np.logspace(0, np.log10(c), m), gen)
+                         for c in conditions])
+        grad = gen.normal(size=(len(conditions), m))
+        calls = self.spy_eigh(monkeypatch)
+        decrement, step = estimation._ascent_steps(info, grad)
+        assert calls == []
+        want_decrement, want_step = eigh_steps(info, grad)
+        np.testing.assert_allclose(decrement, want_decrement, rtol=1e-10, atol=0)
+        for got, want in zip(step, want_step):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m", [15, 55])
+    def test_uncertified_members_take_eigh(self, monkeypatch, m):
+        # an indefinite information, and one whose eigenvalues eigh would
+        # floor, take the eigh path and its step bit for bit
+        info, grad = self.members(m, np.random.default_rng(m))
+        calls = self.spy_eigh(monkeypatch)
+        for i in (1, 2):
+            got = estimation._ascent_steps(info[i:i + 1], grad[i:i + 1])
+            for x, y in zip(got, eigh_steps(info[i:i + 1], grad[i:i + 1])):
+                np.testing.assert_array_equal(x, y)
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("m", [6, 15, 55])
+    def test_member_steps_do_not_depend_on_the_batch(self, monkeypatch, m):
+        # certifiable, indefinite and ill-conditioned members in one batch
+        # each take bitwise the step they take alone; below the size rule
+        # every member takes eigh
+        info, grad = self.members(m, np.random.default_rng(m + 1))
+        calls = self.spy_eigh(monkeypatch)
+        batch = estimation._ascent_steps(info, grad)
+        assert calls == [3 if m < estimation._CHOLESKY_DIM else 2]
+        for order in ([0, 1, 2], [2, 0], [1, 2, 0]):
+            part = estimation._ascent_steps(info[order], grad[order])
+            for x, y in zip(part, batch):
+                np.testing.assert_array_equal(x, y[order])
+        for i in range(3):
+            alone = estimation._ascent_steps(info[i:i + 1], grad[i:i + 1])
+            for x, y in zip(alone, batch):
+                np.testing.assert_array_equal(x, y[i:i + 1])
 
 
 class TestHessiansFormed:
@@ -878,15 +962,15 @@ class TestEstimateRisk:
     def test_fits_do_not_depend_on_the_chunk_budget(self, monkeypatch, n):
         # the objective and the Newton steps run in member chunks; one
         # member a chunk and the whole batch in one give the same fits.  At
-        # n = 10 the default budget holds one member a Newton chunk
+        # n = 10 the default budget holds two members a Newton chunk
         freqs = np.array([t.freqs for t in replicate_tables(n, 3, 400, seed=8)])
         cfg = MleConfig(seed=2, restarts=3, max_iters=30 if n < 10 else 3)
         fits = []
-        for budget in (1, 2 ** 12, 2 ** 17, 2 ** 30):
+        for budget in (1, 2 ** 12, 2 ** 17, 2 ** 18, 2 ** 30):
             monkeypatch.setattr(minors, "_CHUNK_FLOATS", budget)
             fits.append(estimation._fit_tables(freqs, cfg))
         assert max(r.iterations for r in fits[0]) > 1
-        for budget, other in zip((2 ** 12, 2 ** 17, 2 ** 30), fits[1:]):
+        for budget, other in zip((2 ** 12, 2 ** 17, 2 ** 18, 2 ** 30), fits[1:]):
             for a, b in zip(fits[0], other):
                 np.testing.assert_array_equal(a.estimate.matrix, b.estimate.matrix)
                 assert a.to_dict() == b.to_dict(), (n, budget)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dppmle import Kernel, build_table, identity_residuals, minors
+from dppmle import Kernel, build_table, estimation, identity_residuals, minors, tridiagonal_kernel
 from dppmle.errors import GroundSetTooLarge
 from dppmle import rngs
 from dppmle.kernels import _coordinate_layout
@@ -261,6 +261,38 @@ class TestSchurAdjoint:
                                match=r"nonpositive principal minor at masks \[7\]"):
                 identity_residuals([random_kernel(3, rng), bad, random_kernel(3, rng)],
                                    np.ones((3, 3, 3)))
+
+
+class TestChunkBudget:
+    @staticmethod
+    def spy_chunks(monkeypatch):
+        """The member slices of each `minors._chunks` call."""
+        calls, chunks = [], minors._chunks
+
+        def spy(b, floats):
+            calls.append(chunks(b, floats))
+            return calls[-1]
+
+        monkeypatch.setattr(minors, "_chunks", spy)
+        return calls
+
+    def test_n10_newton_step_batches(self, monkeypatch):
+        # at the default budget, six n = 10 members step in at most three
+        # chunks, so their bordering, Gram and solves run batched
+        star = tridiagonal_kernel(10, 2.0, 0.5)
+        kernels = np.array([star.matrix * (1.0 + 0.1 * i) for i in range(6)])
+        obj = estimation._Objective(build_table(star).probs[None], np.zeros(6, dtype=int))
+        calls = self.spy_chunks(monkeypatch)
+        estimation._newton(obj, kernels, np.arange(6), np.zeros(6, dtype=bool), 1e-8)
+        assert len(calls) == 1 and len(calls[0]) <= 3
+
+    def test_n12_identity_chunk_holds_two_members(self, monkeypatch):
+        # two n = 12 identity trials share one jet pass
+        gen = np.random.default_rng(12)
+        kernels = [random_kernel(12, gen) for _ in range(2)]
+        calls = self.spy_chunks(monkeypatch)
+        identity_residuals(kernels, np.array([random_symmetric(12, gen) for _ in range(2)]))
+        assert calls == [[slice(0, 2)]]
 
 
 class TestStreams:

@@ -146,6 +146,22 @@ def test_one_coordinate_layout():
     assert not calls, f"coordinate layouts outside kernels.py: {calls}"
 
 
+def test_one_chunk_budget():
+    # `minors._CHUNK_FLOATS` is read only inside `minors._chunks`, so every
+    # batched consumer sizes its chunks by the one budget
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_chunks"
+                  and path.name == "minors.py" for node in ast.walk(fn)}
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == "_CHUNK_FLOATS"
+                      or isinstance(node, ast.Attribute) and node.attr == "_CHUNK_FLOATS")
+                  and not isinstance(node.ctx, ast.Store) and id(node) not in inside]
+    assert not reads, f"_CHUNK_FLOATS read outside minors._chunks: {reads}"
+
+
 def test_one_member_chunk_loop_a_pass():
     # a loop over member chunks (`minors._chunks`) holds no second one, and
     # the Newton step's derivative pass is a plain call on the members it
